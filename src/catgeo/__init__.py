@@ -44,8 +44,10 @@ from .geometry import (
     CliffordReport,
     Multivector,
     anticommutator,
+    anticommutator_table,
     blade_area,
     clifford_report,
+    format_terms,
     geometric,
     inner,
     is_orthogonal,

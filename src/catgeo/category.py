@@ -12,12 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CyclicGraph, NontrivialCycle, ParseError
+from .errors import CatGeoError, CyclicGraph, NontrivialCycle, ParseError
 
 IDENTITY_PREFIX = "id:"
 
 #: separator used in the ids of composite path arrows of free categories
 PATH_SEP = "∘"  # "∘"
+
+#: most path arrows build_free enumerates; a larger free category is refused,
+#: since its composition table grows with the square of the path count
+MAX_FREE_PATHS = 20_000
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,9 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     """Thin category: one arrow a→b per nonempty generator path, a != b.
 
     Generator arrows keep their given ids; derived arrows are named
-    "<dom>-><cod>" (unambiguous, since a thin category has at most one
-    arrow per ordered object pair).  Raises NontrivialCycle when the
-    reachability relation is not antisymmetric.
+    "<dom>-><cod>".  Raises ParseError when two generators share an
+    ordered object pair or a derived name is already an arrow id, and
+    NontrivialCycle when the reachability relation is not antisymmetric.
     """
     _check_presentation(objects, generators)
     succ: dict[str, set[str]] = {o: set() for o in objects}
@@ -161,13 +165,24 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
 
     generator_name = {}
     for gid, dom, cod in generators:
-        generator_name.setdefault((dom, cod), gid)
+        if (dom, cod) in generator_name:
+            raise ParseError(
+                "generators %r and %r both go %s -> %s; a thin category has one arrow per object pair"
+                % (generator_name[(dom, cod)], gid, dom, cod)
+            )
+        generator_name[(dom, cod)] = gid
 
     pair_to_id = {}
     arrows = _identities(objects)
+    used = set(generator_name.values())
     for a in objects:
         for b in sorted(reach[a]):
-            aid = generator_name.get((a, b), "%s->%s" % (a, b))
+            aid = generator_name.get((a, b))
+            if aid is None:
+                aid = "%s->%s" % (a, b)
+                if aid in used:
+                    raise ParseError("derived arrow %s -> %s would be named %r, which is already taken" % (a, b, aid))
+                used.add(aid)
             pair_to_id[(a, b)] = aid
             arrows.append(Arrow(aid, a, b))
 
@@ -185,7 +200,8 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
 
     A path through edges g1, g2, ..., gn (in traversal order) gets the id
     "gn∘...∘g2∘g1"; composition is path concatenation.  Raises CyclicGraph
-    when the multigraph has a directed cycle.
+    when the multigraph has a directed cycle, and CatGeoError when it has
+    more than MAX_FREE_PATHS nonempty paths.
     """
     _check_presentation(objects, generators)
     for gid, _, _ in generators:
@@ -196,33 +212,55 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     for gid, dom, cod in generators:
         out_edges[dom].append((gid, cod))
 
-    # cycle check (three-color DFS over the underlying digraph)
+    # cycle check: three-colour DFS over the underlying digraph, with an
+    # explicit stack of out-edge iterators so that long chains cannot
+    # exhaust the interpreter stack; `order` collects finished objects
     state = {o: 0 for o in objects}  # 0 unseen, 1 active, 2 done
+    order = []
+    for root in objects:
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(out_edges[root]))]
+        while stack:
+            node, edges = stack[-1]
+            for _, nxt in edges:
+                if state[nxt] == 1:
+                    raise CyclicGraph("directed cycle through %r" % nxt)
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(out_edges[nxt])))
+                    break
+            else:
+                state[node] = 2
+                order.append(node)
+                stack.pop()
 
-    def visit(node):
-        state[node] = 1
-        for _, nxt in out_edges[node]:
-            if state[nxt] == 1:
-                raise CyclicGraph("directed cycle through %r" % nxt)
-            if state[nxt] == 0:
-                visit(nxt)
-        state[node] = 2
+    # count the nonempty paths before enumerating them: paths from an
+    # object are its out-edges, each extended by the paths from its target
+    paths_from = {}
+    for node in order:  # every target finishes before its sources
+        paths_from[node] = sum(1 + paths_from[nxt] for _, nxt in out_edges[node])
+    total = sum(paths_from.values())
+    if total > MAX_FREE_PATHS:
+        raise CatGeoError(
+            "free category would have %d path arrows, more than the limit of %d" % (total, MAX_FREE_PATHS)
+        )
 
-    for o in objects:
-        if state[o] == 0:
-            visit(o)
-
-    # enumerate all nonempty paths; acyclicity keeps this finite
+    # enumerate all nonempty paths in depth-first pre-order
     paths: list[tuple[tuple[str, ...], str, str]] = []
-
-    def extend(seq, start, node):
-        for gid, nxt in out_edges[node]:
-            new = seq + (gid,)
-            paths.append((new, start, nxt))
-            extend(new, start, nxt)
-
     for o in objects:
-        extend((), o, o)
+        stack = [((), iter(out_edges[o]))]
+        while stack:
+            seq, edges = stack[-1]
+            step = next(edges, None)
+            if step is None:
+                stack.pop()
+                continue
+            gid, nxt = step
+            new = seq + (gid,)
+            paths.append((new, o, nxt))
+            stack.append((new, iter(out_edges[nxt])))
 
     def path_id(seq):
         return PATH_SEP.join(reversed(seq))
@@ -234,11 +272,13 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
         seq_to_id[seq] = aid
         arrows.append(Arrow(aid, dom, cod))
 
+    starting_at: dict[str, list[tuple[str, ...]]] = {o: [] for o in objects}
+    for seq, dom, _ in paths:
+        starting_at[dom].append(seq)
     table: dict[tuple[str, str], str] = {}
-    for seq_f, dom_f, cod_f in paths:
-        for seq_g, dom_g, cod_g in paths:
-            if cod_f == dom_g:
-                table[(seq_to_id[seq_f], seq_to_id[seq_g])] = seq_to_id[seq_f + seq_g]
+    for seq_f, _, cod_f in paths:
+        for seq_g in starting_at[cod_f]:
+            table[(seq_to_id[seq_f], seq_to_id[seq_g])] = seq_to_id[seq_f + seq_g]
     _fill_identity_entries(table, arrows)
     return FiniteCategory(objects, arrows, table, "free")
 

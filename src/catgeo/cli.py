@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import realline
 from .category import FiniteCategory, validate_axioms
 from .documents import builtin_document, builtin_names, load_category
-from .errors import AxiomViolation, CatGeoError, ParseError
+from .errors import AxiomViolation, CatGeoError, ParseError, UnknownArrow
 from .geometry import (
     Multivector,
     anticommutator,
-    blade_area,
+    anticommutator_table,
     clifford_report,
+    format_terms,
     geometric,
     inner,
     is_orthogonal,
@@ -27,22 +29,24 @@ from .geometry import (
 )
 from .render import embedding_to_json, export_dot, export_embedding
 from .vectors import NormTable, atomic_basis, compute_norms
-from .errors import UnknownArrow
 
 USAGE_EXIT = 1
 SEMANTIC_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-31/7" as an option, as it knows only negative
+        # integers and decimals; negative fraction endpoints are positionals too
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     # argparse exits with 2 on usage errors; the contract reserves 2 for
     # semantic errors, so usage problems exit 1 instead.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message):
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
-        return USAGE_EXIT
+        raise SystemExit(USAGE_EXIT)
 
 
 def _read_file(path: str) -> str:
@@ -62,17 +66,20 @@ def _vector_arg(category: FiniteCategory, name: str) -> str:
     return name
 
 
-def _multivector_dict(mv: Multivector, norms: NormTable | None = None) -> dict:
+def _terms_dict(scalar, terms, norms: NormTable | None = None) -> dict:
     blades = []
-    for blade in sorted(mv.blades):
-        entry = {"first": str(blade.first), "second": str(blade.second), "coefficient": mv.blades[blade]}
+    for first, second, coefficient in terms:
+        entry = {"first": str(first), "second": str(second), "coefficient": coefficient}
         if norms is not None:
-            entry["area"] = blade_area(norms, blade)
+            entry["area"] = norms[first] * norms[second]
         blades.append(entry)
-    scalar = mv.scalar
     if not isinstance(scalar, int):
         scalar = str(scalar)
     return {"scalar": scalar, "blades": blades}
+
+
+def _multivector_dict(mv: Multivector, norms: NormTable | None = None) -> dict:
+    return _terms_dict(mv.scalar, mv.terms(), norms)
 
 
 def _emit_json(data) -> None:
@@ -149,18 +156,16 @@ def cmd_product(args) -> int:
 def cmd_table(args) -> int:
     category = _load(args.file)
     norms = compute_norms(category, atomic_basis(category))
-    vectors = category.non_identity_arrows()
+    rows = anticommutator_table(category, norms)
     if args.json:
         entries = [
-            {"f": f, "g": g, "anticommutator": _multivector_dict(anticommutator(category, norms, f, g), norms)}
-            for f in vectors
-            for g in vectors
+            {"f": f, "g": g, "anticommutator": _terms_dict(scalar, terms, norms)}
+            for f, g, scalar, terms in rows
         ]
         _emit_json({"entries": entries})
     else:
-        for f in vectors:
-            for g in vectors:
-                print("%s %s: %r" % (f, g, anticommutator(category, norms, f, g)))
+        for f, g, scalar, terms in rows:
+            print("%s %s: %s" % (f, g, format_terms(scalar, terms)))
     return 0
 
 
@@ -204,8 +209,8 @@ def cmd_embed(args) -> int:
 
 def cmd_dot(args) -> int:
     category = _load(args.file)
-    norms = compute_norms(category, atomic_basis(category))
-    basis = atomic_basis(category) if args.basis_only else None
+    basis = atomic_basis(category)
+    norms = compute_norms(category, basis)
     sys.stdout.write(export_dot(category, basis_only=args.basis_only, basis=basis, norms=norms))
     return 0
 

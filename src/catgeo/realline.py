@@ -5,6 +5,7 @@ intervals that share an endpoint.  There are no atomic arrows here (every
 interval splits at its midpoint), so the norm is taken directly as the
 interval width rather than from a basis.  Endpoints are exact Fractions:
 composability requires exact endpoint equality, which floats cannot give.
+The products run the same kernel as the finite backend (geometry._product).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ParseError, UndefinedSum
-from .geometry import Multivector, _wedge
+from .geometry import Multivector, _as_multivector, _ZERO_PRODUCT, _product
 from .vectors import ZERO, _ZeroVector, is_zero
 
 
@@ -84,28 +85,29 @@ def split(f: IntervalArrow) -> tuple[IntervalArrow, IntervalArrow]:
     return IntervalArrow(f.lo, mid), IntervalArrow(mid, f.hi)
 
 
-def _composable(f: IntervalArrow, g: IntervalArrow) -> bool:
-    return f.hi == g.lo
+def _fg(f: IntervalVector, g: IntervalVector):
+    """The geometry kernel with width norms and hi(f) = lo(g) composability."""
+    if is_zero(f) or is_zero(g):
+        return _ZERO_PRODUCT
+    return _product(f, g, f.hi, g.lo, interval_norm(f), interval_norm(g))
 
 
 def interval_inner(f: IntervalVector, g: IntervalVector) -> Fraction:
-    if is_zero(f) or is_zero(g):
-        return Fraction(0)
-    if f == g or _composable(f, g):
-        return interval_norm(f) * interval_norm(g)
-    return Fraction(0)
+    return Fraction(_fg(f, g)[0])
 
 
 def interval_outer(f: IntervalVector, g: IntervalVector) -> Multivector:
-    if is_zero(f) or is_zero(g) or f == g or _composable(f, g):
-        return Multivector.zero()
-    return _wedge(f, g)
+    _, blade, coefficient = _fg(f, g)
+    return _as_multivector(0, blade, coefficient)
 
 
 def interval_geometric(f: IntervalVector, g: IntervalVector) -> Multivector:
-    return Multivector(interval_inner(f, g)) + interval_outer(f, g)
+    scalar, blade, coefficient = _fg(f, g)
+    return _as_multivector(Fraction(scalar), blade, coefficient)
 
 
 def interval_products(f: IntervalVector, g: IntervalVector):
     """(inner, outer, geometric) of the pair, with rational scalars."""
-    return interval_inner(f, g), interval_outer(f, g), interval_geometric(f, g)
+    scalar, blade, coefficient = _fg(f, g)
+    scalar = Fraction(scalar)
+    return scalar, _as_multivector(0, blade, coefficient), _as_multivector(scalar, blade, coefficient)

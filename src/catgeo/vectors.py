@@ -76,9 +76,10 @@ class Basis:
 
     def __init__(self, members):
         self.members = tuple(sorted(members))
+        self._member_set = frozenset(self.members)
 
     def __contains__(self, arrow_id):
-        return arrow_id in set(self.members)
+        return arrow_id in self._member_set
 
     def __iter__(self):
         return iter(self.members)
@@ -89,7 +90,7 @@ class Basis:
     def __eq__(self, other):
         if isinstance(other, Basis):
             return self.members == other.members
-        return set(self.members) == set(other)
+        return self._member_set == set(other)
 
     def __repr__(self):
         return "Basis(%s)" % ", ".join(self.members)

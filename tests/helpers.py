@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import random
 
-from catgeo import FiniteCategory, Multivector, build_free, build_thin
-from catgeo.geometry import _wedge
+from catgeo import Blade2, FiniteCategory, Multivector, build_free, build_thin
 from catgeo.vectors import Basis
 
 
@@ -58,6 +57,13 @@ def oracle_norms(category: FiniteCategory, basis: Basis, depth_bound: int) -> di
     return best
 
 
+def _oriented_blade(f: str, g: str) -> Multivector:
+    """f∧g written out: the id-ordered blade, coefficient -1 when g < f."""
+    if f < g:
+        return Multivector(0, {Blade2(f, g): 1})
+    return Multivector(0, {Blade2(g, f): -1})
+
+
 def closed_form_anticommutator(category, norms, f: str, g: str) -> Multivector:
     """The four-case closed form of fg + gf for distinct non-zero vectors."""
     fa, ga = category.arrow(f), category.arrow(g)
@@ -66,7 +72,31 @@ def closed_form_anticommutator(category, norms, f: str, g: str) -> Multivector:
     if fg_composes and gf_composes:
         return Multivector(2 * norms[f] * norms[g])
     if fg_composes:
-        return Multivector(norms[f] * norms[g]) + _wedge(g, f)
+        return Multivector(norms[f] * norms[g]) + _oriented_blade(g, f)
     if gf_composes:
-        return Multivector(norms[g] * norms[f]) + _wedge(f, g)
+        return Multivector(norms[g] * norms[f]) + _oriented_blade(f, g)
     return Multivector.zero()
+
+
+def oracle_clifford_failures(category, norms, basis):
+    """What clifford_report must list, derived from composability alone.
+
+    e² is the scalar ||e||².  For distinct f, g, fg is the scalar
+    ||f|| ||g|| when cod(f) = dom(g) and a blade otherwise; the pair is
+    orthogonal when both scalars are 0, and then fg = -gf exactly when
+    both products are blades (they are opposite) or neither is.
+    """
+    unit = [(e, norms[e] ** 2) for e in basis if norms[e] ** 2 != 1]
+    anti = []
+    vectors = category.non_identity_arrows()
+    for f in vectors:
+        for g in vectors:
+            if f == g:
+                continue
+            fg_composes = category.arrow(f).cod == category.arrow(g).dom
+            gf_composes = category.arrow(g).cod == category.arrow(f).dom
+            area = norms[f] * norms[g]
+            orthogonal = (not fg_composes or area == 0) and (not gf_composes or area == 0)
+            if orthogonal and fg_composes != gf_composes:
+                anti.append((f, g))
+    return unit, anti

@@ -1,16 +1,18 @@
 import pytest
 
 from catgeo import (
+    CatGeoError,
     CyclicGraph,
     NontrivialCycle,
     NotComposable,
+    ParseError,
     build_free,
     build_thin,
     builtin_category,
     compose,
     validate_axioms,
 )
-from catgeo.category import FiniteCategory
+from catgeo.category import MAX_FREE_PATHS, FiniteCategory
 
 PO6_OBJECTS = ["a0", "a1", "a2", "a3", "a4", "a5"]
 PO6_GENERATORS = [
@@ -60,6 +62,20 @@ class TestBuildThin:
         assert po6.has_arrow("a0->a4")
         assert po6.arrow("a0->a4").cod == "a4"
 
+    def test_generator_named_like_another_pair_rejected(self):
+        # the derived x -> z arrow would take the name of the generator x -> y
+        with pytest.raises(ParseError, match="x->z"):
+            build_thin(["x", "y", "z"], [("x->z", "x", "y"), ("g2", "y", "z")])
+
+    def test_generator_named_like_its_own_pair_kept(self):
+        cat = build_thin(["x", "y", "z"], [("x->y", "x", "y"), ("g2", "y", "z")])
+        assert sorted(cat.non_identity_arrows()) == ["g2", "x->y", "x->z"]
+        assert validate_axioms(cat) == []
+
+    def test_two_generators_on_one_pair_rejected(self):
+        with pytest.raises(ParseError, match="e1.*e2"):
+            build_thin(["x", "y"], [("e1", "x", "y"), ("e2", "x", "y")])
+
 
 class TestBuildFree:
     def test_path_graph(self):
@@ -84,6 +100,30 @@ class TestBuildFree:
         cat = build_free(["a", "b", "c", "d", "e"], gens)
         # single edges: 5; length 2: pr, qs, rt, st; length 3: prt, qst
         assert len(cat.non_identity_arrows()) == 11
+
+
+    def test_long_cycle_rejected_without_recursion(self):
+        n = 1200
+        objects = ["o%d" % i for i in range(n)]
+        gens = [("g%d" % i, objects[i], objects[(i + 1) % n]) for i in range(n)]
+        with pytest.raises(CyclicGraph):
+            build_free(objects, gens)
+
+    def test_path_budget_refused_before_enumeration(self):
+        # a chain of n objects has n(n-1)/2 nonempty paths
+        n = 1100
+        objects = ["o%d" % i for i in range(n)]
+        gens = [("g%d" % i, objects[i], objects[i + 1]) for i in range(n - 1)]
+        with pytest.raises(CatGeoError, match=str(n * (n - 1) // 2)):
+            build_free(objects, gens)
+
+    def test_path_budget_is_inclusive(self):
+        # one object fanning out to MAX_FREE_PATHS targets: one path per edge
+        objects = ["s"] + ["t%d" % i for i in range(MAX_FREE_PATHS)]
+        gens = [("g%d" % i, "s", t) for i, t in enumerate(objects[1:])]
+        assert len(build_free(objects, gens).non_identity_arrows()) == MAX_FREE_PATHS
+        with pytest.raises(CatGeoError):
+            build_free(objects + ["t"], gens + [("extra", "s", "t")])
 
 
 class TestCompose:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from catgeo import builtin_category, compute_norms, atomic_basis
 from catgeo.cli import main
 from catgeo.documents import builtin_document
+
+from helpers import closed_form_anticommutator
 
 
 @pytest.fixture()
@@ -83,6 +86,23 @@ class TestOutputs:
         assert status == 0
         assert len(json.loads(out)["entries"]) == 13 * 13
 
+    def test_table_entries_match_closed_form(self, capsys, po6_file):
+        cat = builtin_category("po6")
+        norms = compute_norms(cat, atomic_basis(cat))
+        _, out, _ = run(capsys, "table", po6_file, "--json")
+        for entry in json.loads(out)["entries"]:
+            f, g = entry["f"], entry["g"]
+            if f == g:
+                want = {"scalar": 2 * norms[f] ** 2, "blades": []}
+            else:
+                mv = closed_form_anticommutator(cat, norms, f, g)
+                blades = [
+                    {"first": b.first, "second": b.second, "coefficient": c, "area": norms[b.first] * norms[b.second]}
+                    for b, c in sorted(mv.blades.items())
+                ]
+                want = {"scalar": mv.scalar, "blades": blades}
+            assert entry["anticommutator"] == want, (f, g)
+
     def test_clifford(self, capsys, po6_file):
         status, out, _ = run(capsys, "clifford", po6_file, "--json")
         assert status == 0
@@ -149,8 +169,50 @@ class TestInterval:
         status, _, _ = run(capsys, "interval", "norm", "1")
         assert status == 1
 
+    def test_negative_fraction_literal(self, capsys):
+        status, out, err = run(capsys, "interval", "norm", "-31/7", "31/14")
+        assert (status, out, err) == (0, "93/14\n", "")
+
+    def test_negative_decimal_literal(self, capsys):
+        status, out, _ = run(capsys, "interval", "product", "-0.250", "1/3", "1/3", "2", "--json")
+        assert status == 0
+        assert json.loads(out)["inner_fg"] == "35/36"
+
+    def test_unknown_option_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["interval", "norm", "-31/7", "31/14", "--bogus"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
 
 class TestErrors:
+    def test_thin_id_collision_is_a_parse_error(self, capsys, tmp_path):
+        doc = tmp_path / "clash.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "mode": "thin",
+                    "objects": ["x", "y", "z"],
+                    "arrows": [{"id": "x->z", "dom": "x", "cod": "y"}, {"id": "g2", "dom": "y", "cod": "z"}],
+                }
+            )
+        )
+        for command in ("validate", "norms", "clifford"):
+            status, out, err = run(capsys, command, str(doc))
+            assert (status, out) == (1, "")
+            assert err.startswith("catgeo: parse error:")
+
+    def test_oversized_free_chain_exits_2_without_traceback(self, capsys, tmp_path):
+        n = 1100
+        objects = ["o%d" % i for i in range(n)]
+        arrows = [{"id": "g%d" % i, "dom": objects[i], "cod": objects[i + 1]} for i in range(n - 1)]
+        doc = tmp_path / "chain.json"
+        doc.write_text(json.dumps({"mode": "free", "objects": objects, "arrows": arrows}))
+        status, out, err = run(capsys, "norms", str(doc))
+        assert (status, out) == (2, "")
+        assert err.startswith("catgeo: error:") and str(n * (n - 1) // 2) in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "norms", "/nonexistent/file.json")
         assert status == 1

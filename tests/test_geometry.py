@@ -1,9 +1,12 @@
 import pytest
 
+from catgeo import geometry
 from catgeo import (
     ZERO,
     Blade2,
     Multivector,
+    NormTable,
+    UnknownArrow,
     anticommutator,
     atomic_basis,
     blade_area,
@@ -195,3 +198,48 @@ class TestCliffordReport:
         basis = atomic_basis(cat)
         norms = compute_norms(cat, basis)
         assert clifford_report(cat, norms, basis).holds
+
+    def test_doctored_norm_gives_exactly_that_unit_square_failure(self, po6, norms):
+        lengths = dict(norms.items())
+        lengths["e3"] = 2
+        report = clifford_report(po6, NormTable(lengths), atomic_basis(po6))
+        assert report.unit_square_failures == [("e3", Multivector(4))]
+        assert report.anticommutation_failures == []
+
+    def test_every_orthogonal_pair_is_compared(self, po6, norms, monkeypatch):
+        # break the kernel on the single ordered pair (e2, e5): fg = 0 instead
+        # of a blade.  fg = -gf is one condition for (e2, e5) and (e5, e2), so
+        # exactly those two ordered pairs must be reported, and no other.
+        assert is_orthogonal(po6, norms, "e2", "e5")
+        kernel = geometry._product
+
+        def broken(f, g, *rest):
+            if (f, g) == ("e2", "e5"):
+                return 0, None, 0
+            return kernel(f, g, *rest)
+
+        monkeypatch.setattr(geometry, "_product", broken)
+        report = clifford_report(po6, norms, atomic_basis(po6))
+        assert report.unit_square_failures == []
+        assert report.anticommutation_failures == [("e2", "e5"), ("e5", "e2")]
+
+    def test_unknown_basis_member_rejected(self, po6, norms):
+        with pytest.raises(UnknownArrow):
+            clifford_report(po6, norms, ["e1", "nope"])
+        with pytest.raises(UnknownArrow):
+            clifford_report(po6, norms, ["id:a0"])
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("bad", ["nope", "id:a0"])
+    def test_every_product_rejects_unknown_and_identity_ids(self, po6, norms, bad):
+        for fn in (inner, outer, geometric, anticommutator, is_orthogonal):
+            for f, g in (("e1", bad), (bad, "e1"), (ZERO, bad)):
+                with pytest.raises(UnknownArrow):
+                    fn(po6, norms, f, g)
+        with pytest.raises(UnknownArrow):
+            is_parallel(po6, "e1", bad)
+
+    def test_parallel_needs_non_zero_vectors(self, po6):
+        with pytest.raises(ValueError):
+            is_parallel(po6, ZERO, "e1")

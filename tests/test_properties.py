@@ -4,9 +4,16 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from catgeo import (
     ZERO,
+    CyclicGraph,
+    NontrivialCycle,
+    NormTable,
+    ParseError,
     anticommutator,
+    anticommutator_table,
     atomic_basis,
     build_free,
     build_thin,
@@ -18,10 +25,11 @@ from catgeo import (
     interval_add,
     interval_norm,
     outer,
+    validate_axioms,
     vec_add,
 )
 
-from helpers import closed_form_anticommutator, oracle_norms
+from helpers import closed_form_anticommutator, oracle_clifford_failures, oracle_norms
 
 
 @st.composite
@@ -45,6 +53,29 @@ def free_categories(draw):
 
 
 categories = thin_categories() | free_categories()
+
+
+@st.composite
+def presentations(draw):
+    """Objects a0..a<n-1> and generators on any ordered pairs, cycles and
+    repeated pairs included, with ids drawn from g<k> and a<i>->a<j> names."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    objects = ["a%d" % i for i in range(n)]
+    names = ["g%d" % k for k in range(4)] + ["a%d->a%d" % (i, j) for i in range(n) for j in range(n) if i != j]
+    ends = st.tuples(st.sampled_from(objects), st.sampled_from(objects))
+    edges = draw(st.lists(st.tuples(st.sampled_from(names), ends), max_size=7, unique_by=lambda e: e[0]))
+    return objects, [(gid, dom, cod) for gid, (dom, cod) in edges]
+
+
+@pytest.mark.parametrize("build", [build_thin, build_free])
+@settings(max_examples=150, deadline=None)
+@given(presentations())
+def test_built_categories_satisfy_the_axioms(build, presentation):
+    try:
+        cat = build(*presentation)
+    except (ParseError, NontrivialCycle, CyclicGraph):
+        return
+    assert validate_axioms(cat) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,6 +130,30 @@ def test_anticommutator_matches_closed_form(cat):
             if f == g:
                 continue
             assert anticommutator(cat, norms, f, g) == closed_form_anticommutator(cat, norms, f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(categories)
+def test_anticommutator_table_matches_pairwise_products(cat):
+    norms = compute_norms(cat, atomic_basis(cat))
+    vectors = cat.non_identity_arrows()
+    rows = anticommutator_table(cat, norms)
+    assert [(f, g) for f, g, _, _ in rows] == [(f, g) for f in vectors for g in vectors]
+    for f, g, scalar, terms in rows:
+        mv = anticommutator(cat, norms, f, g)
+        assert (scalar, tuple(terms)) == (mv.scalar, tuple(mv.terms()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories, st.randoms(use_true_random=False))
+def test_clifford_report_matches_oracle_under_any_norms(cat, rng):
+    # doctored norms (0 included) make both conditions fail in places
+    basis = atomic_basis(cat)
+    norms = NormTable({a: rng.randint(0, 3) for a in cat.non_identity_arrows()})
+    report = clifford_report(cat, norms, basis)
+    unit, anti = oracle_clifford_failures(cat, norms, basis)
+    assert [(e, mv.scalar, mv.blades) for e, mv in report.unit_square_failures] == [(e, s, {}) for e, s in unit]
+    assert report.anticommutation_failures == anti
 
 
 @settings(max_examples=40, deadline=None)
