@@ -5,6 +5,13 @@ composition table over composable ordered pairs.  The table maps the pair
 (f, g) with cod(f) = dom(g) to the composite g∘f, i.e. "f first, then g".
 Arrow equality is id equality; the table is the sole source of composite
 identification.
+
+Each category also keeps one index, built once when it is made:
+`out_arrows` maps every object to the tuple of arrows leaving it,
+identities included, in arrow order.  The arrows g composable after f are
+exactly `out_arrows[f.cod]`, so the passes over a whole category (axiom
+validation, the builders, the norm search) enumerate composable pairs and
+triples through it instead of scanning every arrow against every arrow.
 """
 
 from __future__ import annotations
@@ -55,6 +62,10 @@ class FiniteCategory:
         self.arrows = {a.id: a for a in arrows}
         self.table = dict(table)
         self.mode = mode
+        out: dict[str, list[Arrow]] = {o: [] for o in self.objects}
+        for a in self.arrows.values():
+            out.setdefault(a.dom, []).append(a)
+        self.out_arrows: dict[str, tuple[Arrow, ...]] = {o: tuple(leaving) for o, leaving in out.items()}
 
     def arrow(self, arrow_id: str) -> Arrow:
         return self.arrows[arrow_id]
@@ -172,10 +183,12 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
             )
         generator_name[(dom, cod)] = gid
 
-    pair_to_id = {}
+    # leaving[a]: (b, id of the arrow a -> b) for b in sorted(reach[a])
+    leaving: dict[str, list[tuple[str, str]]] = {}
     arrows = _identities(objects)
     used = set(generator_name.values())
     for a in objects:
+        leaving[a] = []
         for b in sorted(reach[a]):
             aid = generator_name.get((a, b))
             if aid is None:
@@ -183,14 +196,16 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
                 if aid in used:
                     raise ParseError("derived arrow %s -> %s would be named %r, which is already taken" % (a, b, aid))
                 used.add(aid)
-            pair_to_id[(a, b)] = aid
+            leaving[a].append((b, aid))
             arrows.append(Arrow(aid, a, b))
 
+    # f: a -> b composes with every g: b -> d, and g∘f is the arrow a -> d
     table: dict[tuple[str, str], str] = {}
-    for (a, b), f in pair_to_id.items():
-        for (c, d), g in pair_to_id.items():
-            if b == c:
-                table[(f, g)] = pair_to_id[(a, d)]
+    for a in objects:
+        pair_to_id = dict(leaving[a])
+        for b, f in leaving[a]:
+            for d, g in leaving[b]:
+                table[(f, g)] = pair_to_id[d]
     _fill_identity_entries(table, arrows)
     return FiniteCategory(objects, arrows, table, "thin")
 
@@ -296,13 +311,16 @@ def build_explicit(
     """
     _check_presentation(objects, arrows)
     all_arrows = _identities(objects) + [Arrow(aid, dom, cod) for aid, dom, cod in arrows]
-    by_id = {a.id: a for a in all_arrows}
+    table = dict(compositions)
+    _fill_identity_entries(table, all_arrows)
+    category = FiniteCategory(objects, all_arrows, table, "explicit")
 
     required = {
         (f.id, g.id)
         for f in all_arrows
-        for g in all_arrows
-        if not f.is_identity and not g.is_identity and f.cod == g.dom
+        if not f.is_identity
+        for g in category.out_arrows[f.cod]
+        if not g.is_identity
     }
     given = set(compositions)
     if given - required:
@@ -312,12 +330,9 @@ def build_explicit(
         pair = sorted(required - given)[0]
         raise ParseError("incomplete composition table: missing entry %s" % (pair,))
     for pair, result in compositions.items():
-        if result not in by_id:
+        if result not in category.arrows:
             raise ParseError("composition %s names unknown arrow %r" % (pair, result))
-
-    table = dict(compositions)
-    _fill_identity_entries(table, all_arrows)
-    return FiniteCategory(objects, all_arrows, table, "explicit")
+    return category
 
 
 def validate_axioms(category: FiniteCategory) -> list[Violation]:
@@ -325,61 +340,65 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
 
     Covers: table totality and closure over composable pairs, dom/cod
     consistency of composites, associativity over all composable triples,
-    and the unit law for every arrow.
+    and the unit law for every arrow.  Violations come in three runs:
+    pair checks (for each f in arrow order, its entries ordered by g in
+    arrow order), then unit, then associativity (ordered by f, g, k).
     """
     violations: list[Violation] = []
-    arrows = list(category.arrows.values())
+    arrows = category.arrows
     table = category.table
+    leaving = category.out_arrows.get
 
-    for f in arrows:
-        for g in arrows:
+    # closure: entries between known arrows that do not compose, by f
+    stray: dict[str, list[tuple[str, Violation]]] = {}
+    for key in table:
+        f, g = key
+        if f in arrows and g in arrows and arrows[f].cod != arrows[g].dom:
+            stray.setdefault(f, []).append((g, Violation("closure", "entry (%s, %s) for non-composable pair" % key)))
+    position = {aid: i for i, aid in enumerate(arrows)} if stray else {}
+
+    for f in arrows.values():
+        run = []  # (g id, violation) for the entries (f, g)
+        for g in leaving(f.cod, ()):
             key = (f.id, g.id)
-            if f.cod == g.dom:
-                if key not in table:
-                    violations.append(Violation("totality", "missing entry (%s, %s)" % key))
-                    continue
-                result = table[key]
-                if result not in category.arrows:
-                    violations.append(
-                        Violation("dom-cod", "entry (%s, %s) names unknown arrow %r" % (f.id, g.id, result))
-                    )
-                    continue
-                r = category.arrow(result)
-                if r.dom != f.dom or r.cod != g.cod:
-                    violations.append(
-                        Violation(
-                            "dom-cod",
-                            "(%s, %s) -> %s has type %s->%s, expected %s->%s"
-                            % (f.id, g.id, result, r.dom, r.cod, f.dom, g.cod),
-                        )
-                    )
-            elif key in table:
-                violations.append(Violation("closure", "entry (%s, %s) for non-composable pair" % key))
+            result = table.get(key)
+            r = arrows.get(result)
+            if result is None:
+                v = Violation("totality", "missing entry (%s, %s)" % key)
+            elif r is None:
+                v = Violation("dom-cod", "entry (%s, %s) names unknown arrow %r" % (f.id, g.id, result))
+            elif r.dom != f.dom or r.cod != g.cod:
+                v = Violation(
+                    "dom-cod",
+                    "(%s, %s) -> %s has type %s->%s, expected %s->%s" % (f.id, g.id, result, r.dom, r.cod, f.dom, g.cod),
+                )
+            else:
+                continue
+            run.append((g.id, v))
+        if f.id in stray:
+            run += stray[f.id]
+            run.sort(key=lambda entry: position[entry[0]])
+        violations.extend(v for _, v in run)
 
-    def lookup(f, g):
-        return table.get((f, g))
-
-    for f in arrows:
-        left = lookup(category.identity(f.dom), f.id)
+    for f in arrows.values():
+        left = table.get((category.identity(f.dom), f.id))
         if left != f.id:
             violations.append(Violation("unit", "%s ∘ id_%s = %s, expected %s" % (f.id, f.dom, left, f.id)))
-        right = lookup(f.id, category.identity(f.cod))
+        right = table.get((f.id, category.identity(f.cod)))
         if right != f.id:
             violations.append(Violation("unit", "id_%s ∘ %s = %s, expected %s" % (f.cod, f.id, right, f.id)))
 
-    for f in arrows:
-        for g in arrows:
-            if f.cod != g.dom:
-                continue
-            gf = lookup(f.id, g.id)
-            for k in arrows:
-                if g.cod != k.dom:
+    for f in arrows.values():
+        for g in leaving(f.cod, ()):
+            gf = table.get((f.id, g.id))
+            if gf not in arrows:
+                continue  # already reported as totality/dom-cod
+            for k in leaving(g.cod, ()):
+                kg = table.get((g.id, k.id))
+                if kg not in arrows:
                     continue
-                kg = lookup(g.id, k.id)
-                if gf is None or kg is None or gf not in category.arrows or kg not in category.arrows:
-                    continue  # already reported as totality/dom-cod
-                lhs = lookup(gf, k.id)
-                rhs = lookup(f.id, kg)
+                lhs = table.get((gf, k.id))
+                rhs = table.get((f.id, kg))
                 if lhs != rhs:
                     violations.append(
                         Violation(

@@ -7,14 +7,15 @@ Exit status: 0 success, 1 usage or parse error, 2 semantic error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
 from . import realline
 from .category import FiniteCategory, validate_axioms
-from .documents import builtin_document, builtin_names, load_category
-from .errors import AxiomViolation, CatGeoError, ParseError, UnknownArrow
+from .documents import build_document, builtin_document, builtin_names, load_category, parse_document
+from .errors import CatGeoError, ParseError, UnknownArrow
 from .geometry import (
     Multivector,
     anticommutator,
@@ -87,12 +88,10 @@ def _emit_json(data) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        category = _load(args.file)
-        violations = validate_axioms(category)
-    except AxiomViolation as exc:
-        violations = exc.violations
-        category = None
+    # build without load_category's own check of explicit tables, so that
+    # every document is validated exactly once, here
+    category = build_document(parse_document(_read_file(args.file)))
+    violations = validate_axioms(category)
     if args.json:
         _emit_json({"violations": [{"kind": v.kind, "detail": v.detail} for v in violations]})
     else:
@@ -129,15 +128,19 @@ def cmd_product(args) -> int:
     norms = compute_norms(category, atomic_basis(category))
     f = _vector_arg(category, args.f)
     g = _vector_arg(category, args.g)
+    outer_fg = outer(category, norms, f, g)
+    geometric_fg = geometric(category, norms, f, g)
+    geometric_gf = geometric(category, norms, g, f)
+    anticommutator_fg = anticommutator(category, norms, f, g)
     data = {
         "inner_fg": inner(category, norms, f, g),
         "inner_gf": inner(category, norms, g, f),
         "orthogonal": is_orthogonal(category, norms, f, g),
         "parallel": is_parallel(category, f, g),
-        "outer_fg": _multivector_dict(outer(category, norms, f, g), norms),
-        "geometric_fg": _multivector_dict(geometric(category, norms, f, g), norms),
-        "geometric_gf": _multivector_dict(geometric(category, norms, g, f), norms),
-        "anticommutator": _multivector_dict(anticommutator(category, norms, f, g), norms),
+        "outer_fg": _multivector_dict(outer_fg, norms),
+        "geometric_fg": _multivector_dict(geometric_fg, norms),
+        "geometric_gf": _multivector_dict(geometric_gf, norms),
+        "anticommutator": _multivector_dict(anticommutator_fg, norms),
     }
     if args.json:
         _emit_json(data)
@@ -146,10 +149,10 @@ def cmd_product(args) -> int:
         print("inner %s.%s = %s" % (g, f, data["inner_gf"]))
         print("orthogonal: %s" % str(data["orthogonal"]).lower())
         print("parallel: %s" % str(data["parallel"]).lower())
-        print("outer: %r" % outer(category, norms, f, g))
-        print("geometric %s%s: %r" % (f, g, geometric(category, norms, f, g)))
-        print("geometric %s%s: %r" % (g, f, geometric(category, norms, g, f)))
-        print("anticommutator: %r" % anticommutator(category, norms, f, g))
+        print("outer: %r" % outer_fg)
+        print("geometric %s%s: %r" % (f, g, geometric_fg))
+        print("geometric %s%s: %r" % (g, f, geometric_gf))
+        print("anticommutator: %r" % anticommutator_fg)
     return 0
 
 
@@ -311,9 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the nine subparsers costs far more than a parse, so one
+    # parser serves every main call in a process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "interval":
         expected = 2 if args.interval_command == "norm" else 4
         if len(args.args) != expected:

@@ -98,12 +98,14 @@ class Basis:
 
 def atomic_basis(category: FiniteCategory) -> Basis:
     """Arrows that are no composite of two non-identity arrows distinct from them."""
+    arrows = category.arrows
     composite = set()
     for (f, g), result in category.table.items():
-        if category.is_identity(f) or category.is_identity(g) or category.is_identity(result):
+        if result == f or result == g:
+            continue  # every unit-law entry lands here
+        if arrows[f].is_identity or arrows[g].is_identity or arrows[result].is_identity:
             continue
-        if result != f and result != g:
-            composite.add(result)
+        composite.add(result)
     return Basis(a for a in category.non_identity_arrows() if a not in composite)
 
 
@@ -133,17 +135,16 @@ def compute_norms(category: FiniteCategory, basis: Basis) -> NormTable:
 
     Raises NotGenerated when some non-identity arrow is unreachable.
     """
+    arrows, table = category.arrows, category.table
+    basis_out = {o: [a.id for a in leaving if a.id in basis] for o, leaving in category.out_arrows.items()}
     lengths: dict[str, int] = {e: 1 for e in basis}
     queue = deque(basis)
     while queue:
         reached = queue.popleft()
         depth = lengths[reached]
-        cod = category.arrow(reached).cod
-        for e in basis:
-            if category.arrow(e).dom != cod:
-                continue
-            composite = category.table[(reached, e)]
-            if category.is_identity(composite):
+        for e in basis_out[arrows[reached].cod]:
+            composite = table[(reached, e)]
+            if arrows[composite].is_identity:
                 continue  # lands outside the vector space
             if composite not in lengths:
                 lengths[composite] = depth + 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from catgeo import Blade2, FiniteCategory, Multivector, build_free, build_thin
+from catgeo import Blade2, FiniteCategory, Multivector, Violation, build_free, build_thin
 from catgeo.vectors import Basis
 
 
@@ -100,3 +100,73 @@ def oracle_clifford_failures(category, norms, basis):
             if orthogonal and fg_composes != gf_composes:
                 anti.append((f, g))
     return unit, anti
+
+
+def oracle_validate_axioms(category: FiniteCategory) -> list[Violation]:
+    """The all-pairs axiom check that validate_axioms replaced, kept verbatim.
+
+    It scans every arrow against every arrow for pairs and all arrows again
+    for each composable pair to find triples; validate_axioms must return
+    an equal list, order included.
+    """
+    violations: list[Violation] = []
+    arrows = list(category.arrows.values())
+    table = category.table
+
+    for f in arrows:
+        for g in arrows:
+            key = (f.id, g.id)
+            if f.cod == g.dom:
+                if key not in table:
+                    violations.append(Violation("totality", "missing entry (%s, %s)" % key))
+                    continue
+                result = table[key]
+                if result not in category.arrows:
+                    violations.append(
+                        Violation("dom-cod", "entry (%s, %s) names unknown arrow %r" % (f.id, g.id, result))
+                    )
+                    continue
+                r = category.arrow(result)
+                if r.dom != f.dom or r.cod != g.cod:
+                    violations.append(
+                        Violation(
+                            "dom-cod",
+                            "(%s, %s) -> %s has type %s->%s, expected %s->%s"
+                            % (f.id, g.id, result, r.dom, r.cod, f.dom, g.cod),
+                        )
+                    )
+            elif key in table:
+                violations.append(Violation("closure", "entry (%s, %s) for non-composable pair" % key))
+
+    def lookup(f, g):
+        return table.get((f, g))
+
+    for f in arrows:
+        left = lookup(category.identity(f.dom), f.id)
+        if left != f.id:
+            violations.append(Violation("unit", "%s ∘ id_%s = %s, expected %s" % (f.id, f.dom, left, f.id)))
+        right = lookup(f.id, category.identity(f.cod))
+        if right != f.id:
+            violations.append(Violation("unit", "id_%s ∘ %s = %s, expected %s" % (f.cod, f.id, right, f.id)))
+
+    for f in arrows:
+        for g in arrows:
+            if f.cod != g.dom:
+                continue
+            gf = lookup(f.id, g.id)
+            for k in arrows:
+                if g.cod != k.dom:
+                    continue
+                kg = lookup(g.id, k.id)
+                if gf is None or kg is None or gf not in category.arrows or kg not in category.arrows:
+                    continue  # already reported as totality/dom-cod
+                lhs = lookup(gf, k.id)
+                rhs = lookup(f.id, kg)
+                if lhs != rhs:
+                    violations.append(
+                        Violation(
+                            "associativity",
+                            "(%s, %s, %s): %s != %s" % (f.id, g.id, k.id, lhs, rhs),
+                        )
+                    )
+    return violations

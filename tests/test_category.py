@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from catgeo import (
@@ -6,6 +9,7 @@ from catgeo import (
     NontrivialCycle,
     NotComposable,
     ParseError,
+    build_explicit,
     build_free,
     build_thin,
     builtin_category,
@@ -13,6 +17,8 @@ from catgeo import (
     validate_axioms,
 )
 from catgeo.category import MAX_FREE_PATHS, FiniteCategory
+
+from helpers import random_free, random_thin
 
 PO6_OBJECTS = ["a0", "a1", "a2", "a3", "a4", "a5"]
 PO6_GENERATORS = [
@@ -177,3 +183,48 @@ def test_builtin_po6_matches_direct_build(po6):
     built = builtin_category("po6")
     assert sorted(built.non_identity_arrows()) == sorted(po6.non_identity_arrows())
     assert built.table == po6.table
+
+
+def _explicit_presentation(cat):
+    """Objects, non-identity arrows and non-identity table of a category."""
+    arrows = [(a.id, a.dom, a.cod) for a in cat.arrows.values() if not a.is_identity]
+    ids = {aid for aid, _, _ in arrows}
+    table = {(f, g): r for (f, g), r in cat.table.items() if f in ids and g in ids}
+    return cat.objects, arrows, table
+
+
+class TestBuildExplicitErrors:
+    # the pair named must be the least offending pair, as the all-pairs
+    # comparison of every arrow with every arrow found it
+
+    def test_missing_entry_names_the_first_missing_pair(self):
+        rng = random.Random(4)
+        checked = 0
+        for i in range(100):
+            objects, arrows, table = _explicit_presentation((random_thin if i % 2 else random_free)(rng))
+            required = {(f, g) for f, _, cod in arrows for g, dom, _ in arrows if cod == dom}
+            assert set(table) == required
+            if not table:
+                continue
+            dropped = rng.sample(sorted(table), min(3, len(table)))
+            partial = {pair: r for pair, r in table.items() if pair not in dropped}
+            with pytest.raises(ParseError, match=re.escape("missing entry %s" % (min(dropped),))):
+                build_explicit(objects, arrows, partial)
+            checked += 1
+        assert checked > 30
+
+    def test_stray_entry_names_the_first_stray_pair(self):
+        rng = random.Random(5)
+        checked = 0
+        for i in range(100):
+            objects, arrows, table = _explicit_presentation((random_thin if i % 2 else random_free)(rng))
+            ids = [aid for aid, _, _ in arrows]
+            strays = [(f, g) for f, _, cod in arrows for g, dom, _ in arrows if cod != dom]
+            strays += [("id:%s" % objects[0], g) for g in ids] + [(f, "ghost") for f in ids]
+            if not strays:
+                continue
+            added = rng.sample(strays, min(3, len(strays)))
+            with pytest.raises(ParseError, match=re.escape("entry %s is not a composable" % (min(added),))):
+                build_explicit(objects, arrows, {**table, **dict.fromkeys(added, ids[0])})
+            checked += 1
+        assert checked > 30

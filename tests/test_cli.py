@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catgeo
 from catgeo import builtin_category, compute_norms, atomic_basis
 from catgeo.cli import main
 from catgeo.documents import builtin_document
@@ -222,3 +227,27 @@ class TestErrors:
         bad.write_text("{broken")
         status, _, err = run(capsys, "validate", str(bad))
         assert status == 1
+
+
+class TestRepeatedMain:
+    def test_one_process_matches_fresh_processes(self, capsys, monkeypatch, po6_file):
+        # main keeps one parser per process; later calls must not see
+        # anything an earlier call left behind
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to this width
+        commands = [["norms", "--bogus"], ["interval", "norm", "-31/7", "31/14"], ["norms", po6_file, "--json"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
+        fresh = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "catgeo.cli", *argv], capture_output=True, text=True, env=env, check=False
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert fresh[0][0] == 1 and "unrecognized arguments: --bogus" in fresh[0][2]
+        for _ in range(2):
+            for argv, expected in zip(commands, fresh):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+                captured = capsys.readouterr()
+                assert (status, captured.out, captured.err) == expected

@@ -4,14 +4,17 @@ import pytest
 
 from catgeo import (
     AxiomViolation,
+    CompositeIsIdentity,
     ParseError,
     atomic_basis,
     builtin_document,
     builtin_names,
+    clifford_report,
     compute_norms,
     load_category,
     parse_document,
     validate_axioms,
+    vec_add,
 )
 
 
@@ -128,3 +131,44 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(ParseError):
             builtin_document("nope")
+
+
+def groupoid(first="id:a", second="id:b"):
+    """Two objects and an isomorphism f: a -> b with inverse g."""
+    return doc(
+        mode="explicit",
+        objects=["a", "b"],
+        arrows=[{"id": "f", "dom": "a", "cod": "b"}, {"id": "g", "dom": "b", "cod": "a"}],
+        compositions=[{"f": "f", "g": "g", "result": first}, {"f": "g", "g": "f", "result": second}],
+    )
+
+
+class TestIdentityComposites:
+    def test_groupoid_loads_and_validates(self):
+        cat = load_category(groupoid())
+        assert validate_axioms(cat) == []
+        assert cat.table[("f", "g")] == "id:a"
+        assert cat.table[("g", "f")] == "id:b"
+
+    def test_sum_of_inverses_is_not_a_vector(self):
+        cat = load_category(groupoid())
+        with pytest.raises(CompositeIsIdentity):
+            vec_add(cat, "f", "g")
+        with pytest.raises(CompositeIsIdentity):
+            vec_add(cat, "g", "f")
+
+    def test_norms_and_clifford(self):
+        cat = load_category(groupoid())
+        basis = atomic_basis(cat)
+        norms = compute_norms(cat, basis)
+        assert list(basis) == ["f", "g"]
+        assert norms.items() == [("f", 1), ("g", 1)]
+        assert clifford_report(cat, norms, basis).holds
+
+    def test_identity_of_undeclared_object_rejected(self):
+        with pytest.raises(ParseError, match="id:zz"):
+            parse_document(groupoid(first="id:zz"))
+
+    def test_identity_of_the_wrong_object_is_a_violation(self):
+        with pytest.raises(AxiomViolation, match="dom-cod"):
+            load_category(groupoid(first="id:b"))

@@ -9,6 +9,7 @@ import pytest
 from catgeo import (
     ZERO,
     CyclicGraph,
+    FiniteCategory,
     NontrivialCycle,
     NormTable,
     ParseError,
@@ -29,7 +30,7 @@ from catgeo import (
     vec_add,
 )
 
-from helpers import closed_form_anticommutator, oracle_clifford_failures, oracle_norms
+from helpers import closed_form_anticommutator, oracle_clifford_failures, oracle_norms, oracle_validate_axioms
 
 
 @st.composite
@@ -76,6 +77,36 @@ def test_built_categories_satisfy_the_axioms(build, presentation):
     except (ParseError, NontrivialCycle, CyclicGraph):
         return
     assert validate_axioms(cat) == []
+
+
+CORRUPTIONS = ("delete", "wrong result", "unknown result", "non-composable", "unknown arrow")
+
+
+@settings(max_examples=300, deadline=None)
+@given(categories, st.lists(st.sampled_from(CORRUPTIONS), max_size=4), st.randoms(use_true_random=False))
+def test_validate_axioms_matches_all_pairs_oracle(cat, corruptions, rng):
+    # the indexed check reports what the all-pairs scan reports, in its order
+    table = dict(cat.table)
+    ids = list(cat.arrows)
+    for corruption in corruptions:
+        keys = sorted(table)
+        if not keys:
+            break
+        if corruption == "delete":
+            del table[rng.choice(keys)]
+        elif corruption == "wrong result":
+            table[rng.choice(keys)] = rng.choice(ids)
+        elif corruption == "unknown result":
+            table[rng.choice(keys)] = "ghost"
+        elif corruption == "non-composable":
+            pairs = [(f, g) for f in ids for g in ids if not cat.composable(f, g)]
+            if pairs:
+                table[rng.choice(pairs)] = rng.choice(ids)
+        else:
+            pair = (rng.choice(ids), "ghost") if rng.random() < 0.5 else ("ghost", rng.choice(ids))
+            table[pair] = rng.choice(ids)
+    corrupted = FiniteCategory(cat.objects, cat.arrows.values(), table, "explicit")
+    assert validate_axioms(corrupted) == oracle_validate_axioms(corrupted)
 
 
 @settings(max_examples=60, deadline=None)
