@@ -1,7 +1,7 @@
 """Walkthrough: the six-object order category and its arrow geometry.
 
-Builds the shipped "po6" category, inspects its atomic basis and norm
-table, and evaluates the products that make its arrow space behave like a
+Builds the shipped "po6" category, inspects its atomic basis and norms,
+and evaluates the products that make its arrow space behave like a
 Clifford algebra.  Run with: python3 demos/order_category_walkthrough.py
 """
 
@@ -67,4 +67,4 @@ print("Clifford conditions hold:", report.holds)
 print()
 
 print("DOT export of the basis (the generating graph):")
-print(export_dot(cat, basis_only=True, basis=basis))
+print(export_dot(cat, arrows=basis))

@@ -1,39 +1,23 @@
 """Survey: algebraic laws over a population of random categories.
 
 Generates random order (thin) and free path categories, then checks on
-every instance that basis vectors square to 1, orthogonal pairs
-anticommute, and BFS norms agree with a brute-force factorization search.
+every instance that basis vectors square to 1 and orthogonal pairs
+anticommute.  The generators are the test suite's (tests/helpers.py).
 Run with: python3 demos/random_law_survey.py
 """
 
 import random
+import sys
+from pathlib import Path
 
-from catgeo import atomic_basis, build_free, build_thin, clifford_report, compute_norms
+from catgeo import atomic_basis, clifford_report, compute_norms
+
+# the random generators are the test suite's own, in tests/helpers.py
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import random_free, random_thin  # noqa: E402
 
 rng = random.Random(7)
-
-
-def random_thin():
-    n = rng.randint(2, 8)
-    objects = ["a%d" % i for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng.shuffle(pairs)
-    m = rng.randint(0, min(14, len(pairs)))
-    return build_thin(objects, [("g%d" % k, "a%d" % i, "a%d" % j) for k, (i, j) in enumerate(pairs[:m])])
-
-
-def random_free():
-    n = rng.randint(2, 6)
-    objects = ["a%d" % i for i in range(n)]
-    gens = []
-    for k in range(rng.randint(0, 8)):
-        i = rng.randint(0, n - 2)
-        j = rng.randint(i + 1, n - 1)
-        gens.append(("g%d" % k, "a%d" % i, "a%d" % j))
-    return build_free(objects, gens)
-
-
-population = [random_thin() for _ in range(100)] + [random_free() for _ in range(50)]
+population = [random_thin(rng) for _ in range(100)] + [random_free(rng) for _ in range(50)]
 
 holds = 0
 arrow_total = 0

@@ -69,8 +69,6 @@ from .realline import (
 from .render import Embedding, export_dot, export_embedding
 from .vectors import (
     ZERO,
-    Basis,
-    NormTable,
     Vector,
     atomic_basis,
     compute_norms,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CatGeoError, CyclicGraph, NontrivialCycle, ParseError
+from .errors import CatGeoError, CyclicGraph, NontrivialCycle, NotComposable, ParseError, UnknownArrow
 
 IDENTITY_PREFIX = "id:"
 
@@ -70,14 +70,8 @@ class FiniteCategory:
     def arrow(self, arrow_id: str) -> Arrow:
         return self.arrows[arrow_id]
 
-    def has_arrow(self, arrow_id: str) -> bool:
-        return arrow_id in self.arrows
-
     def identity(self, obj: str) -> str:
         return IDENTITY_PREFIX + obj
-
-    def is_identity(self, arrow_id: str) -> bool:
-        return self.arrows[arrow_id].is_identity
 
     def non_identity_arrows(self) -> list[str]:
         """Non-identity arrow ids in the canonical (lexicographic) order."""
@@ -99,16 +93,11 @@ def compose(category: FiniteCategory, f: str, g: str) -> str:
 
     Raises NotComposable when cod(f) != dom(g).
     """
-    from .errors import NotComposable, UnknownArrow
-
-    for a in (f, g):
-        if not category.has_arrow(a):
-            raise UnknownArrow("no arrow %r in category" % a)
-    if not category.composable(f, g):
-        raise NotComposable(
-            "cod(%s) = %s but dom(%s) = %s"
-            % (f, category.arrow(f).cod, g, category.arrow(g).dom)
-        )
+    a, b = category.arrows.get(f), category.arrows.get(g)
+    if a is None or b is None:
+        raise UnknownArrow("no arrow %r in category" % (f if a is None else g))
+    if a.cod != b.dom:
+        raise NotComposable("cod(%s) = %s but dom(%s) = %s" % (f, a.cod, g, b.dom))
     return category.table[(f, g)]
 
 

@@ -15,7 +15,7 @@ import sys
 from . import realline
 from .category import FiniteCategory, validate_axioms
 from .documents import build_document, builtin_document, builtin_names, load_category, parse_document
-from .errors import CatGeoError, ParseError, UnknownArrow
+from .errors import CatGeoError, ParseError
 from .geometry import (
     Multivector,
     anticommutator,
@@ -29,7 +29,7 @@ from .geometry import (
     outer,
 )
 from .render import embedding_to_json, export_dot, export_embedding
-from .vectors import NormTable, atomic_basis, compute_norms
+from .vectors import atomic_basis, compute_norms
 
 USAGE_EXIT = 1
 SEMANTIC_EXIT = 2
@@ -61,13 +61,7 @@ def _load(path: str) -> FiniteCategory:
     return load_category(_read_file(path))
 
 
-def _vector_arg(category: FiniteCategory, name: str) -> str:
-    if not category.has_arrow(name) or category.is_identity(name):
-        raise UnknownArrow("no non-identity arrow %r in category" % name)
-    return name
-
-
-def _terms_dict(scalar, terms, norms: NormTable | None = None) -> dict:
+def _terms_dict(scalar, terms, norms: dict[str, int] | None = None) -> dict:
     blades = []
     for first, second, coefficient in terms:
         entry = {"first": str(first), "second": str(second), "coefficient": coefficient}
@@ -79,7 +73,7 @@ def _terms_dict(scalar, terms, norms: NormTable | None = None) -> dict:
     return {"scalar": scalar, "blades": blades}
 
 
-def _multivector_dict(mv: Multivector, norms: NormTable | None = None) -> dict:
+def _multivector_dict(mv: Multivector, norms: dict[str, int] | None = None) -> dict:
     return _terms_dict(mv.scalar, mv.terms(), norms)
 
 
@@ -116,7 +110,7 @@ def cmd_norms(args) -> int:
     category = _load(args.file)
     norms = compute_norms(category, atomic_basis(category))
     if args.json:
-        _emit_json({"norms": dict(norms.items()), "zero": 0})
+        _emit_json({"norms": norms, "zero": 0})
     else:
         for arrow_id, length in norms.items():
             print("%s = %d" % (arrow_id, length))
@@ -126,8 +120,7 @@ def cmd_norms(args) -> int:
 def cmd_product(args) -> int:
     category = _load(args.file)
     norms = compute_norms(category, atomic_basis(category))
-    f = _vector_arg(category, args.f)
-    g = _vector_arg(category, args.g)
+    f, g = args.f, args.g
     outer_fg = outer(category, norms, f, g)
     geometric_fg = geometric(category, norms, f, g)
     geometric_gf = geometric(category, norms, g, f)
@@ -214,7 +207,7 @@ def cmd_dot(args) -> int:
     category = _load(args.file)
     basis = atomic_basis(category)
     norms = compute_norms(category, basis)
-    sys.stdout.write(export_dot(category, basis_only=args.basis_only, basis=basis, norms=norms))
+    sys.stdout.write(export_dot(category, basis if args.basis_only else None, norms))
     return 0
 
 

@@ -9,8 +9,11 @@ A blade stores its two vectors in the canonical arrow order (lexicographic
 on id); wedging in the reversed order contributes coefficient -1.  The
 blade "area" is not stored, being derivable as ||first|| × ||second||.
 
-Arguments are checked once, at the public functions: every vector must be
-O or a non-identity arrow of the category, else UnknownArrow.  Past that
+Arguments are checked once, at the public functions: `_check_vector`
+returns the Arrow of each vector (None for O) and raises UnknownArrow
+for anything but O or a non-identity arrow of the category, and the
+product reads dom and cod from that Arrow.  Norms are a plain dict of
+arrow id to length; O never needs one, as it annihilates.  Past that
 boundary one private kernel, `_product`, computes fg of two non-zero
 vectors as plain values; the real-line backend shares it.  The survey
 functions (`clifford_report`, `anticommutator_table`) read each arrow's
@@ -21,10 +24,10 @@ a Multivector only for what they return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
-from .category import FiniteCategory
-from .vectors import Basis, NormTable, Vector, _check_vector, is_zero
+from .category import Arrow, FiniteCategory
+from .vectors import Vector, _check_vector
 
 
 @dataclass(frozen=True, order=True)
@@ -131,67 +134,63 @@ def _as_multivector(scalar, blade, coefficient) -> Multivector:
     return Multivector(scalar, {Blade2(*blade): coefficient})
 
 
-def _fg(category: FiniteCategory, norms: NormTable, f: Vector, g: Vector):
-    """The kernel on two already checked vectors; O annihilates."""
-    if is_zero(f) or is_zero(g):
+def _fg(norms: dict[str, int], a: Arrow | None, b: Arrow | None):
+    """The kernel on two checked vectors, given as their arrows (None for O);
+    O annihilates."""
+    if a is None or b is None:
         return _ZERO_PRODUCT
-    arrows = category.arrows
-    return _product(f, g, arrows[f].cod, arrows[g].dom, norms[f], norms[g])
+    return _product(a.id, b.id, a.cod, b.dom, norms[a.id], norms[b.id])
 
 
-def _check_pair(category: FiniteCategory, f: Vector, g: Vector) -> None:
-    _check_vector(category, f)
-    _check_vector(category, g)
+def _check_pair(category: FiniteCategory, f: Vector, g: Vector) -> tuple[Arrow | None, Arrow | None]:
+    return _check_vector(category, f), _check_vector(category, g)
 
 
-def inner(category: FiniteCategory, norms: NormTable, f: Vector, g: Vector) -> int:
+def inner(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> int:
     """||f|| × ||g|| when g = f or cod(f) = dom(g); 0 otherwise.
 
     Asymmetric by design when only one composite exists.  The zero vector
     is orthogonal to everything, itself included.
     """
-    _check_pair(category, f, g)
-    return _fg(category, norms, f, g)[0]
+    return _fg(norms, *_check_pair(category, f, g))[0]
 
 
-def is_orthogonal(category: FiniteCategory, norms: NormTable, f: Vector, g: Vector) -> bool:
+def is_orthogonal(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> bool:
     """Neither composite exists: f·g = g·f = 0."""
-    _check_pair(category, f, g)
-    return _fg(category, norms, f, g)[0] == 0 and _fg(category, norms, g, f)[0] == 0
+    a, b = _check_pair(category, f, g)
+    return _fg(norms, a, b)[0] == 0 and _fg(norms, b, a)[0] == 0
 
 
 def is_parallel(category: FiniteCategory, f: Vector, g: Vector) -> bool:
     """f = g, or both composites g∘f and f∘g exist.  Non-zero vectors only."""
-    _check_pair(category, f, g)
-    if is_zero(f) or is_zero(g):
+    a, b = _check_pair(category, f, g)
+    if a is None or b is None:
         raise ValueError("parallelism is defined for non-zero vectors")
-    return f == g or (category.composable(f, g) and category.composable(g, f))
+    return f == g or (a.cod == b.dom and b.cod == a.dom)
 
 
-def outer(category: FiniteCategory, norms: NormTable, f: Vector, g: Vector) -> Multivector:
+def outer(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> Multivector:
     """f∧g: an oriented bivector when the pair neither composes nor coincides."""
-    _check_pair(category, f, g)
-    _, blade, coefficient = _fg(category, norms, f, g)
+    _, blade, coefficient = _fg(norms, *_check_pair(category, f, g))
     return _as_multivector(0, blade, coefficient)
 
 
-def blade_area(norms: NormTable, blade: Blade2) -> int:
+def blade_area(norms: dict[str, int], blade: Blade2) -> int:
     return norms[blade.first] * norms[blade.second]
 
 
-def geometric(category: FiniteCategory, norms: NormTable, f: Vector, g: Vector) -> Multivector:
+def geometric(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> Multivector:
     """fg = f·g + f∧g; for f = g non-zero this is the scalar ||f||²."""
-    _check_pair(category, f, g)
-    return _as_multivector(*_fg(category, norms, f, g))
+    return _as_multivector(*_fg(norms, *_check_pair(category, f, g)))
 
 
-def anticommutator(category: FiniteCategory, norms: NormTable, f: Vector, g: Vector) -> Multivector:
+def anticommutator(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> Multivector:
     """fg + gf under componentwise addition."""
-    _check_pair(category, f, g)
-    return _as_multivector(*_add(_fg(category, norms, f, g), _fg(category, norms, g, f)))
+    a, b = _check_pair(category, f, g)
+    return _as_multivector(*_add(_fg(norms, a, b), _fg(norms, b, a)))
 
 
-def _pair_products(category: FiniteCategory, norms: NormTable):
+def _pair_products(category: FiniteCategory, norms: dict[str, int]):
     """(f, g, fg, gf) in kernel values for every ordered pair of non-identity
     arrows, in canonical order; dom, cod and norm are read once per arrow."""
     arrows = category.arrows
@@ -201,7 +200,7 @@ def _pair_products(category: FiniteCategory, norms: NormTable):
             yield f, g, _product(f, g, cod_f, dom_g, norm_f, norm_g), _product(g, f, cod_g, dom_f, norm_g, norm_f)
 
 
-def anticommutator_table(category: FiniteCategory, norms: NormTable) -> list[tuple]:
+def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> list[tuple]:
     """fg + gf for every ordered pair of non-identity arrows, in canonical order.
 
     One row (f, g, scalar, terms) per pair, with terms as in
@@ -227,7 +226,7 @@ class CliffordReport:
         return not self.unit_square_failures and not self.anticommutation_failures
 
 
-def clifford_report(category: FiniteCategory, norms: NormTable, basis: Basis) -> CliffordReport:
+def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequence[str]) -> CliffordReport:
     """Check e² = 1 for basis arrows and fg = -gf on orthogonal pairs.
 
     Every basis square and both products of every ordered pair of distinct
@@ -235,8 +234,8 @@ def clifford_report(category: FiniteCategory, norms: NormTable, basis: Basis) ->
     """
     unit_failures = []
     for e in basis:
-        _check_vector(category, e)
-        square = _fg(category, norms, e, e)
+        a = _check_vector(category, e)
+        square = _fg(norms, a, a)
         if square != (1, None, 0):
             unit_failures.append((e, _as_multivector(*square)))
     anti_failures = [

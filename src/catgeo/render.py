@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .category import FiniteCategory
-from .vectors import NormTable
 
 Point = tuple[float, float, float]
 
@@ -61,21 +61,19 @@ def embedding_to_json(embedding: Embedding) -> str:
 
 def export_dot(
     category: FiniteCategory,
-    basis_only: bool = False,
-    basis=None,
-    norms: NormTable | None = None,
+    arrows: Iterable[str] | None = None,
+    norms: dict[str, int] | None = None,
 ) -> str:
-    """Plain DOT digraph: nodes are objects, edges the non-identity arrows.
+    """Plain DOT digraph: nodes are objects, edges the given arrow ids.
 
-    With basis_only, only atomic arrows are drawn (the normalized view with
-    identities and composites elided).  Edge labels carry the arrow id and,
-    when norms are given, its length.
+    Edges default to every non-identity arrow; passing the atomic basis
+    draws the normalized view with identities and composites elided.
+    Edge labels carry the arrow id and, when norms are given, its length.
     """
     lines = ["digraph category {"]
     for obj in category.objects:
         lines.append('  "%s";' % obj)
-    arrow_ids = list(basis) if basis_only and basis is not None else category.non_identity_arrows()
-    for arrow_id in sorted(arrow_ids):
+    for arrow_id in sorted(category.non_identity_arrows() if arrows is None else arrows):
         arrow = category.arrow(arrow_id)
         label = arrow_id
         if norms is not None:

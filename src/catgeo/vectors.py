@@ -5,14 +5,25 @@ Addition (+) is partial and noncommutative: f (+) g = g∘f when the arrows
 compose, with O as a two-sided unit.  The atomic (non-composite) arrows
 form the basis; the norm of an arrow is the minimal number of basis
 arrows composing to it, with ||O|| = 0.
+
+Bases and norms are plain data: `atomic_basis` returns the basis ids as a
+sorted tuple, `compute_norms` a dict from arrow id to length in the
+canonical order.  O has no entry; the rule ||O|| = 0 is applied where O
+can occur, at the `l = O` candidate of `distance` (and in the products,
+where O annihilates).
+
+Vector arguments are checked where they enter a public function:
+`_check_vector` looks the id up once and returns its Arrow (None for O),
+or raises UnknownArrow for an unknown or identity id, and the caller
+reads dom and cod from that Arrow.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Union
+from typing import Collection, Union
 
-from .category import FiniteCategory
+from .category import Arrow, FiniteCategory
 from .errors import (
     CompositeIsIdentity,
     NoDifference,
@@ -46,58 +57,37 @@ def is_zero(v: Vector) -> bool:
     return isinstance(v, _ZeroVector)
 
 
-def _check_vector(category: FiniteCategory, v: Vector) -> None:
+def _check_vector(category: FiniteCategory, v: Vector) -> Arrow | None:
+    """The arrow of vector v, or None for O; UnknownArrow for anything else."""
     if is_zero(v):
-        return
-    if not category.has_arrow(v):
+        return None
+    arrow = category.arrows.get(v)
+    if arrow is None:
         raise UnknownArrow("no arrow %r in category" % v)
-    if category.is_identity(v):
+    if arrow.is_identity:
         raise UnknownArrow("identity arrow %r is not a vector" % v)
+    return arrow
 
 
 def vec_add(category: FiniteCategory, f: Vector, g: Vector) -> Vector:
     """f (+) g: the composite g∘f when cod(f) = dom(g); O is a unit."""
-    _check_vector(category, f)
-    _check_vector(category, g)
-    if is_zero(f):
+    a = _check_vector(category, f)
+    b = _check_vector(category, g)
+    if a is None:
         return g
-    if is_zero(g):
+    if b is None:
         return f
-    if not category.composable(f, g):
+    if a.cod != b.dom:
         raise UndefinedSum("cod(%s) != dom(%s); sum undefined" % (f, g))
     result = category.table[(f, g)]
-    if category.is_identity(result):
+    if category.arrows[result].is_identity:
         raise CompositeIsIdentity("%s then %s composes to identity %s" % (f, g, result))
     return result
 
 
-class Basis:
-    """The set of atomic arrows, in canonical order."""
-
-    def __init__(self, members):
-        self.members = tuple(sorted(members))
-        self._member_set = frozenset(self.members)
-
-    def __contains__(self, arrow_id):
-        return arrow_id in self._member_set
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __eq__(self, other):
-        if isinstance(other, Basis):
-            return self.members == other.members
-        return self._member_set == set(other)
-
-    def __repr__(self):
-        return "Basis(%s)" % ", ".join(self.members)
-
-
-def atomic_basis(category: FiniteCategory) -> Basis:
-    """Arrows that are no composite of two non-identity arrows distinct from them."""
+def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
+    """Arrows that are no composite of two non-identity arrows distinct from
+    them, in the canonical order."""
     arrows = category.arrows
     composite = set()
     for (f, g), result in category.table.items():
@@ -106,37 +96,19 @@ def atomic_basis(category: FiniteCategory) -> Basis:
         if arrows[f].is_identity or arrows[g].is_identity or arrows[result].is_identity:
             continue
         composite.add(result)
-    return Basis(a for a in category.non_identity_arrows() if a not in composite)
+    return tuple(a for a in category.non_identity_arrows() if a not in composite)
 
 
-class NormTable:
-    """Minimal factorization lengths per non-identity arrow; ||O|| = 0."""
+def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str, int]:
+    """Minimal factorization length per non-identity arrow, in the canonical order.
 
-    zero_norm = 0
-
-    def __init__(self, lengths: dict[str, int]):
-        self.lengths = dict(lengths)
-
-    def __getitem__(self, arrow_id: str) -> int:
-        return self.lengths[arrow_id]
-
-    def norm(self, v: Vector) -> int:
-        if is_zero(v):
-            return self.zero_norm
-        return self.lengths[v]
-
-    def items(self):
-        return sorted(self.lengths.items())
-
-
-def compute_norms(category: FiniteCategory, basis: Basis) -> NormTable:
-    """Multi-source BFS from the basis: depth 1 is the basis itself, each
+    Multi-source BFS from the basis: depth 1 is the basis itself, each
     step composes a reached arrow with a basis arrow on the left.
-
     Raises NotGenerated when some non-identity arrow is unreachable.
     """
     arrows, table = category.arrows, category.table
-    basis_out = {o: [a.id for a in leaving if a.id in basis] for o, leaving in category.out_arrows.items()}
+    members = set(basis)
+    basis_out = {o: [a.id for a in leaving if a.id in members] for o, leaving in category.out_arrows.items()}
     lengths: dict[str, int] = {e: 1 for e in basis}
     queue = deque(basis)
     while queue:
@@ -149,26 +121,24 @@ def compute_norms(category: FiniteCategory, basis: Basis) -> NormTable:
             if composite not in lengths:
                 lengths[composite] = depth + 1
                 queue.append(composite)
-    missing = set(category.non_identity_arrows()) - set(lengths)
+    missing = set(category.non_identity_arrows()) - lengths.keys()
     if missing:
         raise NotGenerated(missing)
-    return NormTable(lengths)
+    return dict(sorted(lengths.items()))
 
 
-def distance(category: FiniteCategory, norms: NormTable, f: Vector, g: Vector) -> int:
+def distance(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> int:
     """min ||l|| over vectors l (including O) with f = g (+) l.
 
     Raises NoDifference when no such l exists.
     """
     _check_vector(category, f)
     _check_vector(category, g)
-    best = None
-    candidates: list[Vector] = [ZERO]
-    candidates.extend(category.non_identity_arrows())
-    for l in candidates:
+    best = 0 if f == g else None  # l = O, as g (+) O = g and ||O|| = 0
+    for l in category.non_identity_arrows():
         try:
             if vec_add(category, g, l) == f:
-                n = norms.norm(l)
+                n = norms[l]
                 if best is None or n < best:
                     best = n
         except (UndefinedSum, CompositeIsIdentity):

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from catgeo import Blade2, FiniteCategory, Multivector, Violation, build_free, build_thin
-from catgeo.vectors import Basis
 
 
 def random_thin(rng: random.Random, max_objects: int = 8, max_edges: int = 14) -> FiniteCategory:
@@ -32,7 +32,7 @@ def random_free(rng: random.Random, max_objects: int = 6, max_edges: int = 8) ->
     return build_free(objects, generators)
 
 
-def oracle_norms(category: FiniteCategory, basis: Basis, depth_bound: int) -> dict[str, int]:
+def oracle_norms(category: FiniteCategory, basis: Sequence[str], depth_bound: int) -> dict[str, int]:
     """Brute-force minima over all composable basis sequences up to the bound.
 
     Enumerates every sequence (no visited pruning), recording the minimal
@@ -49,7 +49,7 @@ def oracle_norms(category: FiniteCategory, basis: Basis, depth_bound: int) -> di
         for e in basis:
             if category.arrow(e).dom == cod:
                 composite = category.table[(arrow, e)]
-                if not category.is_identity(composite):
+                if not category.arrows[composite].is_identity:
                     extend(composite, length + 1)
 
     for e in basis:

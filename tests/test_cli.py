@@ -86,6 +86,12 @@ class TestOutputs:
         assert status == 2
         assert "nope" in err
 
+    def test_product_identity_arrow(self, capsys, po6_file):
+        status, out, err = run(capsys, "product", po6_file, "id:a0", "e1")
+        assert (status, out) == (2, "")
+        assert err.startswith("catgeo: error:") and "id:a0" in err
+        assert "Traceback" not in err
+
     def test_table_runs(self, capsys, po6_file):
         status, out, _ = run(capsys, "table", po6_file, "--json")
         assert status == 0

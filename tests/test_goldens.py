@@ -15,6 +15,13 @@ explicit tables with planted violations: one composite swapped for a
 parallel arrow (associativity) and two composites redirected to arrows
 of the wrong type (dom/cod).
 
+`goldens/cli_misc.json` pins the rest of the CLI on the built-ins po6,
+path3 and parallel2, as the implementation before norms and bases became
+plain data printed it (commit 1a31a32): `basis` (text), `embed` (text
+and `--json`), `example`, `product` with an unknown or an identity
+arrow id (exit 2, no stdout), and `interval norm` and `interval add`
+(text and `--json`, negative fractions and exit-2 cases included).
+
 Each case stores the argv, exit status and stdout; outputs over 4 KB are
 stored as a SHA-256 digest and a byte count.
 """
@@ -34,6 +41,7 @@ def _goldens(name):
 
 PRODUCTS = _goldens("cli_products.json")
 STRUCTURE = _goldens("cli_structure.json")
+MISC = _goldens("cli_misc.json")
 
 
 def _case_id(case):
@@ -45,7 +53,7 @@ def documents(tmp_path_factory):
     # documents with one name in both files have the same text
     root = tmp_path_factory.mktemp("goldens")
     paths = {}
-    for name, text in {**PRODUCTS["documents"], **STRUCTURE["documents"]}.items():
+    for name, text in {**PRODUCTS["documents"], **STRUCTURE["documents"], **MISC["documents"]}.items():
         paths[name] = root / (name + ".json")
         paths[name].write_text(text, encoding="utf-8")
     return paths
@@ -73,7 +81,14 @@ def test_structure_output_is_byte_identical(case, documents, capsys):
     _check(case, documents, capsys)
 
 
+@pytest.mark.parametrize("case", MISC["cases"], ids=_case_id)
+def test_misc_output_is_byte_identical(case, documents, capsys):
+    _check(case, documents, capsys)
+
+
 def test_shared_documents_agree():
     shared = PRODUCTS["documents"].keys() & STRUCTURE["documents"].keys()
     assert shared == {"po6", "path3", "parallel2", "thin40", "free40"}
     assert all(PRODUCTS["documents"][name] == STRUCTURE["documents"][name] for name in shared)
+    assert MISC["documents"].keys() == {"po6", "path3", "parallel2"}
+    assert all(MISC["documents"][name] == PRODUCTS["documents"][name] for name in MISC["documents"])

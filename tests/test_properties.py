@@ -11,7 +11,6 @@ from catgeo import (
     CyclicGraph,
     FiniteCategory,
     NontrivialCycle,
-    NormTable,
     ParseError,
     anticommutator,
     anticommutator_table,
@@ -20,6 +19,7 @@ from catgeo import (
     build_thin,
     clifford_report,
     compute_norms,
+    distance,
     geometric,
     inner,
     interval,
@@ -117,7 +117,13 @@ def test_norm_positivity_and_atomicity(cat):
     for arrow in cat.non_identity_arrows():
         assert norms[arrow] >= 1
         assert (norms[arrow] == 1) == (arrow in basis)
-    assert norms.norm(ZERO) == 0
+    assert list(norms) == cat.non_identity_arrows()
+    assert list(basis) == sorted(basis)
+    # ||O|| = 0 where O occurs: the l = O candidate and the products
+    assert distance(cat, norms, ZERO, ZERO) == 0
+    assert inner(cat, norms, ZERO, ZERO) == 0
+    for arrow in cat.non_identity_arrows():
+        assert distance(cat, norms, arrow, ZERO) == norms[arrow]
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +146,7 @@ def test_bfs_norms_match_brute_force(cat):
     basis = atomic_basis(cat)
     norms = compute_norms(cat, basis)
     expected = oracle_norms(cat, basis, len(vectors))
-    assert dict(norms.items()) == dict(sorted(expected.items()))
+    assert norms == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,7 +186,7 @@ def test_anticommutator_table_matches_pairwise_products(cat):
 def test_clifford_report_matches_oracle_under_any_norms(cat, rng):
     # doctored norms (0 included) make both conditions fail in places
     basis = atomic_basis(cat)
-    norms = NormTable({a: rng.randint(0, 3) for a in cat.non_identity_arrows()})
+    norms = {a: rng.randint(0, 3) for a in cat.non_identity_arrows()}
     report = clifford_report(cat, norms, basis)
     unit, anti = oracle_clifford_failures(cat, norms, basis)
     assert [(e, mv.scalar, mv.blades) for e, mv in report.unit_square_failures] == [(e, s, {}) for e, s in unit]

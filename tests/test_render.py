@@ -62,8 +62,16 @@ class TestDot:
     def test_po6_basis_only(self):
         cat = builtin_category("po6")
         basis = atomic_basis(cat)
-        text = export_dot(cat, basis_only=True, basis=basis)
+        text = export_dot(cat, arrows=basis)
         assert text.count('" -> "') == 6
+
+    def test_only_the_given_arrows_are_drawn(self):
+        cat = builtin_category("po6")
+        text = export_dot(cat, arrows=["e6", "a0->a5"])
+        edges = [line for line in text.splitlines() if '" -> "' in line]
+        assert edges == ['  "a0" -> "a5" [label="a0->a5"];', '  "a4" -> "a5" [label="e6"];']
+        assert export_dot(cat, arrows=[]).count('" -> "') == 0
+        assert export_dot(cat, arrows=None) == export_dot(cat)
 
     def test_empty_category(self):
         text = export_dot(build_thin(["a"], []))

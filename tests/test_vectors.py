@@ -3,13 +3,17 @@ import pytest
 from catgeo import (
     ZERO,
     NoDifference,
+    NotComposable,
     UndefinedSum,
+    UnknownArrow,
     atomic_basis,
     build_free,
     build_thin,
     builtin_category,
+    compose,
     compute_norms,
     distance,
+    inner,
     vec_add,
 )
 
@@ -59,22 +63,43 @@ class TestVecAdd:
                     assert lhs == rhs
 
 
+@pytest.mark.parametrize(
+    "function, f, g, error, named",
+    [
+        (vec_add, "nope", "e4", UnknownArrow, "nope"),
+        (vec_add, "e2", "nope", UnknownArrow, "nope"),
+        (vec_add, ZERO, "nope", UnknownArrow, "nope"),
+        (vec_add, "id:a0", "e1", UnknownArrow, "id:a0"),
+        (vec_add, "e1", "id:a1", UnknownArrow, "id:a1"),
+        (vec_add, "e1", "e2", UndefinedSum, "e2"),
+        (compose, "nope", "e4", UnknownArrow, "nope"),
+        (compose, "e2", "nope", UnknownArrow, "nope"),
+        (compose, "e1", "e2", NotComposable, "e2"),
+        (compose, "id:a1", "e2", NotComposable, "id:a1"),
+    ],
+)
+def test_argument_errors(po6, function, f, g, error, named):
+    # unknown ids and, for vectors, identities are rejected before composability
+    with pytest.raises(error, match=named):
+        function(po6, f, g)
+
+
 class TestAtomicBasis:
     def test_po6_basis(self, po6):
-        assert atomic_basis(po6) == {"e1", "e2", "e3", "e4", "e5", "e6"}
+        assert atomic_basis(po6) == ("e1", "e2", "e3", "e4", "e5", "e6")
 
     def test_free_path(self):
         cat = build_free(["x", "y", "z"], [("p", "x", "y"), ("q", "y", "z")])
-        assert atomic_basis(cat) == {"p", "q"}
+        assert atomic_basis(cat) == ("p", "q")
 
     def test_single_arrow(self):
         cat = build_thin(["a", "b"], [("f", "a", "b")])
-        assert atomic_basis(cat) == {"f"}
+        assert atomic_basis(cat) == ("f",)
 
     def test_shortcut_generator_is_not_atomic(self):
         # a direct edge a->c next to a path a->b->c: the a->c arrow is composite
         cat = build_thin(["a", "b", "c"], [("direct", "a", "c"), ("p", "a", "b"), ("q", "b", "c")])
-        assert atomic_basis(cat) == {"p", "q"}
+        assert atomic_basis(cat) == ("p", "q")
 
 
 class TestNorms:
@@ -89,8 +114,13 @@ class TestNorms:
         for arrow in po6.non_identity_arrows():
             assert (po6_norms[arrow] == 1) == (arrow in basis)
 
-    def test_zero_norm(self, po6_norms):
-        assert po6_norms.norm(ZERO) == 0
+    def test_zero_norm(self, po6, po6_norms):
+        # O has no entry; ||O|| = 0 shows where O occurs
+        assert ZERO not in po6_norms
+        assert distance(po6, po6_norms, ZERO, ZERO) == 0
+        assert inner(po6, po6_norms, ZERO, ZERO) == 0
+        for f in po6.non_identity_arrows():
+            assert distance(po6, po6_norms, f, ZERO) == po6_norms[f]
 
     def test_triangle_inequality(self, po6, po6_norms):
         for f in po6.non_identity_arrows():
@@ -101,7 +131,7 @@ class TestNorms:
     def test_bfs_matches_brute_force(self, po6, po6_norms):
         basis = atomic_basis(po6)
         expected = oracle_norms(po6, basis, len(po6.non_identity_arrows()))
-        assert dict(po6_norms.items()) == dict(sorted(expected.items()))
+        assert po6_norms == expected
 
 
 class TestDistance:
