@@ -67,18 +67,12 @@ class FiniteCategory:
             out.setdefault(a.dom, []).append(a)
         self.out_arrows: dict[str, tuple[Arrow, ...]] = {o: tuple(leaving) for o, leaving in out.items()}
 
-    def arrow(self, arrow_id: str) -> Arrow:
-        return self.arrows[arrow_id]
-
     def identity(self, obj: str) -> str:
         return IDENTITY_PREFIX + obj
 
     def non_identity_arrows(self) -> list[str]:
         """Non-identity arrow ids in the canonical (lexicographic) order."""
         return sorted(a.id for a in self.arrows.values() if not a.is_identity)
-
-    def composable(self, f: str, g: str) -> bool:
-        return self.arrows[f].cod == self.arrows[g].dom
 
     def __repr__(self):
         return "FiniteCategory(mode=%r, objects=%d, arrows=%d)" % (

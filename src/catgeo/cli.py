@@ -2,15 +2,21 @@
 
 Exit status: 0 success, 1 usage or parse error, 2 semantic error
 (axiom violation, ungenerated arrows, unknown arrow, builder rejection).
+
+--json output is indented by 2 with sorted keys and non-ASCII text kept.
+`table --json`, which grows with the square of the arrow count, is
+written row by row, one write per arrow f, never as one string.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
+from json.encoder import encode_basestring
 
 from . import realline
 from .category import FiniteCategory, validate_axioms
@@ -51,10 +57,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_file(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not valid UTF-8: %s" % ("stdin" if path == "-" else path, exc)) from None
 
 
 def _load(path: str) -> FiniteCategory:
@@ -79,6 +88,58 @@ def _multivector_dict(mv: Multivector, norms: dict[str, int] | None = None) -> d
 
 def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False))
+
+
+# The text json.dumps(indent=2, sort_keys=True, ensure_ascii=False) gives
+# for one row of `table --json` and for one blade of its anticommutator.
+_ROW_JSON = """    {
+      "anticommutator": {
+        "blades": %s,
+        "scalar": %d
+      },
+      "f": %s,
+      "g": %s
+    }"""
+_BLADE_JSON = """          {
+            "area": %d,
+            "coefficient": %d,
+            "first": %s,
+            "second": %s
+          }"""
+
+
+def _write_table_json(rows, norms: dict[str, int]) -> None:
+    """Write {"entries": [...]} for anticommutator_table rows to stdout.
+
+    `norms` gives the length of every id in the rows.  The text is byte for byte what _emit_json gives for the entry dicts
+    (f, g and _terms_dict of the row), but each id is quoted once with the
+    stdlib's C quoter and each integer is formatted with %d, instead of
+    running the pure-Python indenting encoder over a dict per row.  The
+    rows of each f are written together, so the document is never one
+    string.
+    """
+    write = sys.stdout.write
+    if not rows:
+        write('{\n  "entries": []\n}\n')
+        return
+    quoted = {f: encode_basestring(f) for f in norms}
+    write('{\n  "entries": [\n')
+    separator = ""
+    for f, group in itertools.groupby(rows, key=lambda row: row[0]):
+        chunk = []
+        for _, g, scalar, terms in group:
+            if terms:
+                blades = ",\n".join(
+                    _BLADE_JSON % (norms[first] * norms[second], c, quoted[first], quoted[second])
+                    for first, second, c in terms
+                )
+                blades = "[\n%s\n        ]" % blades
+            else:
+                blades = "[]"
+            chunk.append(_ROW_JSON % (blades, scalar, quoted[f], quoted[g]))
+        write(separator + ",\n".join(chunk))
+        separator = ",\n"
+    write("\n  ]\n}\n")
 
 
 def cmd_validate(args) -> int:
@@ -154,11 +215,7 @@ def cmd_table(args) -> int:
     norms = compute_norms(category, atomic_basis(category))
     rows = anticommutator_table(category, norms)
     if args.json:
-        entries = [
-            {"f": f, "g": g, "anticommutator": _terms_dict(scalar, terms, norms)}
-            for f, g, scalar, terms in rows
-        ]
-        _emit_json({"entries": entries})
+        _write_table_json(rows, norms)
     else:
         for f, g, scalar, terms in rows:
             print("%s %s: %s" % (f, g, format_terms(scalar, terms)))

@@ -54,6 +54,8 @@ def parse_document(text: str) -> CategoryDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     _require(isinstance(data, dict), "document root must be a JSON object")
     mode = data.get("mode")
     _require(mode in MODES, "mode must be one of %s, got %r" % (", ".join(MODES), mode))

@@ -17,8 +17,10 @@ arrow id to length; O never needs one, as it annihilates.  Past that
 boundary one private kernel, `_product`, computes fg of two non-zero
 vectors as plain values; the real-line backend shares it.  The survey
 functions (`clifford_report`, `anticommutator_table`) read each arrow's
-dom, cod and norm once and then run the kernel over every pair, building
-a Multivector only for what they return.
+dom, cod and norm once and then run the kernel on both orders of every
+unordered pair {f, g}, building a Multivector only for what they return:
+fg = -gf and fg + gf are the same for (f, g) as for (g, f), so each pair
+is computed once and reported for both orders.
 """
 
 from __future__ import annotations
@@ -190,14 +192,10 @@ def anticommutator(category: FiniteCategory, norms: dict[str, int], f: Vector, g
     return _as_multivector(*_add(_fg(norms, a, b), _fg(norms, b, a)))
 
 
-def _pair_products(category: FiniteCategory, norms: dict[str, int]):
-    """(f, g, fg, gf) in kernel values for every ordered pair of non-identity
-    arrows, in canonical order; dom, cod and norm are read once per arrow."""
+def _ends(category: FiniteCategory, norms: dict[str, int]) -> list[tuple]:
+    """(id, dom, cod, norm) of every non-identity arrow, in canonical order."""
     arrows = category.arrows
-    ends = [(v, arrows[v].dom, arrows[v].cod, norms[v]) for v in category.non_identity_arrows()]
-    for f, dom_f, cod_f, norm_f in ends:
-        for g, dom_g, cod_g, norm_g in ends:
-            yield f, g, _product(f, g, cod_f, dom_g, norm_f, norm_g), _product(g, f, cod_g, dom_f, norm_g, norm_f)
+    return [(v, arrows[v].dom, arrows[v].cod, norms[v]) for v in category.non_identity_arrows()]
 
 
 def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> list[tuple]:
@@ -205,12 +203,21 @@ def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> lis
 
     One row (f, g, scalar, terms) per pair, with terms as in
     Multivector.terms(): the values anticommutator gives, without a
-    Multivector per pair.
+    Multivector per pair.  fg + gf = gf + fg, so the kernel runs once per
+    unordered pair and the row of (g, f) repeats the values of (f, g).
     """
+    ends = _ends(category, norms)
+    n = len(ends)
     rows = []
-    for f, g, fg, gf in _pair_products(category, norms):
-        scalar, blade, c = _add(fg, gf)
-        rows.append((f, g, scalar, () if blade is None else ((blade[0], blade[1], c),)))
+    for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
+        for j, (g, dom_g, cod_g, norm_g) in enumerate(ends):
+            if j < i:
+                rows.append((f, g) + rows[j * n + i][2:])
+                continue
+            fg = _product(f, g, cod_f, dom_g, norm_f, norm_g)
+            gf = _product(g, f, cod_g, dom_f, norm_g, norm_f)
+            scalar, blade, c = _add(fg, gf)
+            rows.append((f, g, scalar, () if blade is None else ((blade[0], blade[1], c),)))
     return rows
 
 
@@ -229,8 +236,10 @@ class CliffordReport:
 def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequence[str]) -> CliffordReport:
     """Check e² = 1 for basis arrows and fg = -gf on orthogonal pairs.
 
-    Every basis square and both products of every ordered pair of distinct
-    arrows are computed; a pair is orthogonal when both scalars are 0.
+    Every basis square is computed, and both products of every unordered
+    pair {f, g} of distinct arrows; a pair is orthogonal when both scalars
+    are 0.  fg = -gf is one condition for (f, g) and (g, f), so a failing
+    pair is reported in both orders, in canonical (f-major) order.
     """
     unit_failures = []
     for e in basis:
@@ -238,9 +247,13 @@ def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequ
         square = _fg(norms, a, a)
         if square != (1, None, 0):
             unit_failures.append((e, _as_multivector(*square)))
-    anti_failures = [
-        (f, g)
-        for f, g, fg, gf in _pair_products(category, norms)
-        if f != g and fg[0] == 0 and gf[0] == 0 and fg != (0, gf[1], -gf[2])
-    ]
+    anti_failures = []
+    ends = _ends(category, norms)
+    for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
+        for g, dom_g, cod_g, norm_g in ends[i + 1 :]:
+            fg = _product(f, g, cod_f, dom_g, norm_f, norm_g)
+            gf = _product(g, f, cod_g, dom_f, norm_g, norm_f)
+            if fg[0] == 0 and gf[0] == 0 and fg != (0, gf[1], -gf[2]):
+                anti_failures += ((f, g), (g, f))
+    anti_failures.sort()
     return CliffordReport(unit_failures, anti_failures)

@@ -10,6 +10,8 @@ The products run the same kernel as the finite backend (geometry._product).
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -18,9 +20,25 @@ from .errors import ParseError, UndefinedSum
 from .geometry import Multivector, _as_multivector, _ZERO_PRODUCT, _product
 from .vectors import ZERO, _ZeroVector, is_zero
 
+#: the exponent digits of a decimal literal such as "2.5e-3", as Fraction reads them
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+
 
 def parse_endpoint(text: str) -> Fraction:
-    """Exact conversion of a decimal ("3.141") or fraction ("22/7") literal."""
+    """Exact conversion of a decimal ("3.141") or fraction ("22/7") literal.
+
+    An exponent ("1e-3") may be at most sys.get_int_max_str_digits() in
+    magnitude, the limit Python puts on the digits of a plain integer
+    literal: Fraction builds 10**exponent, which would not finish for
+    "1e999999999".
+    """
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        limit = sys.get_int_max_str_digits()
+        # lengths first: int() of a long enough exponent would itself pass the limit
+        if limit and (len(digits) > len(str(limit)) or int(digits or 0) > limit):
+            raise ParseError("bad endpoint literal %r: exponent beyond %d" % (text, limit))
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

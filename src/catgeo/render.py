@@ -37,7 +37,7 @@ def export_embedding(category: FiniteCategory, samples: int = 9) -> Embedding:
 
     arcs: dict[str, list[Point]] = {}
     for k, arrow_id in enumerate(category.non_identity_arrows()):
-        arrow = category.arrow(arrow_id)
+        arrow = category.arrows[arrow_id]
         x0, y0, _ = points[arrow.dom]
         x1, y1, _ = points[arrow.cod]
         height = 0.25 * (k + 1) * (1 if k % 2 == 0 else -1)
@@ -74,7 +74,7 @@ def export_dot(
     for obj in category.objects:
         lines.append('  "%s";' % obj)
     for arrow_id in sorted(category.non_identity_arrows() if arrows is None else arrows):
-        arrow = category.arrow(arrow_id)
+        arrow = category.arrows[arrow_id]
         label = arrow_id
         if norms is not None:
             label = "%s (%d)" % (arrow_id, norms[arrow_id])

@@ -45,9 +45,9 @@ def oracle_norms(category: FiniteCategory, basis: Sequence[str], depth_bound: in
             best[arrow] = length
         if length >= depth_bound:
             return
-        cod = category.arrow(arrow).cod
+        cod = category.arrows[arrow].cod
         for e in basis:
-            if category.arrow(e).dom == cod:
+            if category.arrows[e].dom == cod:
                 composite = category.table[(arrow, e)]
                 if not category.arrows[composite].is_identity:
                     extend(composite, length + 1)
@@ -66,7 +66,7 @@ def _oriented_blade(f: str, g: str) -> Multivector:
 
 def closed_form_anticommutator(category, norms, f: str, g: str) -> Multivector:
     """The four-case closed form of fg + gf for distinct non-zero vectors."""
-    fa, ga = category.arrow(f), category.arrow(g)
+    fa, ga = category.arrows[f], category.arrows[g]
     fg_composes = fa.cod == ga.dom
     gf_composes = ga.cod == fa.dom
     if fg_composes and gf_composes:
@@ -93,8 +93,8 @@ def oracle_clifford_failures(category, norms, basis):
         for g in vectors:
             if f == g:
                 continue
-            fg_composes = category.arrow(f).cod == category.arrow(g).dom
-            gf_composes = category.arrow(g).cod == category.arrow(f).dom
+            fg_composes = category.arrows[f].cod == category.arrows[g].dom
+            gf_composes = category.arrows[g].cod == category.arrows[f].dom
             area = norms[f] * norms[g]
             orthogonal = (not fg_composes or area == 0) and (not gf_composes or area == 0)
             if orthogonal and fg_composes != gf_composes:
@@ -126,7 +126,7 @@ def oracle_validate_axioms(category: FiniteCategory) -> list[Violation]:
                         Violation("dom-cod", "entry (%s, %s) names unknown arrow %r" % (f.id, g.id, result))
                     )
                     continue
-                r = category.arrow(result)
+                r = category.arrows[result]
                 if r.dom != f.dom or r.cod != g.cod:
                     violations.append(
                         Violation(

@@ -62,11 +62,11 @@ class TestBuildThin:
 
     def test_generator_ids_are_kept(self, po6):
         assert "e1" in po6.arrows
-        assert po6.arrow("e1").dom == "a0"
+        assert po6.arrows["e1"].dom == "a0"
 
     def test_derived_arrows_use_canonical_names(self, po6):
         assert "a0->a4" in po6.arrows
-        assert po6.arrow("a0->a4").cod == "a4"
+        assert po6.arrows["a0->a4"].cod == "a4"
 
     def test_generator_named_like_another_pair_rejected(self):
         # the derived x -> z arrow would take the name of the generator x -> y

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catgeo
-from catgeo import builtin_category, compute_norms, atomic_basis
-from catgeo.cli import main
+from catgeo import anticommutator_table, build_free, builtin_category, compute_norms, atomic_basis
+from catgeo.cli import _terms_dict, _write_table_json, main
 from catgeo.documents import builtin_document
 
 from helpers import closed_form_anticommutator
@@ -96,6 +99,11 @@ class TestOutputs:
         status, out, _ = run(capsys, "table", po6_file, "--json")
         assert status == 0
         assert len(json.loads(out)["entries"]) == 13 * 13
+
+    def test_table_json_of_one_object(self, capsys, tmp_path):
+        doc = tmp_path / "point.json"
+        doc.write_text(json.dumps({"mode": "thin", "objects": ["a"], "arrows": []}))
+        assert run(capsys, "table", str(doc), "--json") == (0, '{\n  "entries": []\n}\n', "")
 
     def test_table_entries_match_closed_form(self, capsys, po6_file):
         cat = builtin_category("po6")
@@ -196,6 +204,69 @@ class TestInterval:
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
+# ids mixing what JSON escapes (quotes, backslashes, control characters, a
+# lone surrogate) with non-ASCII text; composite ids add the separator ∘
+_ID_CHARS = st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\ud800é∘x') | st.characters()
+_GENERATOR_IDS = st.text(_ID_CHARS, min_size=1, max_size=4).filter(lambda s: "∘" not in s and not s.startswith("id:"))
+
+
+def _table_json(rows, norms) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_table_json(rows, norms)
+    return out.getvalue()
+
+
+def _dumps_entries(rows, norms) -> str:
+    """What table --json printed through the generic encoder."""
+    entries = [{"f": f, "g": g, "anticommutator": _terms_dict(scalar, terms, norms)} for f, g, scalar, terms in rows]
+    return json.dumps({"entries": entries}, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+class TestTableWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_stdlib_encoder(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        objects = ["o%d" % i for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=5) if pairs else st.just([]))
+        ids = data.draw(st.lists(_GENERATOR_IDS, min_size=len(edges), max_size=len(edges), unique=True))
+        cat = build_free(objects, [(gid, objects[i], objects[j]) for gid, (i, j) in zip(ids, edges)])
+        vectors = cat.non_identity_arrows()
+        norms = {v: data.draw(st.integers(min_value=0, max_value=10**20)) for v in vectors}
+        rows = anticommutator_table(cat, norms)
+        assert _table_json(rows, norms) == _dumps_entries(rows, norms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_rows_match_the_stdlib_encoder(self, data):
+        # rows the table never makes (several blades, any integers) keep the format too
+        ids = data.draw(st.lists(st.text(_ID_CHARS, max_size=3), min_size=1, max_size=4, unique=True))
+        ints = st.integers(min_value=-(10**30), max_value=10**30)
+        norms = {v: data.draw(ints) for v in ids}
+        rows = data.draw(
+            st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), ints,
+                               st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), ints), max_size=3)))
+        )
+        rows.sort(key=lambda row: row[0])  # the writer groups the rows of each f
+        assert _table_json(rows, norms) == _dumps_entries(rows, norms)
+
+    def test_writes_one_chunk_per_f(self, po6_file, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, text: writes.append(text)})())
+        assert main(["table", po6_file, "--json"]) == 0
+        vectors = builtin_category("po6").non_identity_arrows()
+        assert len(writes) == len(vectors) + 2  # opening, one chunk per f, closing
+        for chunk, f in zip(writes[1:-1], vectors):
+            assert chunk.count('"f": ') == chunk.count('"f": "%s",' % f) == len(vectors)
+        assert json.loads("".join(writes))["entries"][14] == {
+            "f": "a0->a4",
+            "g": "a0->a4",
+            "anticommutator": {"scalar": 8, "blades": []},
+        }
+
+
 class TestErrors:
     def test_thin_id_collision_is_a_parse_error(self, capsys, tmp_path):
         doc = tmp_path / "clash.json"
@@ -233,6 +304,31 @@ class TestErrors:
         bad.write_text("{broken")
         status, _, err = run(capsys, "validate", str(bad))
         assert status == 1
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"[" * 200000, "nested too deeply"), (b'{"mode": "thin", "objects": ["\xff"]}', "not valid UTF-8")],
+    )
+    def test_malformed_document_is_a_parse_error(self, capsys, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for command in ("validate", "table"):
+            status, out, err = run(capsys, command, str(bad))
+            assert (status, out) == (1, "")
+            assert err.startswith("catgeo: parse error:") and message in err
+            assert "Traceback" not in err
+
+    def test_stdin_not_utf8_is_a_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+        status, out, err = run(capsys, "validate", "-")
+        assert (status, out) == (1, "")
+        assert err.startswith("catgeo: parse error: stdin is not valid UTF-8")
+
+    @pytest.mark.parametrize("endpoint", ["1e999999999", "1e-999999999"])
+    def test_huge_exponent_is_a_parse_error(self, capsys, endpoint):
+        status, out, err = run(capsys, "interval", "norm", "0", endpoint)
+        assert (status, out) == (1, "")
+        assert err.startswith("catgeo: parse error:") and "exponent" in err
 
 
 class TestRepeatedMain:

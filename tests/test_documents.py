@@ -56,6 +56,10 @@ class TestParseDocument:
         with pytest.raises(ParseError):
             parse_document("{not json")
 
+    def test_deep_nesting(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_document("[" * 200000)
+
     def test_compositions_forbidden_outside_explicit(self):
         text = doc(
             mode="thin",

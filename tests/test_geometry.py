@@ -21,6 +21,8 @@ from catgeo import (
     outer,
 )
 
+from helpers import oracle_clifford_failures
+
 
 @pytest.fixture(scope="module")
 def po6():
@@ -220,6 +222,28 @@ class TestCliffordReport:
         report = clifford_report(po6, norms, atomic_basis(po6))
         assert report.unit_square_failures == []
         assert report.anticommutation_failures == [("e2", "e5"), ("e5", "e2")]
+
+    def test_three_broken_pairs_sharing_arrows(self, po6, norms, monkeypatch):
+        # break one order of each of {e1, e2}, {e1, e5} and {e2, e5}, some
+        # with the smaller id first and some with it second: each pair is
+        # reported in both orders, f-major, and nothing else is
+        kernel = geometry._product
+        broken_orders = {("e2", "e1"), ("e1", "e5"), ("e5", "e2")}
+
+        def broken(f, g, *rest):
+            if (f, g) in broken_orders:
+                return 0, None, 0
+            return kernel(f, g, *rest)
+
+        monkeypatch.setattr(geometry, "_product", broken)
+        planted = [("e1", "e2"), ("e1", "e5"), ("e2", "e1"), ("e2", "e5"), ("e5", "e1"), ("e5", "e2")]
+        basis = atomic_basis(po6)
+        assert clifford_report(po6, norms, basis).anticommutation_failures == planted
+        # under doctored norms the oracle's own failures interleave with them
+        doctored = dict(norms, e4=0)
+        _, anti = oracle_clifford_failures(po6, doctored, basis)
+        assert anti and not set(anti) & set(planted)
+        assert clifford_report(po6, doctored, basis).anticommutation_failures == sorted(anti + planted)
 
     def test_unknown_basis_member_rejected(self, po6, norms):
         with pytest.raises(UnknownArrow):

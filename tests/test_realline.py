@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,19 @@ class TestParsing:
     def test_bad_literal(self):
         with pytest.raises(ParseError):
             parse_endpoint("pi")
+
+    def test_exponent_literal(self):
+        assert parse_endpoint("2.5e-3") == Fraction(1, 400)
+        assert parse_endpoint("1E+2") == 100
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_exponent_beyond_the_digit_limit_rejected(self, sign):
+        # Fraction would build 10**exponent and not finish
+        limit = sys.get_int_max_str_digits()
+        assert parse_endpoint("1e%s%d" % (sign, limit)) == Fraction(10) ** int("%s%d" % (sign, limit))
+        for exponent in (limit + 1, 999999999, "9" * 5000):
+            with pytest.raises(ParseError, match="exponent"):
+                parse_endpoint("1e%s%s" % (sign, exponent))
 
     def test_format_round_trip(self):
         for text in ("3.14", "22/7", "5", "-1/3"):

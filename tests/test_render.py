@@ -32,7 +32,7 @@ class TestEmbedding:
         cat = builtin_category("po6")
         emb = export_embedding(cat)
         for arrow_id, line in emb.arcs.items():
-            arrow = cat.arrow(arrow_id)
+            arrow = cat.arrows[arrow_id]
             assert line[0] == emb.points[arrow.dom]
             assert line[-1] == emb.points[arrow.cod]
             for point in line[1:-1]:
