@@ -45,7 +45,6 @@ from .geometry import (
     Multivector,
     anticommutator,
     anticommutator_table,
-    blade_area,
     clifford_report,
     format_terms,
     geometric,

@@ -43,9 +43,11 @@ class CategoryDocument:
     compositions: list[tuple[str, str, str]] = field(default_factory=list)  # (f, g, result)
 
 
-def _require(condition, message):
+def _require(condition, message, *args):
+    """Raise ParseError(message % args) unless condition holds; the message
+    is formatted only when it is raised."""
     if not condition:
-        raise ParseError(message)
+        raise ParseError(message % args)
 
 
 def parse_document(text: str) -> CategoryDocument:
@@ -58,7 +60,7 @@ def parse_document(text: str) -> CategoryDocument:
         raise ParseError("invalid JSON: nested too deeply") from None
     _require(isinstance(data, dict), "document root must be a JSON object")
     mode = data.get("mode")
-    _require(mode in MODES, "mode must be one of %s, got %r" % (", ".join(MODES), mode))
+    _require(mode in MODES, "mode must be one of %s, got %r", ", ".join(MODES), mode)
 
     objects = data.get("objects")
     _require(isinstance(objects, list) and objects, "objects must be a nonempty list")
@@ -71,13 +73,13 @@ def parse_document(text: str) -> CategoryDocument:
     arrows = []
     seen_ids = set()
     for i, rec in enumerate(raw_arrows):
-        _require(isinstance(rec, dict), "arrows[%d] must be an object" % i)
+        _require(isinstance(rec, dict), "arrows[%d] must be an object", i)
         for key in ("id", "dom", "cod"):
-            _require(isinstance(rec.get(key), str) and rec[key], "arrows[%d].%s must be a nonempty string" % (i, key))
-        _require(rec["id"] not in seen_ids, "duplicate arrow id %r" % rec["id"])
+            _require(isinstance(rec.get(key), str) and rec[key], "arrows[%d].%s must be a nonempty string", i, key)
+        _require(rec["id"] not in seen_ids, "duplicate arrow id %r", rec["id"])
         seen_ids.add(rec["id"])
-        _require(rec["dom"] in obj_set, "arrows[%d] (%r): dangling dom %r" % (i, rec["id"], rec["dom"]))
-        _require(rec["cod"] in obj_set, "arrows[%d] (%r): dangling cod %r" % (i, rec["id"], rec["cod"]))
+        _require(rec["dom"] in obj_set, "arrows[%d] (%r): dangling dom %r", i, rec["id"], rec["dom"])
+        _require(rec["cod"] in obj_set, "arrows[%d] (%r): dangling cod %r", i, rec["id"], rec["cod"])
         arrows.append((rec["id"], rec["dom"], rec["cod"]))
 
     results = seen_ids | {IDENTITY_PREFIX + o for o in objects}  # a composite may be an identity
@@ -87,11 +89,11 @@ def parse_document(text: str) -> CategoryDocument:
         _require(not raw_comps, "compositions are only allowed in explicit mode")
     compositions = []
     for i, rec in enumerate(raw_comps):
-        _require(isinstance(rec, dict), "compositions[%d] must be an object" % i)
+        _require(isinstance(rec, dict), "compositions[%d] must be an object", i)
         for key in ("f", "g", "result"):
-            _require(isinstance(rec.get(key), str) and rec[key], "compositions[%d].%s must be a nonempty string" % (i, key))
+            _require(isinstance(rec.get(key), str) and rec[key], "compositions[%d].%s must be a nonempty string", i, key)
         for key, known in (("f", seen_ids), ("g", seen_ids), ("result", results)):
-            _require(rec[key] in known, "compositions[%d]: unknown arrow %r" % (i, rec[key]))
+            _require(rec[key] in known, "compositions[%d]: unknown arrow %r", i, rec[key])
         compositions.append((rec["f"], rec["g"], rec["result"]))
 
     return CategoryDocument(mode, list(objects), arrows, compositions)

@@ -65,14 +65,6 @@ class Multivector:
         self.scalar = scalar
         self.blades = {b: c for b, c in (blades or {}).items() if c != 0}
 
-    @classmethod
-    def zero(cls):
-        return cls(0)
-
-    @classmethod
-    def from_blade(cls, blade: Blade2, coefficient=1):
-        return cls(0, {blade: coefficient})
-
     def is_zero(self) -> bool:
         return self.scalar == 0 and not self.blades
 
@@ -175,10 +167,6 @@ def outer(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector)
     """f∧g: an oriented bivector when the pair neither composes nor coincides."""
     _, blade, coefficient = _fg(norms, *_check_pair(category, f, g))
     return _as_multivector(0, blade, coefficient)
-
-
-def blade_area(norms: dict[str, int], blade: Blade2) -> int:
-    return norms[blade.first] * norms[blade.second]
 
 
 def geometric(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> Multivector:

@@ -75,7 +75,7 @@ def closed_form_anticommutator(category, norms, f: str, g: str) -> Multivector:
         return Multivector(norms[f] * norms[g]) + _oriented_blade(g, f)
     if gf_composes:
         return Multivector(norms[g] * norms[f]) + _oriented_blade(f, g)
-    return Multivector.zero()
+    return Multivector(0)
 
 
 def oracle_clifford_failures(category, norms, basis):

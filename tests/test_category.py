@@ -1,9 +1,11 @@
+import json
 import random
 import re
 
 import pytest
 
 from catgeo import (
+    AxiomViolation,
     CatGeoError,
     CyclicGraph,
     NontrivialCycle,
@@ -14,11 +16,14 @@ from catgeo import (
     build_thin,
     builtin_category,
     compose,
+    load_category,
+    parse_document,
     validate_axioms,
 )
 from catgeo.category import MAX_FREE_PATHS, FiniteCategory
+from catgeo.documents import build_document
 
-from helpers import random_free, random_thin
+from helpers import oracle_validate_axioms, random_free, random_thin
 
 PO6_OBJECTS = ["a0", "a1", "a2", "a3", "a4", "a5"]
 PO6_GENERATORS = [
@@ -177,6 +182,66 @@ class TestValidateAxioms:
         corrupted = FiniteCategory(po6.objects, po6.arrows.values(), table, "explicit")
         report = validate_axioms(corrupted)
         assert report  # dom/cod breaks, and associativity checks still run
+
+    # once the pair and unit checks pass, associativity is checked only on
+    # triples of non-identity arrows whose ends have several arrows between
+    # them; these lists must still be the all-pairs oracle's, order included
+
+    def test_wrong_type_entry_runs_every_triple(self, po6):
+        table = dict(po6.table)
+        table[("e2", "e4")] = "a0->a3"  # type a0->a3, expected a0->a4
+        corrupted = FiniteCategory(po6.objects, po6.arrows.values(), table, "explicit")
+        report = validate_axioms(corrupted)
+        assert [str(v) for v in report] == [
+            "dom-cod: (e2, e4) -> a0->a3 has type a0->a3, expected a0->a4",
+            "associativity: (e2, e4, id:a4): None != a0->a3",
+            "associativity: (e2, e4, e6): None != a0->a5",
+        ]
+        assert report == oracle_validate_axioms(corrupted)
+
+    def test_swap_inside_a_parallel_hom_set(self):
+        cat = build_free(["a", "b", "c", "d"], [("u", "a", "b"), ("v", "a", "b"), ("w", "b", "c"), ("z", "c", "d")])
+        table = dict(cat.table)
+        table[("u", "w")] = "w∘v"  # the other arrow a -> c
+        corrupted = FiniteCategory(cat.objects, cat.arrows.values(), table, "explicit")
+        report = validate_axioms(corrupted)
+        assert [str(v) for v in report] == ["associativity: (u, w, z): z∘w∘v != z∘w∘u"]
+        assert report == oracle_validate_axioms(corrupted)
+
+    def test_cyclic_group_of_order_three(self):
+        # a generates {id, a, b = a∘a}: one three-arrow hom-set, so every
+        # triple of non-identity arrows is checked
+        def c3(b_after_a):
+            return json.dumps(
+                {
+                    "mode": "explicit",
+                    "objects": ["o"],
+                    "arrows": [{"id": "a", "dom": "o", "cod": "o"}, {"id": "b", "dom": "o", "cod": "o"}],
+                    "compositions": [
+                        {"f": "a", "g": "a", "result": "b"},
+                        {"f": "a", "g": "b", "result": b_after_a},
+                        {"f": "b", "g": "a", "result": "id:o"},
+                        {"f": "b", "g": "b", "result": "a"},
+                    ],
+                }
+            )
+
+        group = load_category(c3("id:o"))
+        assert validate_axioms(group) == oracle_validate_axioms(group) == []
+
+        broken = build_document(parse_document(c3("a")))
+        report = validate_axioms(broken)
+        assert [str(v) for v in report] == [
+            "associativity: (a, a, a): id:o != a",
+            "associativity: (a, a, b): a != b",
+            "associativity: (a, b, a): b != a",
+            "associativity: (a, b, b): a != b",
+            "associativity: (b, a, b): b != id:o",
+            "associativity: (b, b, b): a != id:o",
+        ]
+        assert report == oracle_validate_axioms(broken)
+        with pytest.raises(AxiomViolation):
+            load_category(c3("a"))
 
 
 def test_builtin_po6_matches_direct_build(po6):

@@ -71,6 +71,46 @@ class TestParseDocument:
             parse_document(text)
 
 
+AB = {"mode": "explicit", "objects": ["a", "b"]}
+F = {"id": "f", "dom": "a", "cod": "b"}
+
+# one malformed document per check in parse_document, with its exact message
+MALFORMED = [
+    ([1], "document root must be a JSON object"),
+    ({"mode": "weird", "objects": ["a"]}, "mode must be one of thin, free, explicit, got 'weird'"),
+    ({"mode": "thin", "objects": []}, "objects must be a nonempty list"),
+    ({"mode": "thin", "objects": ["a", ""]}, "object ids must be nonempty strings"),
+    ({"mode": "thin", "objects": ["a", "a"]}, "duplicate object id"),
+    ({**AB, "arrows": {}}, "arrows must be a list"),
+    ({**AB, "arrows": [F, "f"]}, "arrows[1] must be an object"),
+    ({**AB, "arrows": [{"id": "f", "dom": "a", "cod": 3}]}, "arrows[0].cod must be a nonempty string"),
+    ({**AB, "arrows": [F, F]}, "duplicate arrow id 'f'"),
+    ({**AB, "arrows": [{"id": "f", "dom": "x", "cod": "b"}]}, "arrows[0] ('f'): dangling dom 'x'"),
+    ({**AB, "arrows": [{"id": "f", "dom": "a", "cod": "y"}]}, "arrows[0] ('f'): dangling cod 'y'"),
+    ({**AB, "arrows": [F], "compositions": {}}, "compositions must be a list"),
+    (
+        {"mode": "free", "objects": ["a", "b"], "arrows": [F], "compositions": [{}]},
+        "compositions are only allowed in explicit mode",
+    ),
+    ({**AB, "arrows": [F], "compositions": [None]}, "compositions[0] must be an object"),
+    (
+        {**AB, "arrows": [F], "compositions": [{"f": "f", "g": "", "result": "f"}]},
+        "compositions[0].g must be a nonempty string",
+    ),
+    (
+        {**AB, "arrows": [F], "compositions": [{"f": "f", "g": "f", "result": "id:c"}]},
+        "compositions[0]: unknown arrow 'id:c'",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, message", MALFORMED, ids=[m for _, m in MALFORMED])
+def test_parse_error_messages(data, message):
+    with pytest.raises(ParseError) as info:
+        parse_document(json.dumps(data))
+    assert str(info.value) == message
+
+
 class TestLoadCategory:
     def test_po6_round_trip(self):
         cat = load_category(builtin_document("po6"))

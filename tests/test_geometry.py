@@ -8,7 +8,6 @@ from catgeo import (
     UnknownArrow,
     anticommutator,
     atomic_basis,
-    blade_area,
     build_explicit,
     build_free,
     builtin_category,
@@ -47,11 +46,11 @@ class TestMultivector:
 
     def test_addition_cancels(self):
         b = Blade2("a", "b")
-        assert (Multivector.from_blade(b, 1) + Multivector.from_blade(b, -1)).is_zero()
+        assert (Multivector(0, {b: 1}) + Multivector(0, {b: -1})).is_zero()
 
     def test_negation(self):
         mv = Multivector(3, {Blade2("a", "b"): 2})
-        assert mv + (-mv) == Multivector.zero()
+        assert mv + (-mv) == Multivector(0)
 
     def test_equality_is_fieldwise(self):
         assert Multivector(1, {Blade2("a", "b"): 1}) != Multivector(1)
@@ -123,7 +122,7 @@ class TestOuter:
         ((blade, coeff),) = mv.blades.items()
         assert {blade.first, blade.second} == {"e4", M}
         assert abs(coeff) == 1
-        assert blade_area(norms, blade) == 2
+        assert norms[blade.first] * norms[blade.second] == 2
 
     def test_self_wedge_is_zero(self, po6, norms):
         for f in po6.non_identity_arrows():
@@ -154,7 +153,7 @@ class TestGeometric:
         assert mv.scalar == 0
         ((blade, coeff),) = mv.blades.items()
         assert {blade.first, blade.second} == {"e1", M}
-        assert blade_area(norms, blade) == 2
+        assert norms[blade.first] * norms[blade.second] == 2
 
     def test_zero_vector(self, po6, norms):
         for f in po6.non_identity_arrows():
@@ -177,14 +176,14 @@ class TestAnticommutator:
         mv = anticommutator(po6, norms, "e1", M)
         assert mv.scalar == 2
         ((blade, _),) = mv.blades.items()
-        assert blade_area(norms, blade) == 2
+        assert norms[blade.first] * norms[blade.second] == 2
 
     def test_e5_h(self, po6, norms):
         mv = anticommutator(po6, norms, "e5", H)
         assert mv.scalar == 2
         ((blade, _),) = mv.blades.items()
         assert {blade.first, blade.second} == {"e5", H}
-        assert blade_area(norms, blade) == 2
+        assert norms[blade.first] * norms[blade.second] == 2
 
 
 class TestCliffordReport:

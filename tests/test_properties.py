@@ -57,6 +57,19 @@ categories = thin_categories() | free_categories()
 
 
 @st.composite
+def staged_categories(draw):
+    """Free category on stages a0 -> a1 -> ... with one or two parallel
+    edges per step, at least one step with two, so that hom-sets with
+    several arrows are common."""
+    n = draw(st.integers(min_value=4, max_value=5))
+    steps = st.lists(st.integers(min_value=1, max_value=2), min_size=n - 1, max_size=n - 1)
+    widths = draw(steps.filter(lambda w: 2 in w))
+    objects = ["a%d" % i for i in range(n)]
+    generators = [("g%d_%d" % (i, k), "a%d" % i, "a%d" % (i + 1)) for i, w in enumerate(widths) for k in range(w)]
+    return build_free(objects, generators)
+
+
+@st.composite
 def presentations(draw):
     """Objects a0..a<n-1> and generators on any ordered pairs, cycles and
     repeated pairs included, with ids drawn from g<k> and a<i>->a<j> names."""
@@ -79,15 +92,27 @@ def test_built_categories_satisfy_the_axioms(build, presentation):
     assert validate_axioms(cat) == []
 
 
-CORRUPTIONS = ("delete", "wrong result", "unknown result", "non-composable", "unknown arrow")
+CORRUPTIONS = ("delete", "wrong result", "same-type result", "unknown result", "non-composable", "unknown arrow")
 
 
 @settings(max_examples=300, deadline=None)
-@given(categories, st.lists(st.sampled_from(CORRUPTIONS), max_size=4), st.randoms(use_true_random=False))
+@given(
+    categories | staged_categories(),
+    st.lists(st.sampled_from(CORRUPTIONS), max_size=4),
+    st.randoms(use_true_random=False),
+)
 def test_validate_axioms_matches_all_pairs_oracle(cat, corruptions, rng):
-    # the indexed check reports what the all-pairs scan reports, in its order
+    # the indexed check reports what the all-pairs scan reports, in its
+    # order, after each corruption
     table = dict(cat.table)
     ids = list(cat.arrows)
+    hom = {}
+    for a in cat.arrows.values():
+        hom.setdefault((a.dom, a.cod), []).append(a.id)
+    vectors = set(cat.non_identity_arrows())
+    starts = {cat.arrows[v].dom for v in vectors}
+    ends = {cat.arrows[v].cod for v in vectors}
+    assert validate_axioms(cat) == oracle_validate_axioms(cat) == []
     for corruption in corruptions:
         keys = sorted(table)
         if not keys:
@@ -96,6 +121,22 @@ def test_validate_axioms_matches_all_pairs_oracle(cat, corruptions, rng):
             del table[rng.choice(keys)]
         elif corruption == "wrong result":
             table[rng.choice(keys)] = rng.choice(ids)
+        elif corruption == "same-type result":
+            # another arrow of the result's hom-set, in an entry (f, g) of
+            # two non-identity arrows with a third one before f or after g:
+            # the pair and unit checks stay clean, and a triple sees the swap
+            swaps = [
+                (key, a)
+                for key in keys
+                if all(x in vectors for x in key)
+                and table[key] in cat.arrows
+                and (cat.arrows[key[0]].dom in ends or cat.arrows[key[1]].cod in starts)
+                for a in hom[cat.arrows[table[key]].dom, cat.arrows[table[key]].cod]
+                if a != table[key]
+            ]
+            if swaps:
+                key, a = rng.choice(swaps)
+                table[key] = a
         elif corruption == "unknown result":
             table[rng.choice(keys)] = "ghost"
         elif corruption == "non-composable":
@@ -105,8 +146,8 @@ def test_validate_axioms_matches_all_pairs_oracle(cat, corruptions, rng):
         else:
             pair = (rng.choice(ids), "ghost") if rng.random() < 0.5 else ("ghost", rng.choice(ids))
             table[pair] = rng.choice(ids)
-    corrupted = FiniteCategory(cat.objects, cat.arrows.values(), table, "explicit")
-    assert validate_axioms(corrupted) == oracle_validate_axioms(corrupted)
+        corrupted = FiniteCategory(cat.objects, cat.arrows.values(), table, "explicit")
+        assert validate_axioms(corrupted) == oracle_validate_axioms(corrupted)
 
 
 @settings(max_examples=60, deadline=None)
