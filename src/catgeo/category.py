@@ -16,8 +16,8 @@ triples through it instead of scanning every arrow against every arrow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import CatGeoError, CyclicGraph, NontrivialCycle, NotComposable, ParseError, UnknownArrow
 
@@ -31,18 +31,37 @@ PATH_SEP = "∘"  # "∘"
 MAX_FREE_PATHS = 20_000
 
 
-@dataclass(frozen=True)
 class Arrow:
-    id: str
-    dom: str
-    cod: str
-    is_identity: bool = False
+    """An arrow dom → cod; equal arrows have equal fields."""
+
+    __slots__ = ("id", "dom", "cod", "is_identity")
+
+    def __init__(self, id: str, dom: str, cod: str, is_identity: bool = False):
+        self.id = id
+        self.dom = dom
+        self.cod = cod
+        self.is_identity = is_identity
+
+    def _key(self):
+        return self.id, self.dom, self.cod, self.is_identity
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Arrow(id=%r, dom=%r, cod=%r, is_identity=%r)" % self._key()
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # one of: totality, closure, dom-cod, associativity, unit
-    detail: str
+class Violation(namedtuple("Violation", "kind detail")):
+    """One broken axiom; kind is one of totality, closure, dom-cod,
+    associativity, unit."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "%s: %s" % (self.kind, self.detail)
@@ -325,7 +344,8 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     consistency of composites, associativity over all composable triples,
     and the unit law for every arrow.  Violations come in three runs:
     pair checks (for each f in arrow order, its entries ordered by g in
-    arrow order), then unit, then associativity (ordered by f, g, k).
+    arrow order; then the entries naming an unknown arrow, in table
+    order), then unit, then associativity (ordered by f, g, k).
 
     When the pair and unit checks find nothing, the triples that cannot
     fail (through an identity, or with a one-arrow hom-set between their
@@ -336,11 +356,17 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     table = category.table
     leaving = category.out_arrows.get
 
-    # closure: entries between known arrows that do not compose, by f
+    # closure: entries naming an unknown arrow, and entries between known
+    # arrows that do not compose, by f
+    unknown: list[Violation] = []
     stray: dict[str, list[tuple[str, Violation]]] = {}
     for key in table:
         f, g = key
-        if f in arrows and g in arrows and arrows[f].cod != arrows[g].dom:
+        a, b = arrows.get(f), arrows.get(g)
+        if a is None or b is None:
+            name = f if a is None else g
+            unknown.append(Violation("closure", "entry (%s, %s) for unknown arrow %r" % (f, g, name)))
+        elif a.cod != b.dom:
             stray.setdefault(f, []).append((g, Violation("closure", "entry (%s, %s) for non-composable pair" % key)))
     position = {aid: i for i, aid in enumerate(arrows)} if stray else {}
 
@@ -366,6 +392,7 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
             run += stray[f.id]
             run.sort(key=lambda entry: position[entry[0]])
         violations.extend(v for _, v in run)
+    violations += unknown
 
     for f in arrows.values():
         left = table.get((category.identity(f.dom), f.id))

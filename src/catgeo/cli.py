@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit status: 0 success, 1 usage or parse error, 2 semantic error
-(axiom violation, ungenerated arrows, unknown arrow, builder rejection).
+(axiom violation, ungenerated arrows, unknown arrow, builder rejection,
+an interval result with more digits than sys.get_int_max_str_digits()).
 
 --json output is indented by 2 with sorted keys and non-ASCII text kept.
 `table --json`, which grows with the square of the arrow count, is
@@ -86,8 +87,12 @@ def _multivector_dict(mv: Multivector, norms: dict[str, int] | None = None) -> d
     return _terms_dict(mv.scalar, mv.terms(), norms)
 
 
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def _emit_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False))
+    print(_json_text(data))
 
 
 # The text json.dumps(indent=2, sort_keys=True, ensure_ascii=False) gives
@@ -278,46 +283,69 @@ def cmd_example(args) -> int:
     return 0
 
 
-def _interval_args(values):
-    return realline.interval(values[0], values[1]), realline.interval(values[2], values[3])
+def _interval(lo: str, hi: str) -> realline.IntervalArrow:
+    """The interval of two endpoint literals, each a value that prints back."""
+    ends = []
+    for text in (lo, hi):
+        value = realline.parse_endpoint(text)
+        try:
+            realline.format_endpoint(value)
+        except ValueError:  # str() refuses an integer beyond sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise ParseError("bad endpoint literal %r: more than %d digits" % (text, limit)) from None
+        ends.append(value)
+    return realline.interval(*ends)
+
+
+def _interval_text(command, result, as_json) -> str:
+    """What `interval <command>` prints for its result: the norm, the sum,
+    or the products of both orders."""
+    endpoint = realline.format_endpoint
+    if command == "norm":
+        return _json_text({"norm": endpoint(result)}) if as_json else endpoint(result)
+    if command == "add":
+        return _json_text({"lo": endpoint(result.lo), "hi": endpoint(result.hi)}) if as_json else repr(result)
+    (inner_fg, outer_fg, geom_fg), (inner_gf, _, geom_gf) = result
+    anticommutator_fg = geom_fg + geom_gf
+    if as_json:
+        return _json_text(
+            {
+                "inner_fg": endpoint(inner_fg),
+                "inner_gf": endpoint(inner_gf),
+                "outer_fg": _multivector_dict(outer_fg),
+                "geometric_fg": _multivector_dict(geom_fg),
+                "anticommutator": _multivector_dict(anticommutator_fg),
+            }
+        )
+    return "\n".join(
+        (
+            "inner fg = %s" % endpoint(inner_fg),
+            "inner gf = %s" % endpoint(inner_gf),
+            "outer: %r" % outer_fg,
+            "geometric fg: %r" % geom_fg,
+            "anticommutator: %r" % anticommutator_fg,
+        )
+    )
 
 
 def cmd_interval(args) -> int:
+    ends = args.args
     if args.interval_command == "norm":
-        f = realline.interval(args.args[0], args.args[1])
-        result = realline.interval_norm(f)
-        if args.json:
-            _emit_json({"norm": realline.format_endpoint(result)})
-        else:
-            print(realline.format_endpoint(result))
-        return 0
-    if args.interval_command == "add":
-        f, g = _interval_args(args.args)
-        result = realline.interval_add(f, g)
-        if args.json:
-            _emit_json({"lo": realline.format_endpoint(result.lo), "hi": realline.format_endpoint(result.hi)})
-        else:
-            print("%r" % result)
-        return 0
-    f, g = _interval_args(args.args)
-    inner_fg, outer_fg, geom_fg = realline.interval_products(f, g)
-    inner_gf, _, geom_gf = realline.interval_products(g, f)
-    if args.json:
-        _emit_json(
-            {
-                "inner_fg": realline.format_endpoint(inner_fg),
-                "inner_gf": realline.format_endpoint(inner_gf),
-                "outer_fg": _multivector_dict(outer_fg),
-                "geometric_fg": _multivector_dict(geom_fg),
-                "anticommutator": _multivector_dict(geom_fg + geom_gf),
-            }
-        )
+        result = realline.interval_norm(_interval(ends[0], ends[1]))
     else:
-        print("inner fg = %s" % realline.format_endpoint(inner_fg))
-        print("inner gf = %s" % realline.format_endpoint(inner_gf))
-        print("outer: %r" % outer_fg)
-        print("geometric fg: %r" % geom_fg)
-        print("anticommutator: %r" % (geom_fg + geom_gf))
+        f, g = _interval(ends[0], ends[1]), _interval(ends[2], ends[3])
+        if args.interval_command == "add":
+            result = realline.interval_add(f, g)
+        else:
+            result = realline.interval_products(f, g), realline.interval_products(g, f)
+    try:
+        text = _interval_text(args.interval_command, result, args.json)
+    except ValueError:  # str() refuses an integer beyond sys.get_int_max_str_digits()
+        raise CatGeoError(
+            "result has more than %d digits, the limit sys.get_int_max_str_digits() sets on printing a number"
+            % sys.get_int_max_str_digits()
+        ) from None
+    print(text)
     return 0
 
 

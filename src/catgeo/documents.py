@@ -20,7 +20,6 @@ isomorphisms and groupoids can be written down.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .category import (
     IDENTITY_PREFIX,
@@ -35,12 +34,33 @@ from .errors import AxiomViolation, ParseError
 MODES = ("thin", "free", "explicit")
 
 
-@dataclass
 class CategoryDocument:
-    mode: str
-    objects: list[str]
-    arrows: list[tuple[str, str, str]]  # (id, dom, cod)
-    compositions: list[tuple[str, str, str]] = field(default_factory=list)  # (f, g, result)
+    """A parsed document; equal documents have equal fields."""
+
+    __slots__ = ("mode", "objects", "arrows", "compositions")
+
+    def __init__(
+        self,
+        mode: str,
+        objects: list[str],
+        arrows: list[tuple[str, str, str]],  # (id, dom, cod)
+        compositions: list[tuple[str, str, str]] | None = None,  # (f, g, result); default []
+    ):
+        self.mode = mode
+        self.objects = objects
+        self.arrows = arrows
+        self.compositions = [] if compositions is None else compositions
+
+    def _key(self):
+        return self.mode, self.objects, self.arrows, self.compositions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "CategoryDocument(mode=%r, objects=%r, arrows=%r, compositions=%r)" % self._key()
 
 
 def _require(condition, message, *args):

@@ -25,19 +25,15 @@ is computed once and reported for both orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .category import Arrow, FiniteCategory
 from .vectors import Vector, _check_vector
 
 
-@dataclass(frozen=True, order=True)
-class Blade2:
-    """Canonical grade-2 blade: first < second in the carrier order."""
-
-    first: Any
-    second: Any
+#: canonical grade-2 blade: first < second in the carrier order
+Blade2 = namedtuple("Blade2", "first second")
 
 
 def format_terms(scalar, terms) -> str:
@@ -68,7 +64,7 @@ class Multivector:
     def is_zero(self) -> bool:
         return self.scalar == 0 and not self.blades
 
-    def terms(self) -> list[tuple[Any, Any, int]]:
+    def terms(self) -> list[tuple[object, object, int]]:
         """(first, second, coefficient) per blade, in canonical blade order."""
         return [(b.first, b.second, self.blades[b]) for b in sorted(self.blades)]
 
@@ -209,12 +205,14 @@ def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> lis
     return rows
 
 
-@dataclass
-class CliffordReport:
-    """Counterexamples to the two Clifford conditions (expected: none)."""
+class CliffordReport(namedtuple("CliffordReport", "unit_square_failures anticommutation_failures")):
+    """Counterexamples to the two Clifford conditions (expected: none).
 
-    unit_square_failures: list[tuple[str, Multivector]]
-    anticommutation_failures: list[tuple[str, str]]
+    unit_square_failures: (basis arrow, its square) for each e with e² != 1;
+    anticommutation_failures: (f, g) for each orthogonal pair with fg != -gf.
+    """
+
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
 
 from .errors import ParseError, UndefinedSum
 from .geometry import Multivector, _as_multivector, _ZERO_PRODUCT, _product
@@ -52,22 +51,29 @@ def format_endpoint(value: Fraction) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-@dataclass(frozen=True, order=True)
-class IntervalArrow:
-    """Arrow lo → hi of the real-line order category; lo < hi strictly."""
+class IntervalArrow(namedtuple("IntervalArrow", "lo hi")):
+    """Arrow lo → hi of the real-line order category; lo < hi strictly.
 
-    lo: Fraction
-    hi: Fraction
+    Arrows compare and sort as the pair (lo, hi).
+    """
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("interval endpoints must satisfy lo < hi, got %s >= %s" % (self.lo, self.hi))
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if not lo < hi:
+            raise ValueError("interval endpoints must satisfy lo < hi, got %s >= %s" % (lo, hi))
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's own _make (and so _replace) skips __new__
+        return cls(*iterable)
 
     def __repr__(self):
         return "(%s, %s)" % (format_endpoint(self.lo), format_endpoint(self.hi))
 
 
-IntervalVector = Union[_ZeroVector, IntervalArrow]
+IntervalVector = _ZeroVector | IntervalArrow
 
 
 def interval(lo, hi) -> IntervalArrow:

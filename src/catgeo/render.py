@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .category import FiniteCategory
 
 Point = tuple[float, float, float]
 
 
-@dataclass
-class Embedding:
-    points: dict[str, Point]  # object id -> position in the z = 0 plane
-    arcs: dict[str, list[Point]]  # arrow id -> sampled polyline, endpoints in-plane
+#: points: object id -> position in the z = 0 plane;
+#: arcs: arrow id -> sampled polyline, endpoints in-plane
+Embedding = namedtuple("Embedding", "points arcs")
 
 
 def export_embedding(category: FiniteCategory, samples: int = 9) -> Embedding:

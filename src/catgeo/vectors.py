@@ -21,7 +21,7 @@ reads dom and cod from that Arrow.
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Union
+from collections.abc import Collection
 
 from .category import Arrow, FiniteCategory
 from .errors import (
@@ -50,7 +50,7 @@ class _ZeroVector:
 ZERO = _ZeroVector()
 
 #: a vector is either the zero vector or a non-identity arrow id
-Vector = Union[_ZeroVector, str]
+Vector = _ZeroVector | str
 
 
 def is_zero(v: Vector) -> bool:

@@ -103,11 +103,12 @@ def oracle_clifford_failures(category, norms, basis):
 
 
 def oracle_validate_axioms(category: FiniteCategory) -> list[Violation]:
-    """The all-pairs axiom check that validate_axioms replaced, kept verbatim.
+    """The all-pairs axiom check that validate_axioms replaced.
 
     It scans every arrow against every arrow for pairs and all arrows again
     for each composable pair to find triples; validate_axioms must return
-    an equal list, order included.
+    an equal list, order included.  Beyond the original loop it reports
+    each table entry that names an unknown arrow, after the pair checks.
     """
     violations: list[Violation] = []
     arrows = list(category.arrows.values())
@@ -137,6 +138,10 @@ def oracle_validate_axioms(category: FiniteCategory) -> list[Violation]:
                     )
             elif key in table:
                 violations.append(Violation("closure", "entry (%s, %s) for non-composable pair" % key))
+    for f, g in table:
+        if f not in category.arrows or g not in category.arrows:
+            unknown = f if f not in category.arrows else g
+            violations.append(Violation("closure", "entry (%s, %s) for unknown arrow %r" % (f, g, unknown)))
 
     def lookup(f, g):
         return table.get((f, g))

@@ -243,6 +243,34 @@ class TestValidateAxioms:
         with pytest.raises(AxiomViolation):
             load_category(c3("a"))
 
+    def test_entry_for_unknown_arrow(self, po6):
+        table = dict(po6.table)
+        table[("ghost", "e1")] = "e3"
+        corrupted = FiniteCategory(po6.objects, po6.arrows.values(), table, "explicit")
+        report = validate_axioms(corrupted)
+        assert [str(v) for v in report] == ["closure: entry (ghost, e1) for unknown arrow 'ghost'"]
+        assert report == oracle_validate_axioms(corrupted)
+
+    def test_unknown_arrow_entries_follow_the_pair_checks(self, po6):
+        # in table order, after the pair runs of the known arrows (here
+        # id:a4's missing entry and e5's non-composable one) and before the
+        # unit run
+        table = dict(po6.table)
+        table[("e5", "ghost")] = "e6"
+        table[("e5", "e1")] = "e6"
+        table[("ghost", "phantom")] = "e1"
+        del table[("id:a4", "e6")]
+        corrupted = FiniteCategory(po6.objects, po6.arrows.values(), table, "explicit")
+        report = validate_axioms(corrupted)
+        assert [str(v) for v in report] == [
+            "totality: missing entry (id:a4, e6)",
+            "closure: entry (e5, e1) for non-composable pair",
+            "closure: entry (e5, ghost) for unknown arrow 'ghost'",
+            "closure: entry (ghost, phantom) for unknown arrow 'ghost'",
+            "unit: e6 ∘ id_a4 = None, expected e6",
+        ]
+        assert report == oracle_validate_axioms(corrupted)
+
 
 def test_builtin_po6_matches_direct_build(po6):
     built = builtin_category("po6")

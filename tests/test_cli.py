@@ -330,6 +330,48 @@ class TestErrors:
         assert (status, out) == (1, "")
         assert err.startswith("catgeo: parse error:") and "exponent" in err
 
+    def test_literal_too_long_to_print_is_a_parse_error(self, capsys):
+        # each exponent is within the limit, but the value has one digit more
+        limit = sys.get_int_max_str_digits()
+        wide = "%s.%s" % ("1" * (limit // 2 + 1), "1" * (limit // 2 + 1))
+        for ends in (("0", "1e%d" % limit), ("0", "1e-%d" % limit), ("0", wide), ("-" + wide, "0")):
+            status, out, err = run(capsys, "interval", "norm", *ends)
+            assert (status, out) == (1, "")
+            assert err.startswith("catgeo: parse error: bad endpoint literal") and "more than %d digits" % limit in err
+        status, out, _ = run(capsys, "interval", "norm", "0", "1e%d" % (limit - 1))
+        assert (status, len(out)) == (0, limit + 1)
+
+    # the literals assume the default limit of 4300 digits
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("product", "0", "1e2200", "1e2200", "2e2200"),
+            ("product", "0", "1e2200", "1e2200", "2e2200", "--json"),
+            # inner fg = 5.041e4299 prints, fg + gf = 2 × that does not
+            ("product", "0", "7.1e2149", "0", "7.1e2149"),
+            ("product", "0", "7.1e2149", "0", "7.1e2149", "--json"),
+            # both ends have 4300 digits, their distance 4301
+            ("norm", "-" + "9" * 4300, "9e4299"),
+            ("norm", "-" + "9" * 4300, "9e4299", "--json"),
+        ],
+    )
+    def test_result_too_long_to_print_is_an_error(self, capsys, argv):
+        status, out, err = run(capsys, "interval", *argv)
+        assert (status, out) == (2, "")
+        assert err == (
+            "catgeo: error: result has more than %d digits, "
+            "the limit sys.get_int_max_str_digits() sets on printing a number\n" % sys.get_int_max_str_digits()
+        )
+
+
+def test_import_loads_neither_dataclasses_nor_typing():
+    # every cold start pays for what the CLI imports; -S keeps site hooks,
+    # which may import typing themselves, out of the measurement
+    env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
+    code = "import catgeo.cli, sys; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
+
 
 class TestRepeatedMain:
     def test_one_process_matches_fresh_processes(self, capsys, monkeypatch, po6_file):
