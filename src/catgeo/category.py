@@ -26,8 +26,9 @@ IDENTITY_PREFIX = "id:"
 #: separator used in the ids of composite path arrows of free categories
 PATH_SEP = "∘"  # "∘"
 
-#: most path arrows build_free enumerates; a larger free category is refused,
-#: since its composition table grows with the square of the path count
+#: most non-identity arrows build_thin and build_free make; a larger thin or
+#: free category is refused, since its composition table can grow with the
+#: square of the arrow count
 MAX_FREE_PATHS = 20_000
 
 
@@ -143,38 +144,62 @@ def _fill_identity_entries(table, arrows):
         table[(a.id, IDENTITY_PREFIX + a.cod)] = a.id  # id_cod(a) ∘ a
 
 
+def _dag_order(objects, out_edges, cycle_error) -> list[str]:
+    """The objects, every edge's target before its source.
+
+    A three-colour DFS over the (edge id, target) lists of `out_edges`,
+    with an explicit stack of out-edge iterators so that long chains cannot
+    exhaust the interpreter stack; raises `cycle_error` on a directed cycle.
+    """
+    state = {o: 0 for o in objects}  # 0 unseen, 1 active, 2 done
+    order = []
+    for root in objects:
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(out_edges[root]))]
+        while stack:
+            node, edges = stack[-1]
+            for _, nxt in edges:
+                if state[nxt] == 1:
+                    raise cycle_error("directed cycle through %r" % nxt)
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(out_edges[nxt])))
+                    break
+            else:
+                state[node] = 2
+                order.append(node)
+                stack.pop()
+    return order
+
+
 def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]]) -> FiniteCategory:
     """Thin category: one arrow a→b per nonempty generator path, a != b.
 
+    The objects each reach are collected targets first, in one DAG order.
     Generator arrows keep their given ids; derived arrows are named
-    "<dom>-><cod>".  Raises ParseError when two generators share an
-    ordered object pair or a derived name is already an arrow id, and
-    NontrivialCycle when the reachability relation is not antisymmetric.
+    "<dom>-><cod>".  Raises NontrivialCycle when the generator graph has a
+    directed cycle, CatGeoError when the category would have more than
+    MAX_FREE_PATHS non-identity arrows, and ParseError when two generators
+    share an ordered object pair or a derived name is already an arrow id.
     """
     _check_presentation(objects, generators)
-    succ: dict[str, set[str]] = {o: set() for o in objects}
-    for _, dom, cod in generators:
-        succ[dom].add(cod)
+    out_edges: dict[str, list[tuple[str, str]]] = {o: [] for o in objects}
+    for gid, dom, cod in generators:
+        out_edges[dom].append((gid, cod))
 
-    # nonempty-path reachability by DFS from every object
+    # reach[a]: the objects a nonempty path from a ends at
     reach: dict[str, set[str]] = {}
-    for start in objects:
-        seen: set[str] = set()
-        stack = list(succ[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(succ[node])
-        reach[start] = seen
-
-    for a in objects:
-        if a in reach[a]:
-            raise NontrivialCycle("object %r lies on a directed cycle" % a)
-        for b in reach[a]:
-            if a in reach[b]:
-                raise NontrivialCycle("objects %r and %r reach each other" % (a, b))
+    total = 0
+    for node in _dag_order(objects, out_edges, NontrivialCycle):
+        ends = reach[node] = set()
+        for _, nxt in out_edges[node]:
+            ends.add(nxt)
+            ends |= reach[nxt]
+        total += len(ends)
+        if total > MAX_FREE_PATHS:
+            raise CatGeoError("thin category would have more than %d arrows" % MAX_FREE_PATHS)
 
     generator_name = {}
     for gid, dom, cod in generators:
@@ -216,9 +241,11 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     """Free category on an acyclic multigraph: arrows are nonempty paths.
 
     A path through edges g1, g2, ..., gn (in traversal order) gets the id
-    "gn∘...∘g2∘g1"; composition is path concatenation.  Raises CyclicGraph
-    when the multigraph has a directed cycle, and CatGeoError when it has
-    more than MAX_FREE_PATHS nonempty paths.
+    "gn∘...∘g2∘g1", so the composite of f then g is "g∘f"; as no generator
+    id contains "∘", each id names one path.  The paths from each object
+    are listed targets first, in one DAG order.  Raises CyclicGraph when
+    the multigraph has a directed cycle, and CatGeoError when it has more
+    than MAX_FREE_PATHS nonempty paths.
     """
     _check_presentation(objects, generators)
     for gid, _, _ in generators:
@@ -228,30 +255,7 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     out_edges: dict[str, list[tuple[str, str]]] = {o: [] for o in objects}
     for gid, dom, cod in generators:
         out_edges[dom].append((gid, cod))
-
-    # cycle check: three-colour DFS over the underlying digraph, with an
-    # explicit stack of out-edge iterators so that long chains cannot
-    # exhaust the interpreter stack; `order` collects finished objects
-    state = {o: 0 for o in objects}  # 0 unseen, 1 active, 2 done
-    order = []
-    for root in objects:
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(out_edges[root]))]
-        while stack:
-            node, edges = stack[-1]
-            for _, nxt in edges:
-                if state[nxt] == 1:
-                    raise CyclicGraph("directed cycle through %r" % nxt)
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(out_edges[nxt])))
-                    break
-            else:
-                state[node] = 2
-                order.append(node)
-                stack.pop()
+    order = _dag_order(objects, out_edges, CyclicGraph)
 
     # count the nonempty paths before enumerating them: paths from an
     # object are its out-edges, each extended by the paths from its target
@@ -264,38 +268,28 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
             "free category would have %d path arrows, more than the limit of %d" % (total, MAX_FREE_PATHS)
         )
 
-    # enumerate all nonempty paths in depth-first pre-order
-    paths: list[tuple[tuple[str, ...], str, str]] = []
-    for o in objects:
-        stack = [((), iter(out_edges[o]))]
-        while stack:
-            seq, edges = stack[-1]
-            step = next(edges, None)
-            if step is None:
-                stack.pop()
-                continue
-            gid, nxt = step
-            new = seq + (gid,)
-            paths.append((new, o, nxt))
-            stack.append((new, iter(out_edges[nxt])))
-
-    def path_id(seq):
-        return PATH_SEP.join(reversed(seq))
+    # paths[o]: (id, cod) of every nonempty path from o, in depth-first
+    # pre-order: each out-edge e, then e followed by each path p from
+    # cod(e), which is named "p∘e"
+    paths: dict[str, list[tuple[str, str]]] = {}
+    for node in order:
+        found = paths[node] = []
+        for gid, nxt in out_edges[node]:
+            found.append((gid, nxt))
+            found += [(p + PATH_SEP + gid, cod) for p, cod in paths[nxt]]
 
     arrows = _identities(objects)
-    seq_to_id = {}
-    for seq, dom, cod in paths:
-        aid = path_id(seq)
-        seq_to_id[seq] = aid
-        arrows.append(Arrow(aid, dom, cod))
-
-    starting_at: dict[str, list[tuple[str, ...]]] = {o: [] for o in objects}
-    for seq, dom, _ in paths:
-        starting_at[dom].append(seq)
+    for o in objects:
+        arrows += [Arrow(f, o, b) for f, b in paths[o]]
+    # f then g is the path "g∘f"; the table holds that arrow's own id
+    # string, not a new copy per entry, as the entries grow with the cube
+    # of a chain's length
+    name = {a.id: a.id for a in arrows}
     table: dict[tuple[str, str], str] = {}
-    for seq_f, _, cod_f in paths:
-        for seq_g in starting_at[cod_f]:
-            table[(seq_to_id[seq_f], seq_to_id[seq_g])] = seq_to_id[seq_f + seq_g]
+    for o in objects:
+        for f, b in paths[o]:
+            for g, _ in paths[b]:
+                table[(f, g)] = name[g + PATH_SEP + f]
     _fill_identity_entries(table, arrows)
     return FiniteCategory(objects, arrows, table, "free")
 

@@ -45,9 +45,11 @@ SEMANTIC_EXIT = 2
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-31/7" as an option, as it knows only negative
-        # integers and decimals; negative fraction endpoints are positionals too
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        # argparse reads "-31/7" or "-1e3" as an option, as it knows only
+        # negative integers and decimals; no catgeo option starts with a
+        # digit, so a token that starts like a negative number is a
+        # positional, and parse_endpoint judges it
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # argparse exits with 2 on usage errors; the contract reserves 2 for
     # semantic errors, so usage problems exit 1 instead.
@@ -330,6 +332,10 @@ def _interval_text(command, result, as_json) -> str:
 
 def cmd_interval(args) -> int:
     ends = args.args
+    expected = 2 if args.interval_command == "norm" else 4
+    if len(ends) != expected:
+        print("catgeo: interval %s takes %d endpoint arguments" % (args.interval_command, expected), file=sys.stderr)
+        return USAGE_EXIT
     if args.interval_command == "norm":
         result = realline.interval_norm(_interval(ends[0], ends[1]))
     else:
@@ -401,11 +407,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "interval":
-        expected = 2 if args.interval_command == "norm" else 4
-        if len(args.args) != expected:
-            print("catgeo: interval %s takes %d endpoint arguments" % (args.interval_command, expected), file=sys.stderr)
-            return USAGE_EXIT
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -5,7 +5,18 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from catgeo import Blade2, FiniteCategory, Multivector, Violation, build_free, build_thin
+from catgeo import (
+    Arrow,
+    Blade2,
+    CyclicGraph,
+    FiniteCategory,
+    Multivector,
+    NontrivialCycle,
+    ParseError,
+    Violation,
+    build_free,
+    build_thin,
+)
 
 
 def random_thin(rng: random.Random, max_objects: int = 8, max_edges: int = 14) -> FiniteCategory:
@@ -30,6 +41,108 @@ def random_free(rng: random.Random, max_objects: int = 6, max_edges: int = 8) ->
         j = rng.randint(i + 1, n - 1)
         generators.append(("g%d" % k, "a%d" % i, "a%d" % j))
     return build_free(objects, generators)
+
+
+def random_presentation(rng: random.Random, max_objects: int = 6, max_edges: int = 9):
+    """Objects a0..a<n-1> and generators on any ordered pairs: cycles,
+    self-loops, parallel edges and ids named like thin's derived arrows
+    (a<i>->a<j>) all occur."""
+    n = rng.randint(1, max_objects)
+    objects = ["a%d" % i for i in range(n)]
+    names = ["g%d" % k for k in range(max_edges)] + ["a%d->a%d" % (i, j) for i in range(n) for j in range(n) if i != j]
+    if rng.random() < 0.6:  # acyclic, so that most presentations build
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    m = rng.randint(0, min(max_edges, len(names)))
+    if rng.random() < 0.5:  # parallel edges
+        ends = [rng.choice(pairs) for _ in range(m)] if pairs else []
+    else:
+        ends = rng.sample(pairs, min(m, len(pairs)))
+    ids = rng.sample(names, len(ends))
+    return objects, [(gid, objects[i], objects[j]) for gid, (i, j) in zip(ids, ends)]
+
+
+def _closure(objects, generators) -> dict[str, set[str]]:
+    """Nonempty-path reachability: each object's set of edge targets,
+    grown by the sets of its members until no set changes."""
+    reach = {o: {cod for _, dom, cod in generators if dom == o} for o in objects}
+    changed = True
+    while changed:
+        changed = False
+        for a in objects:
+            grown = reach[a].union(*(reach[b] for b in reach[a]))
+            if grown != reach[a]:
+                reach[a] = grown
+                changed = True
+    return reach
+
+
+def _unit_entries(table, arrows) -> None:
+    for a in arrows:
+        table[("id:" + a.dom, a.id)] = a.id
+        table[(a.id, "id:" + a.cod)] = a.id
+
+
+def oracle_build_thin(objects, generators):
+    """(arrows, table) of the thin category, from the reachability closure.
+
+    Assumes distinct, declared ids (what build_thin's presentation check
+    admits); raises NontrivialCycle for an object on a cycle, then
+    ParseError for two generators on one pair or a taken derived name.
+    """
+    reach = _closure(objects, generators)
+    if any(o in reach[o] for o in objects):
+        raise NontrivialCycle("cycle")
+    name = {}
+    for gid, dom, cod in generators:
+        if (dom, cod) in name:
+            raise ParseError("two generators on one pair")
+        name[dom, cod] = gid
+    taken = {gid for gid, _, _ in generators}
+    arrows = [Arrow("id:" + o, o, o, True) for o in objects]
+    for a in objects:
+        for b in sorted(reach[a]):
+            if (a, b) not in name:
+                name[a, b] = "%s->%s" % (a, b)
+                if name[a, b] in taken:
+                    raise ParseError("derived name taken")
+            arrows.append(Arrow(name[a, b], a, b))
+    table = {}
+    for f in arrows:
+        for g in arrows:
+            if not f.is_identity and not g.is_identity and f.cod == g.dom:
+                table[(f.id, g.id)] = name[f.dom, g.cod]
+    _unit_entries(table, arrows)
+    return arrows, table
+
+
+def oracle_build_free(objects, generators):
+    """(arrows, table) of the free category, by recursive path listing.
+
+    Paths from an object are listed depth first: each out-edge in
+    generator order, then that edge followed by every path from its
+    target.  Raises CyclicGraph when some object reaches itself.
+    """
+    reach = _closure(objects, generators)
+    if any(o in reach[o] for o in objects):
+        raise CyclicGraph("cycle")
+
+    def paths_from(o):
+        for gid, dom, cod in generators:
+            if dom == o:
+                yield (gid,), cod
+                for rest, end in paths_from(cod):
+                    yield (gid,) + rest, end
+
+    def name(path):
+        return "∘".join(reversed(path))
+
+    paths = [(path, o, end) for o in objects for path, end in paths_from(o)]
+    arrows = [Arrow("id:" + o, o, o, True) for o in objects] + [Arrow(name(p), o, end) for p, o, end in paths]
+    table = {(name(p), name(q)): name(p + q) for p, _, b in paths for q, c, _ in paths if b == c}
+    _unit_entries(table, arrows)
+    return arrows, table
 
 
 def oracle_norms(category: FiniteCategory, basis: Sequence[str], depth_bound: int) -> dict[str, int]:

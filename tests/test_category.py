@@ -23,7 +23,14 @@ from catgeo import (
 from catgeo.category import MAX_FREE_PATHS, FiniteCategory
 from catgeo.documents import build_document
 
-from helpers import oracle_validate_axioms, random_free, random_thin
+from helpers import (
+    oracle_build_free,
+    oracle_build_thin,
+    oracle_validate_axioms,
+    random_free,
+    random_presentation,
+    random_thin,
+)
 
 PO6_OBJECTS = ["a0", "a1", "a2", "a3", "a4", "a5"]
 PO6_GENERATORS = [
@@ -86,6 +93,29 @@ class TestBuildThin:
     def test_two_generators_on_one_pair_rejected(self):
         with pytest.raises(ParseError, match="e1.*e2"):
             build_thin(["x", "y"], [("e1", "x", "y"), ("e2", "x", "y")])
+
+    def test_long_cycle_rejected_without_recursion(self):
+        n = 1200
+        objects = ["o%d" % i for i in range(n)]
+        gens = [("g%d" % i, objects[i], objects[(i + 1) % n]) for i in range(n)]
+        with pytest.raises(NontrivialCycle):
+            build_thin(objects, gens)
+
+    @pytest.mark.parametrize("n", [1100, 5000])
+    def test_arrow_budget_refused_before_enumeration(self, n):
+        # a chain of n objects has n(n-1)/2 arrows a -> b with a before b
+        objects = ["o%d" % i for i in range(n)]
+        gens = [("g%d" % i, objects[i], objects[i + 1]) for i in range(n - 1)]
+        with pytest.raises(CatGeoError, match="thin category would have more than %d arrows" % MAX_FREE_PATHS):
+            build_thin(objects, gens)
+
+    def test_arrow_budget_is_inclusive(self):
+        # one object before MAX_FREE_PATHS others: one arrow per edge
+        objects = ["s"] + ["t%d" % i for i in range(MAX_FREE_PATHS)]
+        gens = [("g%d" % i, "s", t) for i, t in enumerate(objects[1:])]
+        assert len(build_thin(objects, gens).non_identity_arrows()) == MAX_FREE_PATHS
+        with pytest.raises(CatGeoError):
+            build_thin(objects + ["t"], gens + [("extra", "s", "t")])
 
 
 class TestBuildFree:
@@ -270,6 +300,39 @@ class TestValidateAxioms:
             "unit: e6 ∘ id_a4 = None, expected e6",
         ]
         assert report == oracle_validate_axioms(corrupted)
+
+
+@pytest.mark.parametrize(
+    "build, oracle, seed", [(build_thin, oracle_build_thin, 11), (build_free, oracle_build_free, 12)]
+)
+def test_builder_matches_naive_oracle(build, oracle, seed):
+    # the arrows in order and the table as a mapping, or the same error class
+    rng = random.Random(seed)
+    built, refused = 0, 0
+    for _ in range(600):
+        objects, generators = random_presentation(rng)
+        try:
+            arrows, table = oracle(objects, generators)
+        except (ParseError, NontrivialCycle, CyclicGraph) as exc:
+            with pytest.raises(type(exc)):
+                build(objects, generators)
+            refused += 1
+            continue
+        cat = build(objects, generators)
+        assert list(cat.arrows.values()) == arrows
+        assert cat.table == table
+        built += 1
+    assert built > 250 and refused > 150
+
+
+@pytest.mark.parametrize("build", [build_thin, build_free])
+def test_table_holds_the_arrow_ids_themselves(build):
+    # one string per arrow, however many entries name it: a chain of n
+    # objects has about n³/6 table entries
+    objects = ["o%d" % i for i in range(8)]
+    cat = build(objects, [("g%d" % i, a, b) for i, (a, b) in enumerate(zip(objects, objects[1:]))])
+    assert len(cat.table) > 100
+    assert all(result is cat.arrows[result].id for result in cat.table.values())
 
 
 def test_builtin_po6_matches_direct_build(po6):

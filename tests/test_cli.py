@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -185,8 +186,9 @@ class TestInterval:
         assert data["inner_gf"] == "0"
 
     def test_wrong_arity(self, capsys):
-        status, _, _ = run(capsys, "interval", "norm", "1")
-        assert status == 1
+        for argv, expected in ((("norm", "1"), 2), (("add", "0", "1", "2"), 4), (("product", "0", "1"), 4)):
+            message = "catgeo: interval %s takes %d endpoint arguments\n" % (argv[0], expected)
+            assert run(capsys, "interval", *argv) == (1, "", message)
 
     def test_negative_fraction_literal(self, capsys):
         status, out, err = run(capsys, "interval", "norm", "-31/7", "31/14")
@@ -196,6 +198,15 @@ class TestInterval:
         status, out, _ = run(capsys, "interval", "product", "-0.250", "1/3", "1/3", "2", "--json")
         assert status == 0
         assert json.loads(out)["inner_fg"] == "35/36"
+
+    @pytest.mark.parametrize("ends, norm", [(("-1e3", "0"), "1000"), (("-2.5E-1", "1"), "5/4"), (("-.5", "1"), "3/2")])
+    def test_negative_exponent_literal(self, capsys, ends, norm):
+        assert run(capsys, "interval", "norm", *ends) == (0, norm + "\n", "")
+
+    def test_token_that_starts_like_a_number_is_an_endpoint(self, capsys):
+        status, out, err = run(capsys, "interval", "norm", "-1x", "0")
+        assert (status, out) == (1, "")
+        assert err.startswith("catgeo: parse error: bad endpoint literal '-1x'")
 
     def test_unknown_option_still_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -294,6 +305,15 @@ class TestErrors:
         assert (status, out) == (2, "")
         assert err.startswith("catgeo: error:") and str(n * (n - 1) // 2) in err
         assert "Traceback" not in err
+
+    def test_oversized_thin_chain_exits_2_without_traceback(self, capsys, tmp_path):
+        # a chain of n objects has n(n-1)/2 arrows in its thin category
+        objects = ["o%d" % i for i in range(1100)]
+        arrows = [{"id": "g%d" % i, "dom": a, "cod": b} for i, (a, b) in enumerate(zip(objects, objects[1:]))]
+        doc = tmp_path / "chain.json"
+        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}))
+        status, out, err = run(capsys, "norms", str(doc))
+        assert (status, out, err) == (2, "", "catgeo: error: thin category would have more than 20000 arrows\n")
 
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "norms", "/nonexistent/file.json")
@@ -395,3 +415,16 @@ class TestRepeatedMain:
                     status = exc.code
                 captured = capsys.readouterr()
                 assert (status, captured.out, captured.err) == expected
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    # every command README shows under "CLI" exits 0, in its order (the
+    # first writes the po6.json the others read)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("catgeo ")]
+    assert len(lines) >= 14
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        status, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert (line, status, err) == (line, 0, "")
