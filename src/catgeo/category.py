@@ -341,36 +341,30 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     arrow order; then the entries naming an unknown arrow, in table
     order), then unit, then associativity (ordered by f, g, k).
 
+    The pair checks count the composable pairs that have an entry; the
+    closure pass over every table key runs only when the table has more
+    entries than that, since otherwise every key is such a pair.
+
     When the pair and unit checks find nothing, the triples that cannot
     fail (through an identity, or with a one-arrow hom-set between their
     ends) are skipped; the list is that of the loop over every triple.
     """
-    violations: list[Violation] = []
     arrows = category.arrows
     table = category.table
     leaving = category.out_arrows.get
 
-    # closure: entries naming an unknown arrow, and entries between known
-    # arrows that do not compose, by f
-    unknown: list[Violation] = []
-    stray: dict[str, list[tuple[str, Violation]]] = {}
-    for key in table:
-        f, g = key
-        a, b = arrows.get(f), arrows.get(g)
-        if a is None or b is None:
-            name = f if a is None else g
-            unknown.append(Violation("closure", "entry (%s, %s) for unknown arrow %r" % (f, g, name)))
-        elif a.cod != b.dom:
-            stray.setdefault(f, []).append((g, Violation("closure", "entry (%s, %s) for non-composable pair" % key)))
-    position = {aid: i for i, aid in enumerate(arrows)} if stray else {}
-
+    # pairs: each f's violations by g in arrow order, as (g id, violation)
+    runs: dict[str, list[tuple[str, Violation]]] = {}
+    present = 0  # composable pairs with an entry
     for f in arrows.values():
-        run = []  # (g id, violation) for the entries (f, g)
-        for g in leaving(f.cod, ()):
+        out = leaving(f.cod, ())
+        present += len(out)
+        for g in out:
             key = (f.id, g.id)
             result = table.get(key)
             r = arrows.get(result)
             if result is None:
+                present -= 1
                 v = Violation("totality", "missing entry (%s, %s)" % key)
             elif r is None:
                 v = Violation("dom-cod", "entry (%s, %s) names unknown arrow %r" % (f.id, g.id, result))
@@ -381,11 +375,28 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
                 )
             else:
                 continue
-            run.append((g.id, v))
-        if f.id in stray:
-            run += stray[f.id]
-            run.sort(key=lambda entry: position[entry[0]])
-        violations.extend(v for _, v in run)
+            runs.setdefault(f.id, []).append((g.id, v))
+
+    # closure: entries naming an unknown arrow, and entries between known
+    # arrows that do not compose.  A table with exactly `present` entries
+    # holds only composable pairs of known arrows, so it has none.
+    unknown: list[Violation] = []
+    if len(table) != present:
+        stray: dict[str, list[tuple[str, Violation]]] = {}
+        for key in table:
+            f, g = key
+            a, b = arrows.get(f), arrows.get(g)
+            if a is None or b is None:
+                name = f if a is None else g
+                unknown.append(Violation("closure", "entry (%s, %s) for unknown arrow %r" % (f, g, name)))
+            elif a.cod != b.dom:
+                stray.setdefault(f, []).append((g, Violation("closure", "entry (%s, %s) for non-composable pair" % key)))
+        if stray:
+            position = {aid: i for i, aid in enumerate(arrows)}
+            for f, entries in stray.items():
+                runs[f] = sorted(runs.get(f, []) + entries, key=lambda entry: position[entry[0]])
+            runs = dict(sorted(runs.items(), key=lambda item: position[item[0]]))
+    violations = [v for run in runs.values() for _, v in run]
     violations += unknown
 
     for f in arrows.values():

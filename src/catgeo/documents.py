@@ -63,58 +63,85 @@ class CategoryDocument:
         return "CategoryDocument(mode=%r, objects=%r, arrows=%r, compositions=%r)" % self._key()
 
 
-def _require(condition, message, *args):
-    """Raise ParseError(message % args) unless condition holds; the message
-    is formatted only when it is raised."""
-    if not condition:
-        raise ParseError(message % args)
-
-
 def parse_document(text: str) -> CategoryDocument:
-    """Structural validation only; semantics are checked by load_category."""
+    """Structural validation only; semantics are checked by load_category.
+
+    The first failing check raises ParseError.  The document-level checks
+    come first, then each arrow record in list order (an object, id, dom
+    and cod nonempty strings, a new id, dom and cod declared objects),
+    then each composition record (an object, f, g and result nonempty
+    strings, f and g declared arrows, result a declared arrow or the
+    identity of a declared object).  Each record key is read once.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
-    _require(isinstance(data, dict), "document root must be a JSON object")
+    if not isinstance(data, dict):
+        raise ParseError("document root must be a JSON object")
     mode = data.get("mode")
-    _require(mode in MODES, "mode must be one of %s, got %r", ", ".join(MODES), mode)
+    if mode not in MODES:
+        raise ParseError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
 
     objects = data.get("objects")
-    _require(isinstance(objects, list) and objects, "objects must be a nonempty list")
-    _require(all(isinstance(o, str) and o for o in objects), "object ids must be nonempty strings")
-    _require(len(set(objects)) == len(objects), "duplicate object id")
+    if not isinstance(objects, list) or not objects:
+        raise ParseError("objects must be a nonempty list")
+    if not all(isinstance(o, str) and o for o in objects):
+        raise ParseError("object ids must be nonempty strings")
     obj_set = set(objects)
+    if len(obj_set) != len(objects):
+        raise ParseError("duplicate object id")
 
     raw_arrows = data.get("arrows", [])
-    _require(isinstance(raw_arrows, list), "arrows must be a list")
+    if not isinstance(raw_arrows, list):
+        raise ParseError("arrows must be a list")
     arrows = []
     seen_ids = set()
     for i, rec in enumerate(raw_arrows):
-        _require(isinstance(rec, dict), "arrows[%d] must be an object", i)
-        for key in ("id", "dom", "cod"):
-            _require(isinstance(rec.get(key), str) and rec[key], "arrows[%d].%s must be a nonempty string", i, key)
-        _require(rec["id"] not in seen_ids, "duplicate arrow id %r", rec["id"])
-        seen_ids.add(rec["id"])
-        _require(rec["dom"] in obj_set, "arrows[%d] (%r): dangling dom %r", i, rec["id"], rec["dom"])
-        _require(rec["cod"] in obj_set, "arrows[%d] (%r): dangling cod %r", i, rec["id"], rec["cod"])
-        arrows.append((rec["id"], rec["dom"], rec["cod"]))
+        if not isinstance(rec, dict):
+            raise ParseError("arrows[%d] must be an object" % i)
+        aid, dom, cod = rec.get("id"), rec.get("dom"), rec.get("cod")
+        if not isinstance(aid, str) or not aid:
+            raise ParseError("arrows[%d].id must be a nonempty string" % i)
+        if not isinstance(dom, str) or not dom:
+            raise ParseError("arrows[%d].dom must be a nonempty string" % i)
+        if not isinstance(cod, str) or not cod:
+            raise ParseError("arrows[%d].cod must be a nonempty string" % i)
+        if aid in seen_ids:
+            raise ParseError("duplicate arrow id %r" % aid)
+        seen_ids.add(aid)
+        if dom not in obj_set:
+            raise ParseError("arrows[%d] (%r): dangling dom %r" % (i, aid, dom))
+        if cod not in obj_set:
+            raise ParseError("arrows[%d] (%r): dangling cod %r" % (i, aid, cod))
+        arrows.append((aid, dom, cod))
 
     results = seen_ids | {IDENTITY_PREFIX + o for o in objects}  # a composite may be an identity
     raw_comps = data.get("compositions", [])
-    _require(isinstance(raw_comps, list), "compositions must be a list")
-    if mode != "explicit":
-        _require(not raw_comps, "compositions are only allowed in explicit mode")
+    if not isinstance(raw_comps, list):
+        raise ParseError("compositions must be a list")
+    if mode != "explicit" and raw_comps:
+        raise ParseError("compositions are only allowed in explicit mode")
     compositions = []
     for i, rec in enumerate(raw_comps):
-        _require(isinstance(rec, dict), "compositions[%d] must be an object", i)
-        for key in ("f", "g", "result"):
-            _require(isinstance(rec.get(key), str) and rec[key], "compositions[%d].%s must be a nonempty string", i, key)
-        for key, known in (("f", seen_ids), ("g", seen_ids), ("result", results)):
-            _require(rec[key] in known, "compositions[%d]: unknown arrow %r", i, rec[key])
-        compositions.append((rec["f"], rec["g"], rec["result"]))
+        if not isinstance(rec, dict):
+            raise ParseError("compositions[%d] must be an object" % i)
+        f, g, result = rec.get("f"), rec.get("g"), rec.get("result")
+        if not isinstance(f, str) or not f:
+            raise ParseError("compositions[%d].f must be a nonempty string" % i)
+        if not isinstance(g, str) or not g:
+            raise ParseError("compositions[%d].g must be a nonempty string" % i)
+        if not isinstance(result, str) or not result:
+            raise ParseError("compositions[%d].result must be a nonempty string" % i)
+        if f not in seen_ids:
+            raise ParseError("compositions[%d]: unknown arrow %r" % (i, f))
+        if g not in seen_ids:
+            raise ParseError("compositions[%d]: unknown arrow %r" % (i, g))
+        if result not in results:
+            raise ParseError("compositions[%d]: unknown arrow %r" % (i, result))
+        compositions.append((f, g, result))
 
     return CategoryDocument(mode, list(objects), arrows, compositions)
 

@@ -55,7 +55,7 @@ def embedding_to_json(embedding: Embedding) -> str:
         "points": {obj: list(p) for obj, p in embedding.points.items()},
         "arcs": {aid: [list(p) for p in line] for aid, line in embedding.arcs.items()},
     }
-    return json.dumps(data, indent=2, sort_keys=True)
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 def export_dot(
@@ -68,15 +68,17 @@ def export_dot(
     Edges default to every non-identity arrow; passing the atomic basis
     draws the normalized view with identities and composites elided.
     Edge labels carry the arrow id and, when norms are given, its length.
+    Object ids and labels are written as DOT quoted strings.
     """
+    # inside a DOT quoted string, backslash and double quote are escaped
+    node = {obj: obj.replace("\\", "\\\\").replace('"', '\\"') for obj in category.objects}
     lines = ["digraph category {"]
-    for obj in category.objects:
-        lines.append('  "%s";' % obj)
+    lines += ['  "%s";' % name for name in node.values()]
     for arrow_id in sorted(category.non_identity_arrows() if arrows is None else arrows):
         arrow = category.arrows[arrow_id]
-        label = arrow_id
+        label = arrow_id.replace("\\", "\\\\").replace('"', '\\"')
         if norms is not None:
-            label = "%s (%d)" % (arrow_id, norms[arrow_id])
-        lines.append('  "%s" -> "%s" [label="%s"];' % (arrow.dom, arrow.cod, label))
+            label = "%s (%d)" % (label, norms[arrow_id])
+        lines.append('  "%s" -> "%s" [label="%s"];' % (node[arrow.dom], node[arrow.cod], label))
     lines.append("}")
     return "\n".join(lines) + "\n"

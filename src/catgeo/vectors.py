@@ -88,14 +88,12 @@ def vec_add(category: FiniteCategory, f: Vector, g: Vector) -> Vector:
 def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
     """Arrows that are no composite of two non-identity arrows distinct from
     them, in the canonical order."""
-    arrows = category.arrows
-    composite = set()
-    for (f, g), result in category.table.items():
-        if result == f or result == g:
-            continue  # every unit-law entry lands here
-        if arrows[f].is_identity or arrows[g].is_identity or arrows[result].is_identity:
-            continue
-        composite.add(result)
+    units = {a.id for a in category.arrows.values() if a.is_identity}
+    composite = {
+        result
+        for (f, g), result in category.table.items()
+        if result != f and result != g and f not in units and g not in units  # unit-law entries fail the first two
+    }
     return tuple(a for a in category.non_identity_arrows() if a not in composite)
 
 

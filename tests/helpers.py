@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Sequence
 
@@ -17,6 +18,8 @@ from catgeo import (
     build_free,
     build_thin,
 )
+from catgeo.category import IDENTITY_PREFIX
+from catgeo.documents import MODES, CategoryDocument
 
 
 def random_thin(rng: random.Random, max_objects: int = 8, max_edges: int = 14) -> FiniteCategory:
@@ -170,6 +173,23 @@ def oracle_norms(category: FiniteCategory, basis: Sequence[str], depth_bound: in
     return best
 
 
+def oracle_atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
+    """The non-identity arrows h, in order, that no pair of non-identity
+    arrows f, g (both distinct from h, cod f = dom g) composes to."""
+    vectors = category.non_identity_arrows()
+    arrows, table = category.arrows, category.table
+
+    def composite(h):
+        return any(
+            table.get((f, g)) == h
+            for f in vectors
+            for g in vectors
+            if h not in (f, g) and arrows[f].cod == arrows[g].dom
+        )
+
+    return tuple(h for h in vectors if not composite(h))
+
+
 def _oriented_blade(f: str, g: str) -> Multivector:
     """f∧g written out: the id-ordered blade, coefficient -1 when g < f."""
     if f < g:
@@ -288,3 +308,113 @@ def oracle_validate_axioms(category: FiniteCategory) -> list[Violation]:
                         )
                     )
     return violations
+
+
+def _require(condition, message, *args):
+    if not condition:
+        raise ParseError(message % args)
+
+
+def oracle_parse_document(text: str) -> CategoryDocument:
+    """parse_document as it was before its checks were written inline:
+    every check a `_require` call, each record key read through `rec[key]`.
+    parse_document must return an equal document or raise the same text."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    _require(isinstance(data, dict), "document root must be a JSON object")
+    mode = data.get("mode")
+    _require(mode in MODES, "mode must be one of %s, got %r", ", ".join(MODES), mode)
+
+    objects = data.get("objects")
+    _require(isinstance(objects, list) and objects, "objects must be a nonempty list")
+    _require(all(isinstance(o, str) and o for o in objects), "object ids must be nonempty strings")
+    _require(len(set(objects)) == len(objects), "duplicate object id")
+    obj_set = set(objects)
+
+    raw_arrows = data.get("arrows", [])
+    _require(isinstance(raw_arrows, list), "arrows must be a list")
+    arrows = []
+    seen_ids = set()
+    for i, rec in enumerate(raw_arrows):
+        _require(isinstance(rec, dict), "arrows[%d] must be an object", i)
+        for key in ("id", "dom", "cod"):
+            _require(isinstance(rec.get(key), str) and rec[key], "arrows[%d].%s must be a nonempty string", i, key)
+        _require(rec["id"] not in seen_ids, "duplicate arrow id %r", rec["id"])
+        seen_ids.add(rec["id"])
+        _require(rec["dom"] in obj_set, "arrows[%d] (%r): dangling dom %r", i, rec["id"], rec["dom"])
+        _require(rec["cod"] in obj_set, "arrows[%d] (%r): dangling cod %r", i, rec["id"], rec["cod"])
+        arrows.append((rec["id"], rec["dom"], rec["cod"]))
+
+    results = seen_ids | {IDENTITY_PREFIX + o for o in objects}  # a composite may be an identity
+    raw_comps = data.get("compositions", [])
+    _require(isinstance(raw_comps, list), "compositions must be a list")
+    if mode != "explicit":
+        _require(not raw_comps, "compositions are only allowed in explicit mode")
+    compositions = []
+    for i, rec in enumerate(raw_comps):
+        _require(isinstance(rec, dict), "compositions[%d] must be an object", i)
+        for key in ("f", "g", "result"):
+            _require(isinstance(rec.get(key), str) and rec[key], "compositions[%d].%s must be a nonempty string", i, key)
+        for key, known in (("f", seen_ids), ("g", seen_ids), ("result", results)):
+            _require(rec[key] in known, "compositions[%d]: unknown arrow %r", i, rec[key])
+        compositions.append((rec["f"], rec["g"], rec["result"]))
+
+    return CategoryDocument(mode, list(objects), arrows, compositions)
+
+
+def random_document(rng: random.Random) -> dict:
+    """A document that parses: any mode, arrows between declared objects
+    (cycles and repeated pairs included) and, in explicit mode, entries
+    naming declared arrows and identities; nothing beyond parsing holds."""
+    n = rng.randint(1, 5)
+    objects = ["a%d" % i for i in range(n)]
+    arrows = [
+        {"id": "f%d" % k, "dom": rng.choice(objects), "cod": rng.choice(objects)} for k in range(rng.randint(0, 6))
+    ]
+    data = {"mode": rng.choice(MODES + ("explicit",)), "objects": objects, "arrows": arrows}
+    if data["mode"] == "explicit" and arrows:
+        ids = [a["id"] for a in arrows]
+        results = ids + [IDENTITY_PREFIX + o for o in objects]
+        data["compositions"] = [
+            {"f": rng.choice(ids), "g": rng.choice(ids), "result": rng.choice(results)}
+            for _ in range(rng.randint(0, 6))
+        ]
+    return data
+
+
+def mutate_document(rng: random.Random, data: dict) -> dict:
+    """`data` with one record field broken: a record that is no object, a
+    missing key, a value that is no string or is empty, a duplicate arrow
+    id, a dangling dom/cod, or an unknown f, g or result."""
+    data = json.loads(json.dumps(data))
+    fields = {}  # field -> the indices of its records that are objects
+    for field in ("arrows", "compositions"):
+        records = [i for i, rec in enumerate(data.get(field, ())) if isinstance(rec, dict) and rec]
+        if records:
+            fields[field] = records
+    if not fields:
+        return data
+    field = rng.choice(sorted(fields))
+    i = rng.choice(fields[field])
+    rec = data[field][i]
+    key = rng.choice(sorted(rec))
+    kind = rng.choice(("record", "missing", "type", "empty", "duplicate", "dangling", "unknown"))
+    if kind == "record":
+        data[field][i] = rng.choice((None, 3, "f0", [], [rec]))
+    elif kind == "missing":
+        del rec[key]
+    elif kind == "type":
+        rec[key] = rng.choice((None, 0, 1.5, True, [], {}, [rec[key]]))
+    elif kind == "empty":
+        rec[key] = ""
+    elif kind == "duplicate" and field == "arrows":
+        rec["id"] = rng.choice([a.get("id") for a in data["arrows"] if isinstance(a, dict)])
+    elif kind == "dangling" and field == "arrows":
+        rec[rng.choice(("dom", "cod"))] = rng.choice(("zz", "id:a0", "A0"))
+    else:
+        rec[key] = rng.choice(("ghost", "id:zz", "id:a0", "a0", "id:f0"))
+    return data

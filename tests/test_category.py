@@ -302,6 +302,42 @@ class TestValidateAxioms:
         assert report == oracle_validate_axioms(corrupted)
 
 
+    # one composable entry gone and one stray entry added leave the table
+    # with as many entries as there are composable pairs; the stray must
+    # still be found, whatever it maps to
+    @pytest.mark.parametrize("stray_result", ["e1", None])
+    @pytest.mark.parametrize("stray", [("e6", "e1"), ("id:a0", "e6"), ("ghost", "e1"), ("e5", "ghost")])
+    @pytest.mark.parametrize("missing", [("e1", "e3"), ("id:a4", "e6")])
+    def test_stray_entry_in_a_table_of_the_composable_size(self, po6, missing, stray, stray_result):
+        composable = sum(len(po6.out_arrows[f.cod]) for f in po6.arrows.values())
+        table = dict(po6.table)
+        assert len(table) == composable
+        del table[missing]
+        table[stray] = stray_result
+        assert len(table) == composable
+        corrupted = FiniteCategory(po6.objects, po6.arrows.values(), table, "explicit")
+        report = validate_axioms(corrupted)
+        assert "totality: missing entry (%s, %s)" % missing in [str(v) for v in report]
+        assert any(v.kind == "closure" and "entry (%s, %s)" % stray in v.detail for v in report)
+        assert report == oracle_validate_axioms(corrupted)
+
+    def test_none_valued_entries(self, po6):
+        # a composable entry mapped to None is reported as missing, and a
+        # stray one as a stray, in a table of the composable size; the
+        # all-pairs oracle differs on the first, which it reports as
+        # "dom-cod: entry (e1, e3) names unknown arrow None"
+        table = dict(po6.table)
+        table[("e1", "e3")] = None
+        table[("e3", "e1")] = None
+        del table[("e2", "e4")]
+        corrupted = FiniteCategory(po6.objects, po6.arrows.values(), table, "explicit")
+        assert [str(v) for v in validate_axioms(corrupted)] == [
+            "totality: missing entry (e1, e3)",
+            "totality: missing entry (e2, e4)",
+            "closure: entry (e3, e1) for non-composable pair",
+        ]
+
+
 @pytest.mark.parametrize(
     "build, oracle, seed", [(build_thin, oracle_build_thin, 11), (build_free, oracle_build_free, 12)]
 )

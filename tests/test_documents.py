@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,8 @@ from catgeo import (
     validate_axioms,
     vec_add,
 )
+
+from helpers import mutate_document, oracle_atomic_basis, oracle_parse_document, random_document
 
 
 def doc(**fields):
@@ -109,6 +112,34 @@ def test_parse_error_messages(data, message):
     with pytest.raises(ParseError) as info:
         parse_document(json.dumps(data))
     assert str(info.value) == message
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return "ParseError: %s" % exc
+
+
+def test_parse_matches_oracle():
+    # the same document, or the same ParseError text, as the parser whose
+    # every check was a `_require` call; for each of 400 seeded documents,
+    # the document itself, three one-field mutations of it and one with
+    # two fields broken, so that the order of the checks shows
+    rng = random.Random(21)
+    parsed, refused = 0, 0
+    for _ in range(400):
+        data = random_document(rng)
+        mutants = [mutate_document(rng, data) for _ in range(3)]
+        for candidate in [data, *mutants, mutate_document(rng, mutants[0])]:
+            text = json.dumps(candidate)
+            expected = _parsed_or_error(oracle_parse_document, text)
+            assert _parsed_or_error(parse_document, text) == expected
+            if isinstance(expected, str):
+                refused += 1
+            else:
+                parsed += 1
+    assert parsed > 500 and refused > 500
 
 
 class TestLoadCategory:
@@ -205,7 +236,7 @@ class TestIdentityComposites:
         cat = load_category(groupoid())
         basis = atomic_basis(cat)
         norms = compute_norms(cat, basis)
-        assert basis == ("f", "g")
+        assert basis == oracle_atomic_basis(cat) == ("f", "g")
         assert list(norms.items()) == [("f", 1), ("g", 1)]
         assert clifford_report(cat, norms, basis).holds
 

@@ -8,6 +8,7 @@ import pytest
 
 from catgeo import (
     ZERO,
+    Arrow,
     CyclicGraph,
     FiniteCategory,
     NontrivialCycle,
@@ -30,7 +31,13 @@ from catgeo import (
     vec_add,
 )
 
-from helpers import closed_form_anticommutator, oracle_clifford_failures, oracle_norms, oracle_validate_axioms
+from helpers import (
+    closed_form_anticommutator,
+    oracle_atomic_basis,
+    oracle_clifford_failures,
+    oracle_norms,
+    oracle_validate_axioms,
+)
 
 
 @st.composite
@@ -151,6 +158,24 @@ def test_validate_axioms_matches_all_pairs_oracle(cat, corruptions, rng):
         assert report == oracle_validate_axioms(corrupted)
         if any("ghost" in key for key in table):
             assert report  # an entry naming an unknown arrow is always reported
+
+
+@st.composite
+def one_object_tables(draw):
+    """One object o, arrows e0.. o -> o and any results in their table,
+    the unit-law entries included: endomorphisms with g∘f = f or g∘f = g,
+    inverses and broken unit laws occur."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    ids = ["id:o"] + ["e%d" % i for i in range(n)]
+    arrows = [Arrow("id:o", "o", "o", True)] + [Arrow(e, "o", "o") for e in ids[1:]]
+    results = st.sampled_from(ids)
+    return FiniteCategory(["o"], arrows, {(f, g): draw(results) for f in ids for g in ids}, "explicit")
+
+
+@settings(max_examples=150, deadline=None)
+@given(categories | staged_categories() | one_object_tables())
+def test_atomic_basis_matches_all_pairs_oracle(cat):
+    assert atomic_basis(cat) == oracle_atomic_basis(cat)
 
 
 @settings(max_examples=60, deadline=None)

@@ -82,3 +82,9 @@ class TestDot:
         norms = compute_norms(cat, atomic_basis(cat))
         text = export_dot(cat, norms=norms)
         assert 'label="a0->a5 (3)"' in text
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        cat = build_thin(['a"b', "c"], [("f\\", 'a"b', "c")])
+        assert export_dot(cat) == 'digraph category {\n  "a\\"b";\n  "c";\n  "a\\"b" -> "c" [label="f\\\\"];\n}\n'
+        norms = compute_norms(cat, atomic_basis(cat))
+        assert '[label="f\\\\ (1)"]' in export_dot(cat, norms=norms)
