@@ -1,10 +1,18 @@
 """Finite categories: representation, builders, and axiom validation.
 
-A category is stored as objects, arrows (identities included) and a total
-composition table over composable ordered pairs.  The table maps the pair
-(f, g) with cod(f) = dom(g) to the composite g∘f, i.e. "f first, then g".
-Arrow equality is id equality; the table is the sole source of composite
+A category is objects, arrows (identities included) and a composition
+table over composable ordered pairs.  The table maps the pair (f, g) with
+cod(f) = dom(g) to the composite g∘f, i.e. "f first, then g".  Arrow
+equality is id equality; the table is the sole source of composite
 identification.
+
+Only explicit categories store their table, as a dict.  Thin and free
+categories compose by rule: their table is a read-only Mapping that
+computes each entry from the arrows when it is looked up.  In a thin
+category g∘f is the one arrow dom f → cod g; in a free category it is the
+path named "g∘f" (or f or g itself when the other is an identity).  The
+builders of these two modes also record the atomic basis, which they know
+from the presentation.
 
 Each category also keeps one index, built once when it is made:
 `out_arrows` maps every object to the tuple of arrows leaving it,
@@ -27,8 +35,9 @@ IDENTITY_PREFIX = "id:"
 PATH_SEP = "∘"  # "∘"
 
 #: most non-identity arrows build_thin and build_free make; a larger thin or
-#: free category is refused, since its composition table can grow with the
-#: square of the arrow count
+#: free category is refused, since the passes over a whole category grow
+#: faster than its arrows: validation visits every composable triple, and
+#: the law survey every pair of arrows
 MAX_FREE_PATHS = 20_000
 
 
@@ -69,7 +78,13 @@ class Violation(namedtuple("Violation", "kind detail")):
 
 
 class FiniteCategory:
-    """Immutable finite category with a total composition table."""
+    """Immutable finite category.
+
+    `table` maps each composable pair (f, g) to the id of g∘f: a copy of
+    the given mapping, which the thin and free builders then replace by a
+    view that composes by rule.  `basis` is the atomic basis, sorted, when
+    the builder records it, and None otherwise.
+    """
 
     def __init__(
         self,
@@ -77,11 +92,13 @@ class FiniteCategory:
         arrows: Iterable[Arrow],
         table: Mapping[tuple[str, str], str],
         mode: str,
+        basis: tuple[str, ...] | None = None,
     ):
         self.objects = tuple(objects)
         self.arrows = {a.id: a for a in arrows}
-        self.table = dict(table)
+        self.table: Mapping[tuple[str, str], str] = dict(table)
         self.mode = mode
+        self.basis = basis
         out: dict[str, list[Arrow]] = {o: [] for o in self.objects}
         for a in self.arrows.values():
             out.setdefault(a.dom, []).append(a)
@@ -100,6 +117,65 @@ class FiniteCategory:
             len(self.objects),
             len(self.arrows),
         )
+
+
+class _RuleTable(Mapping):
+    """A read-only composition table that composes by rule.
+
+    Its keys are the composable pairs, f in arrow order and then g in
+    arrow order.  In a thin category g∘f is the one arrow dom f → cod g,
+    found in a dict from each (dom, cod) pair to its arrow id; in a free
+    one it is the path "g∘f", or f or g itself when the other is an
+    identity.  `get` returns the default, and `[]` raises KeyError, for a
+    key that is not a composable pair of arrow ids.
+    """
+
+    __slots__ = ("_arrows", "_out", "_between")
+
+    def __init__(self, category: FiniteCategory, thin: bool):
+        self._arrows = category.arrows
+        self._out = category.out_arrows
+        self._between = {(a.dom, a.cod): a.id for a in category.arrows.values()} if thin else None
+
+    def get(self, key, default=None):
+        if key.__class__ is not tuple:
+            return default
+        arrows = self._arrows
+        try:
+            f, g = key
+            a = arrows[f]
+            b = arrows[g]
+        except (KeyError, TypeError, ValueError):
+            return default
+        if a.cod != b.dom:
+            return default
+        between = self._between
+        if between is not None:
+            return between[a.dom, b.cod]
+        if a.is_identity:
+            return b.id
+        if b.is_identity:
+            return a.id
+        return arrows[b.id + PATH_SEP + a.id].id
+
+    def __getitem__(self, key):
+        result = self.get(key)
+        if result is None:
+            raise KeyError(key)
+        return result
+
+    def __contains__(self, key):
+        return self.get(key) is not None
+
+    def __iter__(self):
+        out = self._out
+        for f in self._arrows.values():
+            for g in out[f.cod]:
+                yield f.id, g.id
+
+    def __len__(self):
+        out = self._out
+        return sum(len(out[f.cod]) for f in self._arrows.values())
 
 
 def compose(category: FiniteCategory, f: str, g: str) -> str:
@@ -210,12 +286,9 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
             )
         generator_name[(dom, cod)] = gid
 
-    # leaving[a]: (b, id of the arrow a -> b) for b in sorted(reach[a])
-    leaving: dict[str, list[tuple[str, str]]] = {}
     arrows = _identities(objects)
     used = set(generator_name.values())
     for a in objects:
-        leaving[a] = []
         for b in sorted(reach[a]):
             aid = generator_name.get((a, b))
             if aid is None:
@@ -223,18 +296,17 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
                 if aid in used:
                     raise ParseError("derived arrow %s -> %s would be named %r, which is already taken" % (a, b, aid))
                 used.add(aid)
-            leaving[a].append((b, aid))
             arrows.append(Arrow(aid, a, b))
 
-    # f: a -> b composes with every g: b -> d, and g∘f is the arrow a -> d
-    table: dict[tuple[str, str], str] = {}
+    # a generator a -> b is atomic unless b lies beyond another generator
+    # a -> c; every derived arrow is a composite
+    basis = []
     for a in objects:
-        pair_to_id = dict(leaving[a])
-        for b, f in leaving[a]:
-            for d, g in leaving[b]:
-                table[(f, g)] = pair_to_id[d]
-    _fill_identity_entries(table, arrows)
-    return FiniteCategory(objects, arrows, table, "thin")
+        beyond = set().union(*(reach[c] for _, c in out_edges[a]))
+        basis += [gid for gid, b in out_edges[a] if b not in beyond]
+    category = FiniteCategory(objects, arrows, {}, "thin", tuple(sorted(basis)))
+    category.table = _RuleTable(category, thin=True)
+    return category
 
 
 def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]]) -> FiniteCategory:
@@ -281,17 +353,11 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     arrows = _identities(objects)
     for o in objects:
         arrows += [Arrow(f, o, b) for f, b in paths[o]]
-    # f then g is the path "g∘f"; the table holds that arrow's own id
-    # string, not a new copy per entry, as the entries grow with the cube
-    # of a chain's length
-    name = {a.id: a.id for a in arrows}
-    table: dict[tuple[str, str], str] = {}
-    for o in objects:
-        for f, b in paths[o]:
-            for g, _ in paths[b]:
-                table[(f, g)] = name[g + PATH_SEP + f]
-    _fill_identity_entries(table, arrows)
-    return FiniteCategory(objects, arrows, table, "free")
+    # no path through two or more edges is atomic
+    basis = tuple(sorted(gid for gid, _, _ in generators))
+    category = FiniteCategory(objects, arrows, {}, "free", basis)
+    category.table = _RuleTable(category, thin=False)
+    return category
 
 
 def build_explicit(
@@ -363,7 +429,7 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
             key = (f.id, g.id)
             result = table.get(key)
             r = arrows.get(result)
-            if result is None:
+            if result is None and key not in table:
                 present -= 1
                 v = Violation("totality", "missing entry (%s, %s)" % key)
             elif r is None:

@@ -8,9 +8,12 @@ arrows composing to it, with ||O|| = 0.
 
 Bases and norms are plain data: `atomic_basis` returns the basis ids as a
 sorted tuple, `compute_norms` a dict from arrow id to length in the
-canonical order.  O has no entry; the rule ||O|| = 0 is applied where O
-can occur, at the `l = O` candidate of `distance` (and in the products,
-where O annihilates).
+canonical order.  The basis of a thin or free category is the one its
+builder recorded from the presentation; only an explicit category's is
+found by a pass over its table.  The norms are one search for every mode,
+through the table's lookups.  O has no entry; the rule ||O|| = 0 is
+applied where O can occur, at the `l = O` candidate of `distance` (and in
+the products, where O annihilates).
 
 Vector arguments are checked where they enter a public function:
 `_check_vector` looks the id up once and returns its Arrow (None for O),
@@ -87,7 +90,13 @@ def vec_add(category: FiniteCategory, f: Vector, g: Vector) -> Vector:
 
 def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
     """Arrows that are no composite of two non-identity arrows distinct from
-    them, in the canonical order."""
+    them, in the canonical order.
+
+    The basis the builder recorded, if any (thin and free categories);
+    otherwise one pass over the table.
+    """
+    if category.basis is not None:
+        return category.basis
     units = {a.id for a in category.arrows.values() if a.is_identity}
     composite = {
         result

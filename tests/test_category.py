@@ -322,20 +322,21 @@ class TestValidateAxioms:
         assert report == oracle_validate_axioms(corrupted)
 
     def test_none_valued_entries(self, po6):
-        # a composable entry mapped to None is reported as missing, and a
-        # stray one as a stray, in a table of the composable size; the
-        # all-pairs oracle differs on the first, which it reports as
-        # "dom-cod: entry (e1, e3) names unknown arrow None"
+        # a composable entry mapped to None exists, so it names an unknown
+        # arrow rather than being missing, and a stray one is a stray, in a
+        # table of the composable size
         table = dict(po6.table)
         table[("e1", "e3")] = None
         table[("e3", "e1")] = None
         del table[("e2", "e4")]
         corrupted = FiniteCategory(po6.objects, po6.arrows.values(), table, "explicit")
-        assert [str(v) for v in validate_axioms(corrupted)] == [
-            "totality: missing entry (e1, e3)",
+        report = validate_axioms(corrupted)
+        assert [str(v) for v in report] == [
+            "dom-cod: entry (e1, e3) names unknown arrow None",
             "totality: missing entry (e2, e4)",
             "closure: entry (e3, e1) for non-composable pair",
         ]
+        assert report == oracle_validate_axioms(corrupted)
 
 
 @pytest.mark.parametrize(
@@ -369,6 +370,59 @@ def test_table_holds_the_arrow_ids_themselves(build):
     cat = build(objects, [("g%d" % i, a, b) for i, (a, b) in enumerate(zip(objects, objects[1:]))])
     assert len(cat.table) > 100
     assert all(result is cat.arrows[result].id for result in cat.table.values())
+
+
+class TestRuleTables:
+    # a thin or free category's table is a read-only view computed from
+    # its arrows; it must behave as the dict of its entries would
+
+    @pytest.fixture(params=["thin", "free"])
+    def cat(self, request, po6):
+        if request.param == "thin":
+            return po6
+        return build_free(["a", "b", "c", "d"], [("u", "a", "b"), ("v", "a", "b"), ("w", "b", "c"), ("z", "c", "d")])
+
+    def test_get_default_for_unknown_and_non_composable_keys(self, cat):
+        f = next(a for a in cat.arrows.values() if not a.is_identity)
+        stray = next(g for g in cat.arrows.values() if g.dom != f.cod)
+        for key in [("ghost", f.id), (f.id, "ghost"), (f.id, stray.id)]:
+            assert cat.table.get(key) is None
+            assert cat.table.get(key, "default") == "default"
+            assert key not in cat.table
+
+    @pytest.mark.parametrize("key", ["e1", ("e1",), ("e1", "e3", "e5"), ["e1", "e3"], None, 7])
+    def test_get_default_for_keys_that_are_not_pairs(self, po6, key):
+        assert po6.table.get(key, "default") == "default"
+        assert key not in po6.table
+
+    def test_a_two_letter_string_is_not_a_pair(self):
+        cat = builtin_category("path3")  # arrows p: x -> y and q: y -> z
+        assert cat.table[("p", "q")] == "q∘p"
+        assert cat.table.get("pq") is None and "pq" not in cat.table
+
+    def test_missing_key_raises_key_error(self, cat):
+        f = next(a for a in cat.arrows.values() if not a.is_identity)
+        for key in [("ghost", f.id), (f.id, f.id), "not a pair"]:
+            with pytest.raises(KeyError):
+                cat.table[key]
+
+    def test_length_counts_the_composable_pairs(self, cat):
+        assert len(cat.table) == sum(len(cat.out_arrows[f.cod]) for f in cat.arrows.values())
+
+    def test_iteration_yields_exactly_the_composable_pairs(self, cat):
+        arrows = list(cat.arrows.values())
+        composable = [(f.id, g.id) for f in arrows for g in arrows if f.cod == g.dom]
+        assert sorted(cat.table) == sorted(composable)
+        assert len(list(cat.table)) == len(set(cat.table)) == len(cat.table)
+        assert all(cat.table[key] in cat.arrows for key in cat.table)
+
+    def test_read_only(self, cat):
+        key = next(iter(cat.table))
+        with pytest.raises(TypeError):
+            cat.table[key] = key[0]
+        with pytest.raises(TypeError):
+            del cat.table[key]
+        assert key in cat.table
 
 
 def test_builtin_po6_matches_direct_build(po6):

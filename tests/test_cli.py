@@ -315,6 +315,38 @@ class TestErrors:
         status, out, err = run(capsys, "norms", str(doc))
         assert (status, out, err) == (2, "", "catgeo: error: thin category would have more than 20000 arrows\n")
 
+    def test_norms_and_basis_at_the_arrow_cap_stay_small(self, tmp_path):
+        # a thin chain of 200 objects has 19,900 arrows, just under
+        # MAX_FREE_PATHS; a stored table of its 1.35 million composites
+        # alone took about 190 MB, the table computed by rule needs none
+        n = 200
+        objects = ["o%d" % i for i in range(n)]
+        arrows = [{"id": "g%d" % i, "dom": a, "cod": b} for i, (a, b) in enumerate(zip(objects, objects[1:]))]
+        doc = tmp_path / "chain.json"
+        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}))
+        env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
+        # a fresh parent process, so that its RUSAGE_CHILDREN peak (in KiB
+        # on Linux) is that of the one catgeo run and of no earlier child
+        code = (
+            "import resource, subprocess, sys; "
+            "proc = subprocess.run(sys.argv[1:], capture_output=True, text=True); "
+            "sys.stdout.write(str(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) + '\\n' + proc.stdout); "
+            "sys.stderr.write(proc.stderr); "
+            "sys.exit(proc.returncode)"
+        )
+        outputs = {}
+        for command in ("norms", "basis"):
+            argv = [sys.executable, "-c", code, sys.executable, "-m", "catgeo.cli", command, "--json", str(doc)]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            peak_kib, out = proc.stdout.split("\n", 1)
+            assert int(peak_kib) < 40 * 1024, "%s peaked at %s KiB" % (command, peak_kib)
+            outputs[command] = json.loads(out)
+        norms = outputs["norms"]["norms"]
+        assert len(norms) == n * (n - 1) // 2
+        assert norms["o0->o%d" % (n - 1)] == n - 1
+        assert outputs["basis"]["basis"] == sorted(g["id"] for g in arrows)
+
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "norms", "/nonexistent/file.json")
         assert status == 1

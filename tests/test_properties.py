@@ -99,7 +99,15 @@ def test_built_categories_satisfy_the_axioms(build, presentation):
     assert validate_axioms(cat) == []
 
 
-CORRUPTIONS = ("delete", "wrong result", "same-type result", "unknown result", "non-composable", "unknown arrow")
+CORRUPTIONS = (
+    "delete",
+    "wrong result",
+    "same-type result",
+    "unknown result",
+    "None result",
+    "non-composable",
+    "unknown arrow",
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,6 +154,8 @@ def test_validate_axioms_matches_all_pairs_oracle(cat, corruptions, rng):
                 table[key] = a
         elif corruption == "unknown result":
             table[rng.choice(keys)] = "ghost"
+        elif corruption == "None result":
+            table[rng.choice(keys)] = None
         elif corruption == "non-composable":
             pairs = [(f, g) for f in ids for g in ids if cat.arrows[f].cod != cat.arrows[g].dom]
             if pairs:
@@ -175,7 +185,11 @@ def one_object_tables(draw):
 @settings(max_examples=150, deadline=None)
 @given(categories | staged_categories() | one_object_tables())
 def test_atomic_basis_matches_all_pairs_oracle(cat):
-    assert atomic_basis(cat) == oracle_atomic_basis(cat)
+    # a thin or free builder records its basis; the walk over an explicit
+    # copy of the table and the all-pairs oracle agree with it
+    explicit = FiniteCategory(cat.objects, cat.arrows.values(), cat.table, "explicit")
+    assert (cat.basis is None) == (cat.mode == "explicit")
+    assert atomic_basis(cat) == atomic_basis(explicit) == oracle_atomic_basis(cat)
 
 
 @settings(max_examples=60, deadline=None)

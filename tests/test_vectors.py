@@ -17,7 +17,7 @@ from catgeo import (
     vec_add,
 )
 
-from helpers import oracle_norms
+from helpers import oracle_atomic_basis, oracle_norms
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,12 @@ class TestAtomicBasis:
         # a direct edge a->c next to a path a->b->c: the a->c arrow is composite
         cat = build_thin(["a", "b", "c"], [("direct", "a", "c"), ("p", "a", "b"), ("q", "b", "c")])
         assert atomic_basis(cat) == ("p", "q")
+        # so is a -> d beside a -> b -> c -> d, while a -> e, whose target
+        # no other generator from a leads to, stays atomic
+        generators = [("ad", "a", "d"), ("ab", "a", "b"), ("bc", "b", "c"), ("cd", "c", "d"), ("ae", "a", "e")]
+        cat = build_thin(["a", "b", "c", "d", "e"], generators)
+        assert atomic_basis(cat) == ("ab", "ae", "bc", "cd")
+        assert atomic_basis(cat) == oracle_atomic_basis(cat)
 
 
 class TestNorms:
