@@ -213,13 +213,6 @@ def _identities(objects) -> list[Arrow]:
     return [Arrow(IDENTITY_PREFIX + o, o, o, is_identity=True) for o in objects]
 
 
-def _fill_identity_entries(table, arrows):
-    """Add the unit-law entries for every arrow, identities included."""
-    for a in arrows:
-        table[(IDENTITY_PREFIX + a.dom, a.id)] = a.id  # a ∘ id_dom(a)
-        table[(a.id, IDENTITY_PREFIX + a.cod)] = a.id  # id_cod(a) ∘ a
-
-
 def _dag_order(objects, out_edges, cycle_error) -> list[str]:
     """The objects, every edge's target before its source.
 
@@ -374,7 +367,9 @@ def build_explicit(
     _check_presentation(objects, arrows)
     all_arrows = _identities(objects) + [Arrow(aid, dom, cod) for aid, dom, cod in arrows]
     table = dict(compositions)
-    _fill_identity_entries(table, all_arrows)
+    for a in all_arrows:  # the unit-law entries, identities included
+        table[(IDENTITY_PREFIX + a.dom, a.id)] = a.id  # a ∘ id_dom(a)
+        table[(a.id, IDENTITY_PREFIX + a.cod)] = a.id  # id_cod(a) ∘ a
     category = FiniteCategory(objects, all_arrows, table, "explicit")
 
     required = {

@@ -132,28 +132,24 @@ def _fg(norms: dict[str, int], a: Arrow | None, b: Arrow | None):
     return _product(a.id, b.id, a.cod, b.dom, norms[a.id], norms[b.id])
 
 
-def _check_pair(category: FiniteCategory, f: Vector, g: Vector) -> tuple[Arrow | None, Arrow | None]:
-    return _check_vector(category, f), _check_vector(category, g)
-
-
 def inner(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> int:
     """||f|| × ||g|| when g = f or cod(f) = dom(g); 0 otherwise.
 
     Asymmetric by design when only one composite exists.  The zero vector
     is orthogonal to everything, itself included.
     """
-    return _fg(norms, *_check_pair(category, f, g))[0]
+    return _fg(norms, _check_vector(category, f), _check_vector(category, g))[0]
 
 
 def is_orthogonal(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> bool:
     """Neither composite exists: f·g = g·f = 0."""
-    a, b = _check_pair(category, f, g)
+    a, b = _check_vector(category, f), _check_vector(category, g)
     return _fg(norms, a, b)[0] == 0 and _fg(norms, b, a)[0] == 0
 
 
 def is_parallel(category: FiniteCategory, f: Vector, g: Vector) -> bool:
     """f = g, or both composites g∘f and f∘g exist.  Non-zero vectors only."""
-    a, b = _check_pair(category, f, g)
+    a, b = _check_vector(category, f), _check_vector(category, g)
     if a is None or b is None:
         raise ValueError("parallelism is defined for non-zero vectors")
     return f == g or (a.cod == b.dom and b.cod == a.dom)
@@ -161,18 +157,18 @@ def is_parallel(category: FiniteCategory, f: Vector, g: Vector) -> bool:
 
 def outer(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> Multivector:
     """f∧g: an oriented bivector when the pair neither composes nor coincides."""
-    _, blade, coefficient = _fg(norms, *_check_pair(category, f, g))
+    _, blade, coefficient = _fg(norms, _check_vector(category, f), _check_vector(category, g))
     return _as_multivector(0, blade, coefficient)
 
 
 def geometric(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> Multivector:
     """fg = f·g + f∧g; for f = g non-zero this is the scalar ||f||²."""
-    return _as_multivector(*_fg(norms, *_check_pair(category, f, g)))
+    return _as_multivector(*_fg(norms, _check_vector(category, f), _check_vector(category, g)))
 
 
 def anticommutator(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> Multivector:
     """fg + gf under componentwise addition."""
-    a, b = _check_pair(category, f, g)
+    a, b = _check_vector(category, f), _check_vector(category, g)
     return _as_multivector(*_add(_fg(norms, a, b), _fg(norms, b, a)))
 
 

@@ -11,9 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catgeo
-from catgeo import anticommutator_table, build_free, builtin_category, compute_norms, atomic_basis
+from catgeo import (
+    anticommutator_table,
+    atomic_basis,
+    build_explicit,
+    build_free,
+    builtin_category,
+    compute_norms,
+    validate_axioms,
+)
 from catgeo.cli import _terms_dict, _write_table_json, main
-from catgeo.documents import builtin_document
+from catgeo.documents import CategoryDocument, builtin_document, document_to_json
 
 from helpers import closed_form_anticommutator
 
@@ -64,6 +72,58 @@ class TestValidate:
         status, out, _ = run(capsys, "validate", str(bad))
         assert status == 2
         assert "violations: 0" not in out
+
+    @pytest.mark.parametrize("name, calls", [("po6", 0), ("path3", 0), ("po6 as explicit", 1)])
+    def test_each_document_is_validated_at_most_once(self, capsys, monkeypatch, tmp_path, name, calls):
+        # thin and free categories hold by construction and are never
+        # checked; an explicit table is checked once, as it loads
+        import catgeo.cli
+        import catgeo.documents
+
+        if name == "po6 as explicit":
+            po6 = builtin_category("po6")
+            arrows = [(a.id, a.dom, a.cod) for a in po6.arrows.values() if not a.is_identity]
+            identities = {a.id for a in po6.arrows.values() if a.is_identity}
+            compositions = [(f, g, r) for (f, g), r in po6.table.items() if f not in identities and g not in identities]
+            text = document_to_json(CategoryDocument("explicit", list(po6.objects), arrows, compositions))
+        else:
+            text = builtin_document(name)
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        counted = []
+        for module in (catgeo.cli, catgeo.documents):
+            if hasattr(module, "validate_axioms"):
+                check = module.validate_axioms
+                monkeypatch.setattr(module, "validate_axioms", lambda cat, check=check: counted.append(1) or check(cat))
+        for command in ("validate", "basis", "norms", "table", "clifford", "dot", "embed"):
+            counted.clear()
+            status, _, _ = run(capsys, command, str(path))
+            assert status == 0
+            assert len(counted) == calls, command
+
+    def test_every_violation_is_reported(self, capsys, tmp_path):
+        # the cyclic group of order three with a∘b = a: six associativity
+        # failures, more than the five AxiomViolation's message names
+        table = {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "id:o", ("b", "b"): "a"}
+        arrows = [("a", "o", "o"), ("b", "o", "o")]
+        path = tmp_path / "c3.json"
+        path.write_text(
+            document_to_json(CategoryDocument("explicit", ["o"], arrows, [(f, g, r) for (f, g), r in table.items()]))
+        )
+        expected = validate_axioms(build_explicit(["o"], arrows, table))
+        assert len(expected) == 6
+
+        status, out, _ = run(capsys, "validate", str(path))
+        assert status == 2
+        assert out.splitlines() == [str(v) for v in expected] + ["violations: 6"]
+
+        status, out, _ = run(capsys, "validate", str(path), "--json")
+        assert status == 2
+        assert json.loads(out) == {"violations": [{"kind": v.kind, "detail": v.detail} for v in expected]}
+
+        status, out, err = run(capsys, "basis", str(path))
+        assert (status, out) == (2, "")
+        assert "(6 instances)" in err
 
 
 class TestOutputs:
