@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from . import realline
 from .category import FiniteCategory
@@ -113,38 +114,54 @@ _BLADE_JSON = """          {
             "first": %s,
             "second": %s
           }"""
+# _ROW_JSON of a zero row (scalar 0, no blades) cut at its two ids: the
+# text before the quoted f, between the quoted f and g, and after g
+_ZERO_ROW_HEAD, _ZERO_ROW_MIDDLE, _ROW_END = (_ROW_JSON % ("[]", 0, "%s", "%s")).split("%s")
+
+
+def _blades_json(terms, quoted, norms) -> str:
+    if not terms:
+        return "[]"
+    blades = ",\n".join(
+        _BLADE_JSON % (norms[first] * norms[second], c, quoted[first], quoted[second]) for first, second, c in terms
+    )
+    return "[\n%s\n        ]" % blades
 
 
 def _write_table_json(rows, norms: dict[str, int]) -> None:
     """Write {"entries": [...]} for anticommutator_table rows to stdout.
 
-    `norms` gives the length of every id in the rows.  The text is byte for byte what _emit_json gives for the entry dicts
-    (f, g and _terms_dict of the row), but each id is quoted once with the
-    stdlib's C quoter and each integer is formatted with %d, instead of
-    running the pure-Python indenting encoder over a dict per row.  The
-    rows of each f are written together, so the document is never one
-    string.
+    `rows` are grouped by f, and `norms` gives the length of every id in
+    them.  The text is byte for byte what _emit_json
+    gives for the entry dicts (f, g and _terms_dict of the row), but each
+    id is quoted once with the stdlib's C quoter and each integer is
+    formatted with %d, instead of running the pure-Python indenting
+    encoder over a dict per row.  A zero row (scalar 0, no blades), most
+    rows of a sparse category, is one concatenation: the row text up to
+    the quoted g, built once per f, and the quoted g with the row's end,
+    built once per id.  The rows of each f are written together, so the
+    document is never one string.
     """
     write = sys.stdout.write
     if not rows:
         write('{\n  "entries": []\n}\n')
         return
-    quoted = {f: encode_basestring(f) for f in norms}
+    quoted = {v: encode_basestring(v) for v in norms}
+    tails = {v: q + _ROW_END for v, q in quoted.items()}
     write('{\n  "entries": [\n')
     separator = ""
-    for f, group in itertools.groupby(rows, key=lambda row: row[0]):
-        chunk = []
-        for _, g, scalar, terms in group:
-            if terms:
-                blades = ",\n".join(
-                    _BLADE_JSON % (norms[first] * norms[second], c, quoted[first], quoted[second])
-                    for first, second, c in terms
-                )
-                blades = "[\n%s\n        ]" % blades
-            else:
-                blades = "[]"
-            chunk.append(_ROW_JSON % (blades, scalar, quoted[f], quoted[g]))
-        write(separator + ",\n".join(chunk))
+    for f, group in itertools.groupby(rows, key=itemgetter(0)):
+        quoted_f = quoted[f]
+        zero = _ZERO_ROW_HEAD + quoted_f + _ZERO_ROW_MIDDLE
+        chunk = ",\n".join(
+            [
+                zero + tails[g]
+                if not (scalar or terms)
+                else _ROW_JSON % (_blades_json(terms, quoted, norms), scalar, quoted_f, quoted[g])
+                for _, g, scalar, terms in group
+            ]
+        )
+        write(separator + chunk)
         separator = ",\n"
     write("\n  ]\n}\n")
 

@@ -17,10 +17,12 @@ arrow id to length; O never needs one, as it annihilates.  Past that
 boundary one private kernel, `_product`, computes fg of two non-zero
 vectors as plain values; the real-line backend shares it.  The survey
 functions (`clifford_report`, `anticommutator_table`) read each arrow's
-dom, cod and norm once and then run the kernel on both orders of every
-unordered pair {f, g}, building a Multivector only for what they return:
-fg = -gf and fg + gf are the same for (f, g) as for (g, f), so each pair
-is computed once and reported for both orders.
+dom, cod and norm once and then run the kernel once per unordered pair
+{f, g}, building a Multivector only for what they return: fg = -gf and
+fg + gf are the same for (f, g) as for (g, f), so each pair is computed
+once and reported for both orders.  The table computes fg and gf of every
+pair; the report computes gf only when the scalar of fg is 0, since a
+pair with f·g != 0 is not orthogonal.
 """
 
 from __future__ import annotations
@@ -192,7 +194,8 @@ def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> lis
     for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
         for j, (g, dom_g, cod_g, norm_g) in enumerate(ends):
             if j < i:
-                rows.append((f, g) + rows[j * n + i][2:])
+                _, _, scalar, terms = rows[j * n + i]
+                rows.append((f, g, scalar, terms))
                 continue
             fg = _product(f, g, cod_f, dom_g, norm_f, norm_g)
             gf = _product(g, f, cod_g, dom_f, norm_g, norm_f)
@@ -218,10 +221,11 @@ class CliffordReport(namedtuple("CliffordReport", "unit_square_failures anticomm
 def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequence[str]) -> CliffordReport:
     """Check e² = 1 for basis arrows and fg = -gf on orthogonal pairs.
 
-    Every basis square is computed, and both products of every unordered
-    pair {f, g} of distinct arrows; a pair is orthogonal when both scalars
-    are 0.  fg = -gf is one condition for (f, g) and (g, f), so a failing
-    pair is reported in both orders, in canonical (f-major) order.
+    Every basis square is computed, and fg of every unordered pair {f, g}
+    of distinct arrows, f before g; gf is computed only when the scalar of
+    fg is 0, as a pair is orthogonal when both scalars are 0.  fg = -gf is
+    one condition for (f, g) and (g, f), so a failing pair is reported in
+    both orders, in canonical (f-major) order.
     """
     unit_failures = []
     for e in basis:
@@ -234,8 +238,9 @@ def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequ
     for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
         for g, dom_g, cod_g, norm_g in ends[i + 1 :]:
             fg = _product(f, g, cod_f, dom_g, norm_f, norm_g)
-            gf = _product(g, f, cod_g, dom_f, norm_g, norm_f)
-            if fg[0] == 0 and gf[0] == 0 and fg != (0, gf[1], -gf[2]):
-                anti_failures += ((f, g), (g, f))
+            if fg[0] == 0:
+                gf = _product(g, f, cod_g, dom_f, norm_g, norm_f)
+                if gf[0] == 0 and fg != (0, gf[1], -gf[2]):
+                    anti_failures += ((f, g), (g, f))
     anti_failures.sort()
     return CliffordReport(unit_failures, anti_failures)

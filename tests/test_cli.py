@@ -323,6 +323,32 @@ class TestTableWriter:
         rows.sort(key=lambda row: row[0])  # the writer groups the rows of each f
         assert _table_json(rows, norms) == _dumps_entries(rows, norms)
 
+    def test_ids_with_format_and_escape_characters(self):
+        # a % in an id breaks a row text that is %-formatted again after the
+        # id is in it; the hypothesis alphabet rarely draws one
+        ids = ["%", "%s", "%%", "a%db", '"', "\\", "é∘ü"]
+        norms = {v: i + 1 for i, v in enumerate(ids)}
+        rows = []
+        for i, f in enumerate(ids):
+            for j, g in enumerate(ids):
+                kind = (i + j) % 4
+                if kind == 0:
+                    rows.append((f, g, 0, ()))
+                elif kind == 1:
+                    rows.append((f, g, 0, []))  # a zero row whose terms is an empty list
+                elif kind == 2:
+                    rows.append((f, g, norms[f] * norms[g], ()))
+                else:
+                    rows.append((f, g, 0, ((min(f, g), max(f, g), 1 if f < g else -1),)))
+        assert _table_json(rows, norms) == _dumps_entries(rows, norms)
+        assert _table_json(iter(rows), norms) == _dumps_entries(rows, norms)
+        cat = build_free(["x", "y", "z"], [("%s", "x", "y"), ("%%", "y", "z"), ('"', "x", "y"), ("\\", "y", "z"), ("é%", "x", "z")])
+        norms = compute_norms(cat, atomic_basis(cat))
+        rows = anticommutator_table(cat, norms)
+        assert any(not scalar and not terms for _, _, scalar, terms in rows)
+        assert any(scalar for _, _, scalar, _ in rows) and any(terms for *_, terms in rows)
+        assert _table_json(rows, norms) == _dumps_entries(rows, norms)
+
     def test_writes_one_chunk_per_f(self, po6_file, monkeypatch):
         writes = []
         monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, text: writes.append(text)})())

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from catgeo import geometry
@@ -243,6 +245,35 @@ class TestCliffordReport:
         _, anti = oracle_clifford_failures(po6, doctored, basis)
         assert anti and not set(anti) & set(planted)
         assert clifford_report(po6, doctored, basis).anticommutation_failures == sorted(anti + planted)
+
+    @pytest.mark.parametrize("name", ["po6", "parallel_free"])
+    def test_reverse_product_only_when_the_first_scalar_is_0(self, name, po6, monkeypatch):
+        # a pair with f·g != 0 is not orthogonal, so gf is not needed for it
+        if name == "po6":
+            cat = po6
+        else:  # parallel edges; e comes before the p it follows, q after them
+            cat = build_free(["x", "y", "z"], [("p1", "x", "y"), ("p2", "x", "y"), ("q", "y", "z"), ("e", "y", "z")])
+        basis = atomic_basis(cat)
+        norms = compute_norms(cat, basis)
+        pairs = list(itertools.combinations(cat.non_identity_arrows(), 2))
+        expected = []
+        for f, g in pairs:
+            expected.append((f, g))
+            if inner(cat, norms, f, g) == 0:
+                expected.append((g, f))
+        # both sides of the rule occur: some gf skipped, some gf != 0 computed
+        assert any(inner(cat, norms, f, g) for f, g in pairs)
+        assert any(inner(cat, norms, g, f) and not inner(cat, norms, f, g) for f, g in pairs)
+        calls = []
+        kernel = geometry._product
+
+        def counting(f, g, *rest):
+            calls.append((f, g))
+            return kernel(f, g, *rest)
+
+        monkeypatch.setattr(geometry, "_product", counting)
+        assert clifford_report(cat, norms, basis).holds
+        assert [(f, g) for f, g in calls if f != g] == expected
 
     def test_unknown_basis_member_rejected(self, po6, norms):
         with pytest.raises(UnknownArrow):
