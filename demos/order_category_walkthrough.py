@@ -22,7 +22,7 @@ from catgeo import (
 cat = builtin_category("po6")
 print("category:", cat)
 print("objects: ", ", ".join(cat.objects))
-print("arrows:  ", ", ".join(cat.non_identity_arrows()))
+print("arrows:  ", ", ".join(cat.vectors))
 print()
 
 # The atomic arrows (those that are no composite of two others) form the

@@ -27,7 +27,7 @@ for cat in population:
     norms = compute_norms(cat, basis)
     report = clifford_report(cat, norms, basis)
     holds += report.holds
-    arrow_total += len(cat.non_identity_arrows())
+    arrow_total += len(cat.vectors)
     basis_total += len(basis)
 
 print("categories checked:   %d" % len(population))

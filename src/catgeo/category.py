@@ -14,12 +14,15 @@ path named "g∘f" (or f or g itself when the other is an identity).  The
 builders of these two modes also record the atomic basis, which they know
 from the presentation.
 
-Each category also keeps one index, built once when it is made:
+Each category also keeps two indexes, built once when it is made.
 `out_arrows` maps every object to the tuple of arrows leaving it,
 identities included, in arrow order.  The arrows g composable after f are
 exactly `out_arrows[f.cod]`, so the passes over a whole category (axiom
 validation, the builders, the norm search) enumerate composable pairs and
 triples through it instead of scanning every arrow against every arrow.
+`vectors` is the tuple of non-identity arrow ids in the canonical (sorted)
+order: the vectors of the arrow vector space other than O, which the
+basis, the norms, the products and the distance all walk in that order.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ class FiniteCategory:
     `table` maps each composable pair (f, g) to the id of g∘f: a copy of
     the given mapping, which the thin and free builders then replace by a
     view that composes by rule.  `basis` is the atomic basis, sorted, when
-    the builder records it, and None otherwise.
+    the builder records it, and None otherwise.  `vectors` holds the
+    non-identity arrow ids, sorted; the zero vector O is not in it.
     """
 
     def __init__(
@@ -103,13 +107,10 @@ class FiniteCategory:
         for a in self.arrows.values():
             out.setdefault(a.dom, []).append(a)
         self.out_arrows: dict[str, tuple[Arrow, ...]] = {o: tuple(leaving) for o, leaving in out.items()}
+        self.vectors: tuple[str, ...] = tuple(sorted(a.id for a in self.arrows.values() if not a.is_identity))
 
     def identity(self, obj: str) -> str:
         return IDENTITY_PREFIX + obj
-
-    def non_identity_arrows(self) -> list[str]:
-        """Non-identity arrow ids in the canonical (lexicographic) order."""
-        return sorted(a.id for a in self.arrows.values() if not a.is_identity)
 
     def __repr__(self):
         return "FiniteCategory(mode=%r, objects=%d, arrows=%d)" % (
@@ -372,13 +373,8 @@ def build_explicit(
         table[(a.id, IDENTITY_PREFIX + a.cod)] = a.id  # id_cod(a) ∘ a
     category = FiniteCategory(objects, all_arrows, table, "explicit")
 
-    required = {
-        (f.id, g.id)
-        for f in all_arrows
-        if not f.is_identity
-        for g in category.out_arrows[f.cod]
-        if not g.is_identity
-    }
+    leaving = {o: [g.id for g in out if not g.is_identity] for o, out in category.out_arrows.items()}
+    required = {(f, g) for f in category.vectors for g in leaving[category.arrows[f].cod]}
     given = set(compositions)
     if given - required:
         pair = sorted(given - required)[0]

@@ -2,7 +2,8 @@
 
 Exit status: 0 success, 1 usage or parse error, 2 semantic error
 (axiom violation, ungenerated arrows, unknown arrow, builder rejection,
-an interval result with more digits than sys.get_int_max_str_digits()).
+an interval result with more digits than sys.get_int_max_str_digits()),
+and 0, silently, when the reader closes stdout early (`| head -1`).
 
 --json output is indented by 2 with sorted keys and non-ASCII text kept.
 `table --json`, which grows with the square of the arrow count, is
@@ -15,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring
@@ -282,8 +284,7 @@ def cmd_embed(args) -> int:
         for obj in category.objects:
             x, y, z = embedding.points[obj]
             print("point %s: (%.4f, %.4f, %.1f)" % (obj, x, y, z))
-        for arrow_id in sorted(embedding.arcs):
-            line = embedding.arcs[arrow_id]
+        for arrow_id, line in embedding.arcs.items():
             print("arc %s: %d samples, peak |z| = %.4f" % (arrow_id, len(line), max(abs(p[2]) for p in line)))
     return 0
 
@@ -436,6 +437,10 @@ def main(argv=None) -> int:
     except (CatGeoError, ValueError) as exc:
         print("catgeo: error: %s" % exc, file=sys.stderr)
         return SEMANTIC_EXIT
+    except BrokenPipeError:  # fd 1 goes to devnull, so the flush at exit cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print("catgeo: %s" % exc, file=sys.stderr)
         return USAGE_EXIT

@@ -177,7 +177,7 @@ def anticommutator(category: FiniteCategory, norms: dict[str, int], f: Vector, g
 def _ends(category: FiniteCategory, norms: dict[str, int]) -> list[tuple]:
     """(id, dom, cod, norm) of every non-identity arrow, in canonical order."""
     arrows = category.arrows
-    return [(v, arrows[v].dom, arrows[v].cod, norms[v]) for v in category.non_identity_arrows()]
+    return [(v, arrows[v].dom, arrows[v].cod, norms[v]) for v in category.vectors]
 
 
 def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> list[tuple]:

@@ -18,31 +18,32 @@ from .category import FiniteCategory
 
 Point = tuple[float, float, float]
 
+#: interior points of each arc; with its two ends an arc has 11 points
+ARC_SAMPLES = 9
 
 #: points: object id -> position in the z = 0 plane;
 #: arcs: arrow id -> sampled polyline, endpoints in-plane
 Embedding = namedtuple("Embedding", "points arcs")
 
 
-def export_embedding(category: FiniteCategory, samples: int = 9) -> Embedding:
+def export_embedding(category: FiniteCategory) -> Embedding:
     """Circle layout plus per-arrow sine arcs with pairwise distinct heights."""
-    objects = list(category.objects)
-    n = len(objects)
+    n = len(category.objects)
     radius = max(1.0, 0.5 * n)
     points: dict[str, Point] = {}
-    for i, obj in enumerate(objects):
+    for i, obj in enumerate(category.objects):
         angle = 2.0 * math.pi * i / n
         points[obj] = (radius * math.cos(angle), radius * math.sin(angle), 0.0)
 
     arcs: dict[str, list[Point]] = {}
-    for k, arrow_id in enumerate(category.non_identity_arrows()):
+    for k, arrow_id in enumerate(category.vectors):
         arrow = category.arrows[arrow_id]
         x0, y0, _ = points[arrow.dom]
         x1, y1, _ = points[arrow.cod]
         height = 0.25 * (k + 1) * (1 if k % 2 == 0 else -1)
         polyline: list[Point] = [(x0, y0, 0.0)]
-        for j in range(1, samples + 1):
-            t = j / (samples + 1)
+        for j in range(1, ARC_SAMPLES + 1):
+            t = j / (ARC_SAMPLES + 1)
             z = height * math.sin(math.pi * t)
             polyline.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0), z))
         polyline.append((x1, y1, 0.0))
@@ -63,10 +64,10 @@ def export_dot(
     arrows: Iterable[str] | None = None,
     norms: dict[str, int] | None = None,
 ) -> str:
-    """Plain DOT digraph: nodes are objects, edges the given arrow ids.
+    """Plain DOT digraph: nodes are objects, edges the given arrow ids, sorted.
 
-    Edges default to every non-identity arrow; passing the atomic basis
-    draws the normalized view with identities and composites elided.
+    Edges default to `category.vectors`; passing the atomic basis draws
+    the normalized view with identities and composites elided.
     Edge labels carry the arrow id and, when norms are given, its length.
     Object ids and labels are written as DOT quoted strings.
     """
@@ -74,7 +75,7 @@ def export_dot(
     node = {obj: obj.replace("\\", "\\\\").replace('"', '\\"') for obj in category.objects}
     lines = ["digraph category {"]
     lines += ['  "%s";' % name for name in node.values()]
-    for arrow_id in sorted(category.non_identity_arrows() if arrows is None else arrows):
+    for arrow_id in category.vectors if arrows is None else sorted(arrows):
         arrow = category.arrows[arrow_id]
         label = arrow_id.replace("\\", "\\\\").replace('"', '\\"')
         if norms is not None:

@@ -7,8 +7,8 @@ form the basis; the norm of an arrow is the minimal number of basis
 arrows composing to it, with ||O|| = 0.
 
 Bases and norms are plain data: `atomic_basis` returns the basis ids as a
-sorted tuple, `compute_norms` a dict from arrow id to length in the
-canonical order.  The basis of a thin or free category is the one its
+sorted tuple, `compute_norms` a dict from arrow id to length in the order
+of `category.vectors`.  The basis of a thin or free category is the one its
 builder recorded from the presentation; only an explicit category's is
 found by a pass over its table.  The norms are one search for every mode,
 through the table's lookups.  O has no entry; the rule ||O|| = 0 is
@@ -103,7 +103,7 @@ def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
         for (f, g), result in category.table.items()
         if result != f and result != g and f not in units and g not in units  # unit-law entries fail the first two
     }
-    return tuple(a for a in category.non_identity_arrows() if a not in composite)
+    return tuple(a for a in category.vectors if a not in composite)
 
 
 def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str, int]:
@@ -128,10 +128,10 @@ def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str,
             if composite not in lengths:
                 lengths[composite] = depth + 1
                 queue.append(composite)
-    missing = set(category.non_identity_arrows()) - lengths.keys()
-    if missing:
-        raise NotGenerated(missing)
-    return dict(sorted(lengths.items()))
+    try:
+        return {v: lengths[v] for v in category.vectors}
+    except KeyError:
+        raise NotGenerated(v for v in category.vectors if v not in lengths) from None
 
 
 def distance(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> int:
@@ -142,12 +142,10 @@ def distance(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vect
     _check_vector(category, f)
     _check_vector(category, g)
     best = 0 if f == g else None  # l = O, as g (+) O = g and ||O|| = 0
-    for l in category.non_identity_arrows():
+    for l in category.vectors:
         try:
             if vec_add(category, g, l) == f:
-                n = norms[l]
-                if best is None or n < best:
-                    best = n
+                best = norms[l] if best is None else min(best, norms[l])
         except (UndefinedSum, CompositeIsIdentity):
             continue
     if best is None:

@@ -148,6 +148,12 @@ def oracle_build_free(objects, generators):
     return arrows, table
 
 
+def oracle_vectors(category: FiniteCategory) -> tuple[str, ...]:
+    """The non-identity arrow ids, sorted, read from the arrows themselves
+    rather than from the category's `vectors` index."""
+    return tuple(sorted(a.id for a in category.arrows.values() if not a.is_identity))
+
+
 def oracle_norms(category: FiniteCategory, basis: Sequence[str], depth_bound: int) -> dict[str, int]:
     """Brute-force minima over all composable basis sequences up to the bound.
 
@@ -176,7 +182,7 @@ def oracle_norms(category: FiniteCategory, basis: Sequence[str], depth_bound: in
 def oracle_atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
     """The non-identity arrows h, in order, that no pair of non-identity
     arrows f, g (both distinct from h, cod f = dom g) composes to."""
-    vectors = category.non_identity_arrows()
+    vectors = oracle_vectors(category)
     arrows, table = category.arrows, category.table
 
     def composite(h):
@@ -221,7 +227,7 @@ def oracle_clifford_failures(category, norms, basis):
     """
     unit = [(e, norms[e] ** 2) for e in basis if norms[e] ** 2 != 1]
     anti = []
-    vectors = category.non_identity_arrows()
+    vectors = oracle_vectors(category)
     for f in vectors:
         for g in vectors:
             if f == g:

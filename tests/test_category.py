@@ -49,7 +49,7 @@ def po6():
 class TestBuildThin:
     def test_po6_arrow_counts(self, po6):
         # hand reachability closure: 13 ordered pairs have a nonempty path
-        non_identity = po6.non_identity_arrows()
+        non_identity = po6.vectors
         assert len(non_identity) == 13
         identities = [a for a in po6.arrows.values() if a.is_identity]
         assert len(identities) == 6
@@ -85,7 +85,7 @@ class TestBuildThin:
 
     def test_generator_named_like_its_own_pair_kept(self):
         cat = build_thin(["x", "y", "z"], [("x->y", "x", "y"), ("g2", "y", "z")])
-        assert sorted(cat.non_identity_arrows()) == ["g2", "x->y", "x->z"]
+        assert sorted(cat.vectors) == ["g2", "x->y", "x->z"]
         assert validate_axioms(cat) == []
 
     def test_two_generators_on_one_pair_rejected(self):
@@ -111,7 +111,7 @@ class TestBuildThin:
         # one object before MAX_FREE_PATHS others: one arrow per edge
         objects = ["s"] + ["t%d" % i for i in range(MAX_FREE_PATHS)]
         gens = [("g%d" % i, "s", t) for i, t in enumerate(objects[1:])]
-        assert len(build_thin(objects, gens).non_identity_arrows()) == MAX_FREE_PATHS
+        assert len(build_thin(objects, gens).vectors) == MAX_FREE_PATHS
         with pytest.raises(CatGeoError):
             build_thin(objects + ["t"], gens + [("extra", "s", "t")])
 
@@ -119,11 +119,11 @@ class TestBuildThin:
 class TestBuildFree:
     def test_path_graph(self):
         cat = build_free(["x", "y", "z"], [("p", "x", "y"), ("q", "y", "z")])
-        assert sorted(cat.non_identity_arrows()) == sorted(["p", "q", "q∘p"])
+        assert sorted(cat.vectors) == sorted(["p", "q", "q∘p"])
 
     def test_parallel_edges(self):
         cat = build_free(["a", "b"], [("u", "a", "b"), ("v", "a", "b")])
-        assert sorted(cat.non_identity_arrows()) == ["u", "v"]
+        assert sorted(cat.vectors) == ["u", "v"]
 
     def test_self_loop_rejected(self):
         with pytest.raises(CyclicGraph):
@@ -138,7 +138,7 @@ class TestBuildFree:
         gens = [("p", "a", "b"), ("q", "a", "c"), ("r", "b", "d"), ("s", "c", "d"), ("t", "d", "e")]
         cat = build_free(["a", "b", "c", "d", "e"], gens)
         # single edges: 5; length 2: pr, qs, rt, st; length 3: prt, qst
-        assert len(cat.non_identity_arrows()) == 11
+        assert len(cat.vectors) == 11
 
 
     def test_long_cycle_rejected_without_recursion(self):
@@ -160,7 +160,7 @@ class TestBuildFree:
         # one object fanning out to MAX_FREE_PATHS targets: one path per edge
         objects = ["s"] + ["t%d" % i for i in range(MAX_FREE_PATHS)]
         gens = [("g%d" % i, "s", t) for i, t in enumerate(objects[1:])]
-        assert len(build_free(objects, gens).non_identity_arrows()) == MAX_FREE_PATHS
+        assert len(build_free(objects, gens).vectors) == MAX_FREE_PATHS
         with pytest.raises(CatGeoError):
             build_free(objects + ["t"], gens + [("extra", "s", "t")])
 
@@ -428,7 +428,7 @@ class TestRuleTables:
 
 def test_builtin_po6_matches_direct_build(po6):
     built = builtin_category("po6")
-    assert sorted(built.non_identity_arrows()) == sorted(po6.non_identity_arrows())
+    assert sorted(built.vectors) == sorted(po6.vectors)
     assert built.table == po6.table
 
 

@@ -304,7 +304,7 @@ class TestTableWriter:
         edges = data.draw(st.lists(st.sampled_from(pairs), max_size=5) if pairs else st.just([]))
         ids = data.draw(st.lists(_GENERATOR_IDS, min_size=len(edges), max_size=len(edges), unique=True))
         cat = build_free(objects, [(gid, objects[i], objects[j]) for gid, (i, j) in zip(ids, edges)])
-        vectors = cat.non_identity_arrows()
+        vectors = cat.vectors
         norms = {v: data.draw(st.integers(min_value=0, max_value=10**20)) for v in vectors}
         rows = anticommutator_table(cat, norms)
         assert _table_json(rows, norms) == _dumps_entries(rows, norms)
@@ -353,7 +353,7 @@ class TestTableWriter:
         writes = []
         monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, text: writes.append(text)})())
         assert main(["table", po6_file, "--json"]) == 0
-        vectors = builtin_category("po6").non_identity_arrows()
+        vectors = builtin_category("po6").vectors
         assert len(writes) == len(vectors) + 2  # opening, one chunk per f, closing
         for chunk, f in zip(writes[1:-1], vectors):
             assert chunk.count('"f": ') == chunk.count('"f": "%s",' % f) == len(vectors)
@@ -432,6 +432,47 @@ class TestErrors:
         assert len(norms) == n * (n - 1) // 2
         assert norms["o0->o%d" % (n - 1)] == n - 1
         assert outputs["basis"]["basis"] == sorted(g["id"] for g in arrows)
+
+    def test_ungenerated_arrows_exit_2(self, capsys, tmp_path):
+        # the cyclic group of order 3 (a∘a = b, b∘b = a, a∘b = b∘a = id:o)
+        # is valid, but every arrow is a composite: the basis is empty and
+        # no norm exists
+        compositions = [("a", "a", "b"), ("a", "b", "id:o"), ("b", "a", "id:o"), ("b", "b", "a")]
+        doc = tmp_path / "c3.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "mode": "explicit",
+                    "objects": ["o"],
+                    "arrows": [{"id": "a", "dom": "o", "cod": "o"}, {"id": "b", "dom": "o", "cod": "o"}],
+                    "compositions": [{"f": f, "g": g, "result": result} for f, g, result in compositions],
+                }
+            )
+        )
+        for argv in (["norms"], ["norms", "--json"], ["clifford"], ["table"], ["table", "--json"], ["dot"]):
+            status, out, err = run(capsys, *argv, str(doc))
+            assert (argv, status, out, err) == (argv, 2, "", "catgeo: error: arrows not generated by the basis: a, b\n")
+        assert run(capsys, "basis", str(doc)) == (0, "", "")
+        assert run(capsys, "basis", "--json", str(doc)) == (0, '{\n  "basis": []\n}\n', "")
+        assert run(capsys, "validate", str(doc)) == (0, "violations: 0\n", "")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_reader_closing_stdout_early_is_not_an_error(self, tmp_path, json_flag):
+        # `catgeo table chain.json | head -1`: the table of a 40-object thin
+        # chain (780 arrows) is far larger than a pipe buffer, so catgeo is
+        # still writing when the reader goes; it stops silently, exit 0
+        objects = ["o%d" % i for i in range(40)]
+        arrows = [{"id": "g%d" % i, "dom": a, "cod": b} for i, (a, b) in enumerate(zip(objects, objects[1:]))]
+        doc = tmp_path / "chain.json"
+        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}))
+        env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
+        argv = [sys.executable, "-m", "catgeo.cli", "table", str(doc), *json_flag]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (first, proc.wait(), err) == (b"{\n" if json_flag else b"g0 g0: 2\n", 0, b"")
 
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "norms", "/nonexistent/file.json")

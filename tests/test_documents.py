@@ -18,7 +18,7 @@ from catgeo import (
     vec_add,
 )
 
-from helpers import mutate_document, oracle_atomic_basis, oracle_parse_document, random_document
+from helpers import mutate_document, oracle_atomic_basis, oracle_parse_document, oracle_vectors, random_document
 
 
 def doc(**fields):
@@ -224,6 +224,11 @@ class TestIdentityComposites:
         assert validate_axioms(cat) == []
         assert cat.table[("f", "g")] == "id:a"
         assert cat.table[("g", "f")] == "id:b"
+
+    def test_vectors_index(self):
+        cat = load_category(groupoid())
+        assert type(cat.vectors) is tuple
+        assert cat.vectors == oracle_vectors(cat) == ("f", "g")
 
     def test_sum_of_inverses_is_not_a_vector(self):
         cat = load_category(groupoid())

@@ -37,6 +37,7 @@ from helpers import (
     oracle_clifford_failures,
     oracle_norms,
     oracle_validate_axioms,
+    oracle_vectors,
 )
 
 
@@ -124,7 +125,7 @@ def test_validate_axioms_matches_all_pairs_oracle(cat, corruptions, rng):
     hom = {}
     for a in cat.arrows.values():
         hom.setdefault((a.dom, a.cod), []).append(a.id)
-    vectors = set(cat.non_identity_arrows())
+    vectors = set(cat.vectors)
     starts = {cat.arrows[v].dom for v in vectors}
     ends = {cat.arrows[v].cod for v in vectors}
     assert validate_axioms(cat) == oracle_validate_axioms(cat) == []
@@ -192,20 +193,39 @@ def test_atomic_basis_matches_all_pairs_oracle(cat):
     assert atomic_basis(cat) == atomic_basis(explicit) == oracle_atomic_basis(cat)
 
 
+@settings(max_examples=150, deadline=None)
+@given(categories | staged_categories() | one_object_tables(), st.randoms(use_true_random=False))
+def test_vectors_index_is_the_sorted_non_identity_ids(cat, rng):
+    # the index is built from the arrows, whatever order they come in and
+    # whatever the table holds: here a hand-built copy with shuffled arrows,
+    # one entry dropped and one naming an unknown arrow
+    assert type(cat.vectors) is tuple
+    assert cat.vectors == oracle_vectors(cat)
+    arrows = list(cat.arrows.values())
+    rng.shuffle(arrows)
+    table = dict(cat.table)
+    del table[rng.choice(sorted(table))]
+    table[(rng.choice(sorted(cat.arrows)), "ghost")] = "ghost"
+    corrupted = FiniteCategory(cat.objects, arrows, table, "explicit")
+    assert validate_axioms(corrupted)
+    assert type(corrupted.vectors) is tuple
+    assert corrupted.vectors == oracle_vectors(corrupted) == cat.vectors
+
+
 @settings(max_examples=60, deadline=None)
 @given(categories)
 def test_norm_positivity_and_atomicity(cat):
     basis = atomic_basis(cat)
     norms = compute_norms(cat, basis)
-    for arrow in cat.non_identity_arrows():
+    for arrow in cat.vectors:
         assert norms[arrow] >= 1
         assert (norms[arrow] == 1) == (arrow in basis)
-    assert list(norms) == cat.non_identity_arrows()
+    assert tuple(norms) == cat.vectors
     assert list(basis) == sorted(basis)
     # ||O|| = 0 where O occurs: the l = O candidate and the products
     assert distance(cat, norms, ZERO, ZERO) == 0
     assert inner(cat, norms, ZERO, ZERO) == 0
-    for arrow in cat.non_identity_arrows():
+    for arrow in cat.vectors:
         assert distance(cat, norms, arrow, ZERO) == norms[arrow]
 
 
@@ -213,8 +233,8 @@ def test_norm_positivity_and_atomicity(cat):
 @given(categories)
 def test_triangle_inequality(cat):
     norms = compute_norms(cat, atomic_basis(cat))
-    for f in cat.non_identity_arrows():
-        for g in cat.non_identity_arrows():
+    for f in cat.vectors:
+        for g in cat.vectors:
             if cat.arrows[f].cod == cat.arrows[g].dom:
                 composite = cat.table[(f, g)]
                 assert norms[composite] <= norms[f] + norms[g]
@@ -223,7 +243,7 @@ def test_triangle_inequality(cat):
 @settings(max_examples=40, deadline=None)
 @given(categories)
 def test_bfs_norms_match_brute_force(cat):
-    vectors = cat.non_identity_arrows()
+    vectors = cat.vectors
     if len(vectors) > 12:
         return
     basis = atomic_basis(cat)
@@ -244,7 +264,7 @@ def test_clifford_conditions(cat):
 @given(categories)
 def test_anticommutator_matches_closed_form(cat):
     norms = compute_norms(cat, atomic_basis(cat))
-    vectors = cat.non_identity_arrows()
+    vectors = cat.vectors
     for f in vectors:
         for g in vectors:
             if f == g:
@@ -256,7 +276,7 @@ def test_anticommutator_matches_closed_form(cat):
 @given(categories)
 def test_anticommutator_table_matches_pairwise_products(cat):
     norms = compute_norms(cat, atomic_basis(cat))
-    vectors = cat.non_identity_arrows()
+    vectors = cat.vectors
     rows = anticommutator_table(cat, norms)
     assert [(f, g) for f, g, _, _ in rows] == [(f, g) for f in vectors for g in vectors]
     for f, g, scalar, terms in rows:
@@ -269,7 +289,7 @@ def test_anticommutator_table_matches_pairwise_products(cat):
 def test_clifford_report_matches_oracle_under_any_norms(cat, rng):
     # doctored norms (0 included) make both conditions fail in places
     basis = atomic_basis(cat)
-    norms = {a: rng.randint(0, 3) for a in cat.non_identity_arrows()}
+    norms = {a: rng.randint(0, 3) for a in cat.vectors}
     report = clifford_report(cat, norms, basis)
     unit, anti = oracle_clifford_failures(cat, norms, basis)
     assert [(e, mv.scalar, mv.blades) for e, mv in report.unit_square_failures] == [(e, s, {}) for e, s in unit]
@@ -280,7 +300,7 @@ def test_clifford_report_matches_oracle_under_any_norms(cat, rng):
 @given(categories)
 def test_zero_vector_laws(cat):
     norms = compute_norms(cat, atomic_basis(cat))
-    for f in cat.non_identity_arrows():
+    for f in cat.vectors:
         assert vec_add(cat, ZERO, f) == f
         assert vec_add(cat, f, ZERO) == f
         assert inner(cat, norms, f, ZERO) == 0
@@ -296,8 +316,8 @@ def test_outer_antisymmetry_on_orthogonal_pairs(cat):
     from catgeo import is_orthogonal
 
     norms = compute_norms(cat, atomic_basis(cat))
-    for f in cat.non_identity_arrows():
-        for g in cat.non_identity_arrows():
+    for f in cat.vectors:
+        for g in cat.vectors:
             if is_orthogonal(cat, norms, f, g):
                 assert outer(cat, norms, f, g) == -outer(cat, norms, g, f)
                 assert anticommutator(cat, norms, f, g).is_zero() or f == g

@@ -4,9 +4,11 @@ from catgeo import (
     ZERO,
     NoDifference,
     NotComposable,
+    NotGenerated,
     UndefinedSum,
     UnknownArrow,
     atomic_basis,
+    build_explicit,
     build_free,
     build_thin,
     builtin_category,
@@ -35,11 +37,11 @@ class TestVecAdd:
         assert vec_add(po6, "e2", "e4") == "a0->a4"
 
     def test_zero_is_left_unit(self, po6):
-        for f in po6.non_identity_arrows():
+        for f in po6.vectors:
             assert vec_add(po6, ZERO, f) == f
 
     def test_zero_is_right_unit(self, po6):
-        for f in po6.non_identity_arrows():
+        for f in po6.vectors:
             assert vec_add(po6, f, ZERO) == f
 
     def test_zero_plus_zero(self, po6):
@@ -50,7 +52,7 @@ class TestVecAdd:
             vec_add(po6, "e1", "e2")
 
     def test_associative_where_defined(self, po6):
-        vectors = po6.non_identity_arrows()
+        vectors = po6.vectors
         for f in vectors:
             for g in vectors:
                 if po6.arrows[f].cod != po6.arrows[g].dom:
@@ -117,7 +119,7 @@ class TestNorms:
 
     def test_basis_members_have_norm_one(self, po6, po6_norms):
         basis = atomic_basis(po6)
-        for arrow in po6.non_identity_arrows():
+        for arrow in po6.vectors:
             assert (po6_norms[arrow] == 1) == (arrow in basis)
 
     def test_zero_norm(self, po6, po6_norms):
@@ -125,19 +127,30 @@ class TestNorms:
         assert ZERO not in po6_norms
         assert distance(po6, po6_norms, ZERO, ZERO) == 0
         assert inner(po6, po6_norms, ZERO, ZERO) == 0
-        for f in po6.non_identity_arrows():
+        for f in po6.vectors:
             assert distance(po6, po6_norms, f, ZERO) == po6_norms[f]
 
     def test_triangle_inequality(self, po6, po6_norms):
-        for f in po6.non_identity_arrows():
-            for g in po6.non_identity_arrows():
+        for f in po6.vectors:
+            for g in po6.vectors:
                 if po6.arrows[f].cod == po6.arrows[g].dom:
                     assert po6_norms[po6.table[(f, g)]] <= po6_norms[f] + po6_norms[g]
 
     def test_bfs_matches_brute_force(self, po6, po6_norms):
         basis = atomic_basis(po6)
-        expected = oracle_norms(po6, basis, len(po6.non_identity_arrows()))
+        expected = oracle_norms(po6, basis, len(po6.vectors))
         assert po6_norms == expected
+
+    def test_cyclic_group_of_order_three_is_not_generated(self):
+        # a∘a = b and b∘b = a: every arrow is a composite, so the basis is
+        # empty and neither arrow has a factorization
+        table = {("a", "a"): "b", ("a", "b"): "id:o", ("b", "a"): "id:o", ("b", "b"): "a"}
+        group = build_explicit(["o"], [("a", "o", "o"), ("b", "o", "o")], table)
+        assert atomic_basis(group) == ()
+        with pytest.raises(NotGenerated) as caught:
+            compute_norms(group, atomic_basis(group))
+        assert caught.value.missing == ["a", "b"]
+        assert str(caught.value) == "arrows not generated by the basis: a, b"
 
 
 class TestDistance:
@@ -146,7 +159,7 @@ class TestDistance:
         assert distance(po6, po6_norms, "a0->a4", "e2") == 1
 
     def test_self_distance_zero(self, po6, po6_norms):
-        for f in po6.non_identity_arrows():
+        for f in po6.vectors:
             assert distance(po6, po6_norms, f, f) == 0
 
     def test_no_difference(self, po6, po6_norms):
