@@ -9,7 +9,8 @@ identification.
 Only explicit categories store their table, as a dict.  Thin and free
 categories compose by rule: their table is a read-only Mapping that
 computes each entry from the arrows when it is looked up.  In a thin
-category g∘f is the one arrow dom f → cod g; in a free category it is the
+category g∘f is the one arrow dom f → cod g, found in the map from object
+pairs to arrow ids that build_thin makes; in a free category it is the
 path named "g∘f" (or f or g itself when the other is an identity).  The
 builders of these two modes also record the atomic basis, which they know
 from the presentation.
@@ -124,32 +125,32 @@ class _RuleTable(Mapping):
     """A read-only composition table that composes by rule.
 
     Its keys are the composable pairs, f in arrow order and then g in
-    arrow order.  In a thin category g∘f is the one arrow dom f → cod g,
-    found in a dict from each (dom, cod) pair to its arrow id; in a free
-    one it is the path "g∘f", or f or g itself when the other is an
-    identity.  `get` returns the default, and `[]` raises KeyError, for a
-    key that is not a composable pair of arrow ids.
+    arrow order.  `[]` is its one lookup: in a thin category g∘f is the
+    one arrow dom f → cod g, read from the map of (dom, cod) pairs to
+    arrow ids that build_thin made; in a free one (no map) it is the path
+    "g∘f", or f or g itself when the other is an identity.  `[]` raises
+    KeyError for a key that is not a composable pair of arrow ids, so the
+    `get` and `in` that Mapping derives from it answer None and False.
     """
 
     __slots__ = ("_arrows", "_out", "_between")
 
-    def __init__(self, category: FiniteCategory, thin: bool):
+    def __init__(self, category: FiniteCategory, between: dict[tuple[str, str], str] | None = None):
         self._arrows = category.arrows
         self._out = category.out_arrows
-        self._between = {(a.dom, a.cod): a.id for a in category.arrows.values()} if thin else None
+        self._between = between
 
-    def get(self, key, default=None):
+    def __getitem__(self, key):
         if key.__class__ is not tuple:
-            return default
+            raise KeyError(key)
         arrows = self._arrows
         try:
             f, g = key
-            a = arrows[f]
-            b = arrows[g]
+            a, b = arrows[f], arrows[g]
         except (KeyError, TypeError, ValueError):
-            return default
+            raise KeyError(key) from None
         if a.cod != b.dom:
-            return default
+            raise KeyError(key)
         between = self._between
         if between is not None:
             return between[a.dom, b.cod]
@@ -159,15 +160,6 @@ class _RuleTable(Mapping):
             return a.id
         return arrows[b.id + PATH_SEP + a.id].id
 
-    def __getitem__(self, key):
-        result = self.get(key)
-        if result is None:
-            raise KeyError(key)
-        return result
-
-    def __contains__(self, key):
-        return self.get(key) is not None
-
     def __iter__(self):
         out = self._out
         for f in self._arrows.values():
@@ -175,8 +167,7 @@ class _RuleTable(Mapping):
                 yield f.id, g.id
 
     def __len__(self):
-        out = self._out
-        return sum(len(out[f.cod]) for f in self._arrows.values())
+        return sum(len(self._out[f.cod]) for f in self._arrows.values())
 
 
 def compose(category: FiniteCategory, f: str, g: str) -> str:
@@ -271,22 +262,25 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
         if total > MAX_FREE_PATHS:
             raise CatGeoError("thin category would have more than %d arrows" % MAX_FREE_PATHS)
 
-    generator_name = {}
+    # between[a, b]: the id of the one arrow a -> b, which the table reads
+    between: dict[tuple[str, str], str] = {}
     for gid, dom, cod in generators:
-        if (dom, cod) in generator_name:
+        if (dom, cod) in between:
             raise ParseError(
                 "generators %r and %r both go %s -> %s; a thin category has one arrow per object pair"
-                % (generator_name[(dom, cod)], gid, dom, cod)
+                % (between[dom, cod], gid, dom, cod)
             )
-        generator_name[(dom, cod)] = gid
+        between[dom, cod] = gid
 
+    used = set(between.values())
     arrows = _identities(objects)
-    used = set(generator_name.values())
+    for unit in arrows:
+        between[unit.dom, unit.cod] = unit.id
     for a in objects:
         for b in sorted(reach[a]):
-            aid = generator_name.get((a, b))
+            aid = between.get((a, b))
             if aid is None:
-                aid = "%s->%s" % (a, b)
+                aid = between[a, b] = "%s->%s" % (a, b)
                 if aid in used:
                     raise ParseError("derived arrow %s -> %s would be named %r, which is already taken" % (a, b, aid))
                 used.add(aid)
@@ -299,7 +293,7 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
         beyond = set().union(*(reach[c] for _, c in out_edges[a]))
         basis += [gid for gid, b in out_edges[a] if b not in beyond]
     category = FiniteCategory(objects, arrows, {}, "thin", tuple(sorted(basis)))
-    category.table = _RuleTable(category, thin=True)
+    category.table = _RuleTable(category, between)
     return category
 
 
@@ -350,7 +344,7 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     # no path through two or more edges is atomic
     basis = tuple(sorted(gid for gid, _, _ in generators))
     category = FiniteCategory(objects, arrows, {}, "free", basis)
-    category.table = _RuleTable(category, thin=False)
+    category.table = _RuleTable(category)
     return category
 
 
@@ -375,13 +369,11 @@ def build_explicit(
 
     leaving = {o: [g.id for g in out if not g.is_identity] for o, out in category.out_arrows.items()}
     required = {(f, g) for f in category.vectors for g in leaving[category.arrows[f].cod]}
-    given = set(compositions)
-    if given - required:
-        pair = sorted(given - required)[0]
-        raise ParseError("composition entry %s is not a composable non-identity pair" % (pair,))
-    if required - given:
-        pair = sorted(required - given)[0]
-        raise ParseError("incomplete composition table: missing entry %s" % (pair,))
+    if compositions.keys() != required:
+        extra = compositions.keys() - required
+        if extra:
+            raise ParseError("composition entry %s is not a composable non-identity pair" % (min(extra),))
+        raise ParseError("incomplete composition table: missing entry %s" % (min(required - compositions.keys()),))
     for pair, result in compositions.items():
         if result not in category.arrows:
             raise ParseError("composition %s names unknown arrow %r" % (pair, result))
@@ -394,13 +386,16 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     Covers: table totality and closure over composable pairs, dom/cod
     consistency of composites, associativity over all composable triples,
     and the unit law for every arrow.  Violations come in three runs:
-    pair checks (for each f in arrow order, its entries ordered by g in
-    arrow order; then the entries naming an unknown arrow, in table
-    order), then unit, then associativity (ordered by f, g, k).
+    pair checks (ordered by f, then g, in arrow order; then the entries
+    naming an unknown arrow, in table order), then unit, then
+    associativity (ordered by f, g, k).
 
-    The pair checks count the composable pairs that have an entry; the
-    closure pass over every table key runs only when the table has more
-    entries than that, since otherwise every key is such a pair.
+    The pair checks go into one list of (f, g, violation), in that order.
+    They count the composable pairs that have an entry; the closure pass
+    over every table key runs only when the table has more entries than
+    that, since otherwise every key is such a pair.  That pass appends the
+    entries between known arrows that do not compose to the list, which is
+    then sorted once by the arrow positions of f and g.
 
     When the pair and unit checks find nothing, the triples that cannot
     fail (through an identity, or with a one-arrow hom-set between their
@@ -410,8 +405,8 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     table = category.table
     leaving = category.out_arrows.get
 
-    # pairs: each f's violations by g in arrow order, as (g id, violation)
-    runs: dict[str, list[tuple[str, Violation]]] = {}
+    # (f id, g id, violation) per bad pair, f and then g in arrow order
+    pairs: list[tuple[str, str, Violation]] = []
     present = 0  # composable pairs with an entry
     for f in arrows.values():
         out = leaving(f.cod, ())
@@ -432,14 +427,13 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
                 )
             else:
                 continue
-            runs.setdefault(f.id, []).append((g.id, v))
+            pairs.append((f.id, g.id, v))
 
     # closure: entries naming an unknown arrow, and entries between known
     # arrows that do not compose.  A table with exactly `present` entries
     # holds only composable pairs of known arrows, so it has none.
     unknown: list[Violation] = []
     if len(table) != present:
-        stray: dict[str, list[tuple[str, Violation]]] = {}
         for key in table:
             f, g = key
             a, b = arrows.get(f), arrows.get(g)
@@ -447,14 +441,10 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
                 name = f if a is None else g
                 unknown.append(Violation("closure", "entry (%s, %s) for unknown arrow %r" % (f, g, name)))
             elif a.cod != b.dom:
-                stray.setdefault(f, []).append((g, Violation("closure", "entry (%s, %s) for non-composable pair" % key)))
-        if stray:
-            position = {aid: i for i, aid in enumerate(arrows)}
-            for f, entries in stray.items():
-                runs[f] = sorted(runs.get(f, []) + entries, key=lambda entry: position[entry[0]])
-            runs = dict(sorted(runs.items(), key=lambda item: position[item[0]]))
-    violations = [v for run in runs.values() for _, v in run]
-    violations += unknown
+                pairs.append((f, g, Violation("closure", "entry (%s, %s) for non-composable pair" % key)))
+        position = {aid: i for i, aid in enumerate(arrows)}
+        pairs.sort(key=lambda entry: (position[entry[0]], position[entry[1]]))
+    violations = [v for _, _, v in pairs] + unknown
 
     for f in arrows.values():
         left = table.get((category.identity(f.dom), f.id))

@@ -26,18 +26,7 @@ from . import realline
 from .category import FiniteCategory
 from .documents import builtin_document, builtin_names, load_category
 from .errors import AxiomViolation, CatGeoError, ParseError
-from .geometry import (
-    Multivector,
-    anticommutator,
-    anticommutator_table,
-    clifford_report,
-    format_terms,
-    geometric,
-    inner,
-    is_orthogonal,
-    is_parallel,
-    outer,
-)
+from .geometry import Multivector, anticommutator_table, clifford_report, format_terms, geometric, is_parallel
 from .render import embedding_to_json, export_dot, export_embedding
 from .vectors import atomic_basis, compute_norms
 
@@ -64,8 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_file(path: str) -> str:
     try:
-        if path == "-":
-            return sys.stdin.read()
+        if path == "-":  # decoded strictly, as a file is, under any locale
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
@@ -212,14 +201,16 @@ def cmd_product(args) -> int:
     category = _load(args.file)
     norms = compute_norms(category, atomic_basis(category))
     f, g = args.f, args.g
-    outer_fg = outer(category, norms, f, g)
+    # every value follows from fg = f·g + f∧g and gf: the inner products
+    # are their scalars, the outer product fg's blades
     geometric_fg = geometric(category, norms, f, g)
     geometric_gf = geometric(category, norms, g, f)
-    anticommutator_fg = anticommutator(category, norms, f, g)
+    outer_fg = Multivector(0, geometric_fg.blades)
+    anticommutator_fg = geometric_fg + geometric_gf
     data = {
-        "inner_fg": inner(category, norms, f, g),
-        "inner_gf": inner(category, norms, g, f),
-        "orthogonal": is_orthogonal(category, norms, f, g),
+        "inner_fg": geometric_fg.scalar,
+        "inner_gf": geometric_gf.scalar,
+        "orthogonal": geometric_fg.scalar == 0 and geometric_gf.scalar == 0,
         "parallel": is_parallel(category, f, g),
         "outer_fg": _multivector_dict(outer_fg, norms),
         "geometric_fg": _multivector_dict(geometric_fg, norms),

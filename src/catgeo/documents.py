@@ -20,6 +20,7 @@ isomorphisms and groupoids can be written down.
 from __future__ import annotations
 
 import json
+import re
 
 from .category import (
     IDENTITY_PREFIX,
@@ -32,6 +33,8 @@ from .category import (
 from .errors import AxiomViolation, ParseError
 
 MODES = ("thin", "free", "explicit")
+
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 class CategoryDocument:
@@ -71,7 +74,8 @@ def parse_document(text: str) -> CategoryDocument:
     and cod nonempty strings, a new id, dom and cod declared objects),
     then each composition record (an object, f, g and result nonempty
     strings, f and g declared arrows, result a declared arrow or the
-    identity of a declared object).  Each record key is read once.
+    identity of a declared object), and last, that no object or arrow id
+    holds a lone surrogate.  Each record key is read once.
     """
     try:
         data = json.loads(text)
@@ -143,6 +147,11 @@ def parse_document(text: str) -> CategoryDocument:
             raise ParseError("compositions[%d]: unknown arrow %r" % (i, result))
         compositions.append((f, g, result))
 
+    # JSON admits a lone surrogate (the escape \ud800), which no output can
+    # encode; each composition field names a declared id, so only ids are checked
+    if _SURROGATE.search("".join([*objects, *seen_ids])):
+        bad = next(i for i in [*objects, *(aid for aid, _, _ in arrows)] if _SURROGATE.search(i))
+        raise ParseError("id %r is not Unicode text: it holds a lone surrogate" % bad)
     return CategoryDocument(mode, list(objects), arrows, compositions)
 
 

@@ -116,7 +116,35 @@ class TestBuildThin:
             build_thin(objects + ["t"], gens + [("extra", "s", "t")])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [build_thin, build_free, lambda objects, arrows: build_explicit(objects, arrows, {})],
+    ids=["thin", "free", "explicit"],
+)
+@pytest.mark.parametrize(
+    "objects, generators, message",
+    [
+        (["a", "a"], [], "duplicate object ids"),
+        ([""], [], "bad object id ''"),
+        (["id:x"], [], "bad object id 'id:x'"),
+        (["a", "b"], [("", "a", "b")], "bad generator id ''"),
+        (["a", "b"], [("id:a", "a", "b")], "bad generator id 'id:a'"),
+        (["a", "b"], [("e", "a", "b"), ("e", "a", "b")], "duplicate generator id 'e'"),
+        (["a", "b"], [("e", "a", "c")], "generator 'e' has undeclared endpoint"),
+    ],
+)
+def test_every_builder_checks_the_presentation(build, objects, generators, message):
+    with pytest.raises(ParseError) as info:
+        build(objects, generators)
+    assert str(info.value) == message
+
+
 class TestBuildFree:
+    def test_generator_id_with_the_separator_rejected(self):
+        with pytest.raises(ParseError) as info:
+            build_free(["a", "b"], [("p∘q", "a", "b")])
+        assert str(info.value) == "generator id 'p∘q' contains the reserved separator"
+
     def test_path_graph(self):
         cat = build_free(["x", "y", "z"], [("p", "x", "y"), ("q", "y", "z")])
         assert sorted(cat.vectors) == sorted(["p", "q", "q∘p"])
@@ -475,3 +503,15 @@ class TestBuildExplicitErrors:
                 build_explicit(objects, arrows, {**table, **dict.fromkeys(added, ids[0])})
             checked += 1
         assert checked > 30
+
+    def test_entry_naming_an_unknown_arrow(self):
+        # a document cannot say this, as the parser refuses the name first
+        with pytest.raises(ParseError) as info:
+            build_explicit(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], {("f", "g"): "ghost"})
+        assert str(info.value) == "composition ('f', 'g') names unknown arrow 'ghost'"
+
+    def test_extra_entry_is_reported_before_a_missing_one(self):
+        # (g, f) does not compose and (f, g) has no entry
+        with pytest.raises(ParseError) as info:
+            build_explicit(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], {("g", "f"): "f"})
+        assert str(info.value) == "composition entry ('g', 'f') is not a composable non-identity pair"

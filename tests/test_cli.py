@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catgeo
+from catgeo import geometry
 from catgeo import (
     anticommutator_table,
     atomic_basis,
@@ -49,7 +51,8 @@ class TestValidate:
         # "-" reads stdin; emulate the example | validate pipe
         import io, sys
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO(builtin_document("po6")))
+        stdin = io.TextIOWrapper(io.BytesIO(builtin_document("po6").encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
         status, out, _ = run(capsys, "validate", "-")
         assert status == 0
 
@@ -187,6 +190,28 @@ class TestOutputs:
         status, out, _ = run(capsys, "clifford", po6_file, "--json")
         assert status == 0
         assert json.loads(out)["holds"] is True
+
+    def test_clifford_text_lists_the_failures(self, capsys, po6_file, monkeypatch):
+        # break the kernel on e1² (4, not 1) and on the orthogonal pair (e2, e5)
+        kernel = geometry._product
+
+        def broken(f, g, *rest):
+            if (f, g) == ("e1", "e1"):
+                return 4, None, 0
+            if (f, g) == ("e2", "e5"):
+                return 0, None, 0
+            return kernel(f, g, *rest)
+
+        monkeypatch.setattr(geometry, "_product", broken)
+        assert run(capsys, "clifford", po6_file) == (
+            2,
+            "basis squares to 1: NO\n"
+            "  e1^2 = 4\n"
+            "orthogonal pairs anticommute: NO\n"
+            "  counterexample: e2, e5\n"
+            "  counterexample: e5, e2\n",
+            "",
+        )
 
     def test_embed_json(self, capsys, po6_file):
         status, out, _ = run(capsys, "embed", po6_file, "--json")
@@ -474,6 +499,27 @@ class TestErrors:
         proc.stderr.close()
         assert (first, proc.wait(), err) == (b"{\n" if json_flag else b"g0 g0: 2\n", 0, b"")
 
+    def test_closed_pipe_sends_fd_1_to_devnull(self, capsys, monkeypatch, po6_file, tmp_path):
+        # in process, a stand-in stdout whose fd is a temp file's, so the
+        # dup2 of the branch never touches this process's own fd 1
+        with open(tmp_path / "stdout", "w") as stand_in_fd:
+
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return stand_in_fd.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            status = main(["basis", po6_file])
+            now, devnull = os.fstat(stand_in_fd.fileno()), os.stat(os.devnull)
+        assert (status, capsys.readouterr().err) == (0, "")
+        assert (now.st_dev, now.st_ino, now.st_rdev) == (devnull.st_dev, devnull.st_ino, devnull.st_rdev)
+
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "norms", "/nonexistent/file.json")
         assert status == 1
@@ -496,6 +542,65 @@ class TestErrors:
             assert (status, out) == (1, "")
             assert err.startswith("catgeo: parse error:") and message in err
             assert "Traceback" not in err
+
+    def test_stdin_not_utf8_is_a_parse_error_under_any_locale(self):
+        # UTF-8 mode, like the C and POSIX locales, gives sys.stdin the
+        # surrogateescape handler, which would let the 0xff byte through
+        document = b'{"mode": "thin", "objects": ["a\xff", "b"], "arrows": []}'
+        env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]), PYTHONUTF8="1")
+        argv = [sys.executable, "-m", "catgeo.cli", "validate", "-"]
+        proc = subprocess.run(argv, input=document, capture_output=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"catgeo: parse error: stdin is not valid UTF-8")
+
+    @pytest.mark.parametrize(
+        "data, name",
+        [
+            ({"mode": "thin", "objects": ["\ud800", "b"]}, "'\\ud800'"),
+            ({"mode": "free", "objects": ["a", "b"], "arrows": [{"id": "\udc80", "dom": "a", "cod": "b"}]}, "'\\udc80'"),
+            ({"mode": "explicit", "objects": ["a"], "arrows": [{"id": "e\udc80", "dom": "a", "cod": "a"}]}, "'e\\udc80'"),
+        ],
+        ids=["object", "generator", "explicit arrow"],
+    )
+    def test_lone_surrogate_in_an_id_is_a_parse_error(self, capsys, tmp_path, data, name):
+        # loaded, such an id would make embed and dot fail to encode it
+        # (exit 2), and basis, norms and table --json write bytes that are
+        # not UTF-8
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data))
+        expected = (1, "", "catgeo: parse error: id %s is not Unicode text: it holds a lone surrogate\n" % name)
+        for command in ("validate", "basis", "norms", "table", "clifford", "embed", "dot", "product"):
+            argv = [command, str(path)] + (["a", "b"] if command == "product" else [])
+            assert run(capsys, *argv) == expected, command
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"mode": "thin", "objects": ["a", "id:x"]}, "bad object id 'id:x'"),
+            (
+                {"mode": "free", "objects": ["a", "b"], "arrows": [{"id": "p∘q", "dom": "a", "cod": "b"}]},
+                "generator id 'p∘q' contains the reserved separator",
+            ),
+            (
+                {
+                    "mode": "explicit",
+                    "objects": ["a", "b", "c"],
+                    "arrows": [
+                        {"id": "f", "dom": "a", "cod": "b"},
+                        {"id": "g", "dom": "b", "cod": "c"},
+                        {"id": "h", "dom": "a", "cod": "c"},
+                    ],
+                    "compositions": [{"f": "f", "g": "g", "result": "h"}] * 2,
+                },
+                "duplicate composition entry (f, g)",
+            ),
+        ],
+        ids=["identity-like object", "separator in a free generator", "duplicate entry"],
+    )
+    def test_presentation_refused_on_load_exits_1(self, capsys, tmp_path, data, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "validate", str(path)) == (1, "", "catgeo: parse error: %s\n" % message)
 
     def test_stdin_not_utf8_is_a_parse_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
@@ -550,6 +655,15 @@ def test_import_loads_neither_dataclasses_nor_typing():
     code = "import catgeo.cli, sys; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_runs_as_main_module(capsys, monkeypatch, po6_file):
+    # `python -m catgeo.cli`; runpy warns as the test run imported it already
+    monkeypatch.setattr(sys, "argv", ["catgeo", "basis", po6_file])
+    with pytest.warns(RuntimeWarning, match="'catgeo.cli' found in sys.modules"), pytest.raises(SystemExit) as info:
+        runpy.run_module("catgeo.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "e1\ne2\ne3\ne4\ne5\ne6\n"
 
 
 class TestRepeatedMain:

@@ -104,6 +104,16 @@ MALFORMED = [
         {**AB, "arrows": [F], "compositions": [{"f": "f", "g": "f", "result": "id:c"}]},
         "compositions[0]: unknown arrow 'id:c'",
     ),
+    # JSON admits an escaped lone surrogate, which no output can encode
+    ({"mode": "thin", "objects": ["a", "\ud800"]}, "id '\\ud800' is not Unicode text: it holds a lone surrogate"),
+    (
+        {"mode": "thin", "objects": ["a", "b"], "arrows": [{"id": "e\udc80", "dom": "a", "cod": "b"}]},
+        "id 'e\\udc80' is not Unicode text: it holds a lone surrogate",
+    ),
+    (
+        {**AB, "arrows": [F, {"id": "\udfff", "dom": "a", "cod": "b"}]},
+        "id '\\udfff' is not Unicode text: it holds a lone surrogate",
+    ),
 ]
 
 
@@ -112,6 +122,14 @@ def test_parse_error_messages(data, message):
     with pytest.raises(ParseError) as info:
         parse_document(json.dumps(data))
     assert str(info.value) == message
+
+
+def test_escaped_surrogate_pair_loads():
+    # "\ud83d\ude00" in JSON is one character, U+1F600
+    text = doc(mode="free", objects=["a", "b"], arrows=[{"id": "\U0001f600", "dom": "a", "cod": "b"}])
+    assert '"\\ud83d\\ude00"' in text
+    assert parse_document(text).arrows == [("\U0001f600", "a", "b")]
+    assert load_category(text).vectors == ("\U0001f600",)
 
 
 def _parsed_or_error(parse, text):

@@ -9,7 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from catgeo import Arrow, Blade2, CategoryDocument, CliffordReport, IntervalArrow, Multivector, Violation
+from catgeo import (
+    ZERO,
+    Arrow,
+    Blade2,
+    CategoryDocument,
+    CliffordReport,
+    IntervalArrow,
+    Multivector,
+    Violation,
+    builtin_category,
+)
 
 
 class TestArrow:
@@ -50,6 +60,28 @@ class TestViolation:
         assert Violation("unit", "x") != Violation("unit", "y")
         assert Violation("unit", "x") != Violation("closure", "x")
         assert hash(Violation("unit", "x")) == hash(Violation("unit", "x"))
+
+
+class TestFiniteCategory:
+    def test_repr(self):
+        assert repr(builtin_category("po6")) == "FiniteCategory(mode='thin', objects=6, arrows=19)"
+        assert repr(builtin_category("path3")) == "FiniteCategory(mode='free', objects=3, arrows=6)"
+
+
+def test_zero_vector_repr():
+    assert repr(ZERO) == "O"
+
+
+class TestMultivector:
+    def test_hash_follows_equality(self):
+        b = Blade2("e1", "e2")
+        assert hash(Multivector(3, {b: -1})) == hash(Multivector(3, {Blade2("e1", "e2"): -1, Blade2("e1", "e3"): 0}))
+        assert len({Multivector(3, {b: -1}), Multivector(3, {b: -1}), Multivector(3), Multivector(3, {b: 1})}) == 3
+
+    def test_unequal_to_other_types(self):
+        assert Multivector(4) != 4
+        assert not Multivector(4) == 4
+        assert Multivector(0) != (0, {})
 
 
 class TestBlade2:
@@ -139,3 +171,17 @@ class TestCategoryDocument:
     def test_fields(self):
         doc = CategoryDocument("free", ["x", "y"], [("p", "x", "y")])
         assert (doc.mode, doc.objects, doc.arrows) == ("free", ["x", "y"], [("p", "x", "y")])
+
+    def test_repr(self):
+        doc = CategoryDocument("explicit", ["a"], [("e", "a", "a")], [("e", "e", "e")])
+        assert repr(doc) == (
+            "CategoryDocument(mode='explicit', objects=['a'], arrows=[('e', 'a', 'a')], compositions=[('e', 'e', 'e')])"
+        )
+        empty = CategoryDocument("thin", ["a"], [])
+        assert repr(empty) == "CategoryDocument(mode='thin', objects=['a'], arrows=[], compositions=[])"
+
+    def test_unequal_to_other_types(self):
+        doc = CategoryDocument("thin", ["a"], [])
+        assert doc != ("thin", ["a"], [], [])
+        assert not doc == ("thin", ["a"], [], [])
+        assert doc != 0
