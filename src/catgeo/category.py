@@ -8,12 +8,12 @@ identification.
 
 Only explicit categories store their table, as a dict.  Thin and free
 categories compose by rule: their table is a read-only Mapping that
-computes each entry from the arrows when it is looked up.  In a thin
-category g∘f is the one arrow dom f → cod g, found in the map from object
-pairs to arrow ids that build_thin makes; in a free category it is the
-path named "g∘f" (or f or g itself when the other is an identity).  The
-builders of these two modes also record the atomic basis, which they know
-from the presentation.
+computes each entry when it is looked up.  Both apply the unit law first
+(g∘f is f or g itself when the other is an identity); otherwise g∘f is,
+in a thin category, the one arrow dom f → cod g, read from build_thin's
+map of object pairs to non-identity arrow ids, and in a free category
+the path named "g∘f".  The builders of these two modes also record the
+atomic basis, which they know from the presentation.
 
 Each category also keeps two indexes, built once when it is made.
 `out_arrows` maps every object to the tuple of arrows leaving it,
@@ -28,7 +28,7 @@ basis, the norms, the products and the distance all walk in that order.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import CatGeoError, CyclicGraph, NontrivialCycle, NotComposable, ParseError, UnknownArrow
@@ -124,13 +124,13 @@ class FiniteCategory:
 class _RuleTable(Mapping):
     """A read-only composition table that composes by rule.
 
-    Its keys are the composable pairs, f in arrow order and then g in
-    arrow order.  `[]` is its one lookup: in a thin category g∘f is the
-    one arrow dom f → cod g, read from the map of (dom, cod) pairs to
-    arrow ids that build_thin made; in a free one (no map) it is the path
-    "g∘f", or f or g itself when the other is an identity.  `[]` raises
-    KeyError for a key that is not a composable pair of arrow ids, so the
-    `get` and `in` that Mapping derives from it answer None and False.
+    Its keys are the composable pairs, f and then g in arrow order.  `[]`
+    is its one lookup.  It applies the unit law first in both modes (g∘f
+    is f or g itself when the other is an identity); otherwise g∘f is the
+    one arrow dom f → cod g in build_thin's map of (dom, cod) pairs to
+    non-identity arrow ids, or, in a free category (no map), the path
+    "g∘f".  `[]` raises KeyError for a key that is not a composable pair
+    of arrow ids, so Mapping's derived `get` and `in` answer None and False.
     """
 
     __slots__ = ("_arrows", "_out", "_between")
@@ -151,13 +151,13 @@ class _RuleTable(Mapping):
             raise KeyError(key) from None
         if a.cod != b.dom:
             raise KeyError(key)
-        between = self._between
-        if between is not None:
-            return between[a.dom, b.cod]
         if a.is_identity:
             return b.id
         if b.is_identity:
             return a.id
+        between = self._between
+        if between is not None:
+            return between[a.dom, b.cod]
         return arrows[b.id + PATH_SEP + a.id].id
 
     def __iter__(self):
@@ -262,7 +262,7 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
         if total > MAX_FREE_PATHS:
             raise CatGeoError("thin category would have more than %d arrows" % MAX_FREE_PATHS)
 
-    # between[a, b]: the id of the one arrow a -> b, which the table reads
+    # between[a, b]: the one non-identity arrow a -> b, which the table reads
     between: dict[tuple[str, str], str] = {}
     for gid, dom, cod in generators:
         if (dom, cod) in between:
@@ -274,8 +274,6 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
 
     used = set(between.values())
     arrows = _identities(objects)
-    for unit in arrows:
-        between[unit.dom, unit.cod] = unit.id
     for a in objects:
         for b in sorted(reach[a]):
             aid = between.get((a, b))
@@ -356,19 +354,19 @@ def build_explicit(
     """Assemble a category verbatim from a full non-identity composition table.
 
     `compositions` maps (f, g) to g∘f and must cover exactly the composable
-    non-identity pairs; identity entries are filled in by the unit law.
-    The result is not validated here; run validate_axioms separately.
+    non-identity pairs; the category's copy of it is the table, completed by
+    the unit law.  Not validated here; run validate_axioms separately.
     """
     _check_presentation(objects, arrows)
     all_arrows = _identities(objects) + [Arrow(aid, dom, cod) for aid, dom, cod in arrows]
-    table = dict(compositions)
+    category = FiniteCategory(objects, all_arrows, compositions, "explicit")
+    table = category.table
     for a in all_arrows:  # the unit-law entries, identities included
         table[(IDENTITY_PREFIX + a.dom, a.id)] = a.id  # a ∘ id_dom(a)
         table[(a.id, IDENTITY_PREFIX + a.cod)] = a.id  # id_cod(a) ∘ a
-    category = FiniteCategory(objects, all_arrows, table, "explicit")
 
-    leaving = {o: [g.id for g in out if not g.is_identity] for o, out in category.out_arrows.items()}
-    required = {(f, g) for f in category.vectors for g in leaving[category.arrows[f].cod]}
+    out = category.out_arrows
+    required = {(f, g.id) for f in category.vectors for g in out[category.arrows[f].cod] if not g.is_identity}
     if compositions.keys() != required:
         extra = compositions.keys() - required
         if extra:
@@ -460,9 +458,7 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     # (k∘g)∘f and k∘(g∘f) both lie in hom(dom f, cod k).  Neither is checked.
     prune = not violations
     if prune:
-        count: dict[tuple[str, str], int] = {}
-        for a in arrows.values():
-            count[a.dom, a.cod] = count.get((a.dom, a.cod), 0) + 1
+        count = Counter((a.dom, a.cod) for a in arrows.values())
         multi: dict[str, set[str]] = {}  # o -> the c with several arrows o -> c
         for (o, c), n in count.items():
             if n > 1:

@@ -27,7 +27,7 @@ from .category import FiniteCategory
 from .documents import builtin_document, builtin_names, load_category
 from .errors import AxiomViolation, CatGeoError, ParseError
 from .geometry import Multivector, anticommutator_table, clifford_report, format_terms, geometric, is_parallel
-from .render import embedding_to_json, export_dot, export_embedding
+from .render import export_dot, export_embedding
 from .vectors import atomic_basis, compute_norms
 
 USAGE_EXIT = 1
@@ -122,8 +122,8 @@ def _blades_json(terms, quoted, norms) -> str:
 def _write_table_json(rows, norms: dict[str, int]) -> None:
     """Write {"entries": [...]} for anticommutator_table rows to stdout.
 
-    `rows` are grouped by f, and `norms` gives the length of every id in
-    them.  The text is byte for byte what _emit_json
+    `rows`, a list or an iterator, are grouped by f, and `norms` gives the
+    length of every id in them.  The text is byte for byte what _emit_json
     gives for the entry dicts (f, g and _terms_dict of the row), but each
     id is quoted once with the stdlib's C quoter and each integer is
     formatted with %d, instead of running the pure-Python indenting
@@ -134,13 +134,10 @@ def _write_table_json(rows, norms: dict[str, int]) -> None:
     document is never one string.
     """
     write = sys.stdout.write
-    if not rows:
-        write('{\n  "entries": []\n}\n')
-        return
     quoted = {v: encode_basestring(v) for v in norms}
     tails = {v: q + _ROW_END for v, q in quoted.items()}
-    write('{\n  "entries": [\n')
-    separator = ""
+    write('{\n  "entries": [')
+    separator = "\n"
     for f, group in itertools.groupby(rows, key=itemgetter(0)):
         quoted_f = quoted[f]
         zero = _ZERO_ROW_HEAD + quoted_f + _ZERO_ROW_MIDDLE
@@ -154,7 +151,7 @@ def _write_table_json(rows, norms: dict[str, int]) -> None:
         )
         write(separator + chunk)
         separator = ",\n"
-    write("\n  ]\n}\n")
+    write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")  # no chunk: the stdlib's "[]"
 
 
 def cmd_validate(args) -> int:
@@ -270,7 +267,7 @@ def cmd_embed(args) -> int:
     category = _load(args.file)
     embedding = export_embedding(category)
     if args.json:
-        print(embedding_to_json(embedding))
+        _emit_json({"points": embedding.points, "arcs": embedding.arcs})
     else:
         for obj in category.objects:
             x, y, z = embedding.points[obj]
@@ -429,8 +426,9 @@ def main(argv=None) -> int:
         print("catgeo: error: %s" % exc, file=sys.stderr)
         return SEMANTIC_EXIT
     except BrokenPipeError:  # fd 1 goes to devnull, so the flush at exit cannot fail again
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except OSError as exc:
         print("catgeo: %s" % exc, file=sys.stderr)

@@ -9,7 +9,6 @@ and ordering, never on the arrow structure.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from collections.abc import Iterable
@@ -49,14 +48,6 @@ def export_embedding(category: FiniteCategory) -> Embedding:
         polyline.append((x1, y1, 0.0))
         arcs[arrow_id] = polyline
     return Embedding(points, arcs)
-
-
-def embedding_to_json(embedding: Embedding) -> str:
-    data = {
-        "points": {obj: list(p) for obj, p in embedding.points.items()},
-        "arcs": {aid: [list(p) for p in line] for aid, line in embedding.arcs.items()},
-    }
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 def export_dot(

@@ -367,6 +367,11 @@ class TestTableWriter:
                     rows.append((f, g, 0, ((min(f, g), max(f, g), 1 if f < g else -1),)))
         assert _table_json(rows, norms) == _dumps_entries(rows, norms)
         assert _table_json(iter(rows), norms) == _dumps_entries(rows, norms)
+        assert _table_json(iter([]), {}) == _dumps_entries([], {}) == '{\n  "entries": []\n}\n'
+        po6 = builtin_category("po6")
+        po6_norms = compute_norms(po6, atomic_basis(po6))
+        po6_rows = anticommutator_table(po6, po6_norms)
+        assert _table_json(iter(po6_rows), po6_norms) == _table_json(po6_rows, po6_norms)
         cat = build_free(["x", "y", "z"], [("%s", "x", "y"), ("%%", "y", "z"), ('"', "x", "y"), ("\\", "y", "z"), ("é%", "x", "z")])
         norms = compute_norms(cat, atomic_basis(cat))
         rows = anticommutator_table(cat, norms)
@@ -491,7 +496,9 @@ class TestErrors:
         doc = tmp_path / "chain.json"
         doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}))
         env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
-        argv = [sys.executable, "-m", "catgeo.cli", "table", str(doc), *json_flag]
+        # a text stream opened without an encoding would fail the run
+        warnings = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        argv = [sys.executable, *warnings, "-m", "catgeo.cli", "table", str(doc), *json_flag]
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -655,6 +662,30 @@ def test_import_loads_neither_dataclasses_nor_typing():
     code = "import catgeo.cli, sys; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_cli_imports_no_dataclasses_typing_or_inspect():
+    # README promises the CLI loads nothing it does not use; src goes first
+    # on sys.path, so this checkout's catgeo is the one imported
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import catgeo.cli; "
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(Path(catgeo.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert (proc.stdout, proc.stderr) == ("[]\n", "")
+
+
+_SUBCOMMANDS = ("validate", "basis", "norms", "table", "clifford", "embed", "dot", "product", "example", "interval")
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in _SUBCOMMANDS])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: catgeo", *argv[:-1], "[-h]"]))
 
 
 def test_runs_as_main_module(capsys, monkeypatch, po6_file):
