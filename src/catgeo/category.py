@@ -205,13 +205,17 @@ def _identities(objects) -> list[Arrow]:
     return [Arrow(IDENTITY_PREFIX + o, o, o, is_identity=True) for o in objects]
 
 
-def _dag_order(objects, out_edges, cycle_error) -> list[str]:
-    """The objects, every edge's target before its source.
+def _generator_graph(objects, generators, cycle_error):
+    """(out_edges, order): each object's (generator id, target) list, and
+    the objects with every edge's target before its source.
 
-    A three-colour DFS over the (edge id, target) lists of `out_edges`,
-    with an explicit stack of out-edge iterators so that long chains cannot
-    exhaust the interpreter stack; raises `cycle_error` on a directed cycle.
+    The order is a three-colour DFS with an explicit stack of out-edge
+    iterators, so that long chains cannot exhaust the interpreter stack;
+    raises `cycle_error` on a directed cycle.
     """
+    out_edges: dict[str, list[tuple[str, str]]] = {o: [] for o in objects}
+    for gid, dom, cod in generators:
+        out_edges[dom].append((gid, cod))
     state = {o: 0 for o in objects}  # 0 unseen, 1 active, 2 done
     order = []
     for root in objects:
@@ -232,7 +236,7 @@ def _dag_order(objects, out_edges, cycle_error) -> list[str]:
                 state[node] = 2
                 order.append(node)
                 stack.pop()
-    return order
+    return out_edges, order
 
 
 def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]]) -> FiniteCategory:
@@ -246,14 +250,12 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     share an ordered object pair or a derived name is already an arrow id.
     """
     _check_presentation(objects, generators)
-    out_edges: dict[str, list[tuple[str, str]]] = {o: [] for o in objects}
-    for gid, dom, cod in generators:
-        out_edges[dom].append((gid, cod))
+    out_edges, order = _generator_graph(objects, generators, NontrivialCycle)
 
     # reach[a]: the objects a nonempty path from a ends at
     reach: dict[str, set[str]] = {}
     total = 0
-    for node in _dag_order(objects, out_edges, NontrivialCycle):
+    for node in order:
         ends = reach[node] = set()
         for _, nxt in out_edges[node]:
             ends.add(nxt)
@@ -309,11 +311,7 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     for gid, _, _ in generators:
         if PATH_SEP in gid:
             raise ParseError("generator id %r contains the reserved separator" % gid)
-
-    out_edges: dict[str, list[tuple[str, str]]] = {o: [] for o in objects}
-    for gid, dom, cod in generators:
-        out_edges[dom].append((gid, cod))
-    order = _dag_order(objects, out_edges, CyclicGraph)
+    out_edges, order = _generator_graph(objects, generators, CyclicGraph)
 
     # count the nonempty paths before enumerating them: paths from an
     # object are its out-edges, each extended by the paths from its target

@@ -309,53 +309,46 @@ def _interval(lo: str, hi: str) -> realline.IntervalArrow:
     return realline.interval(*ends)
 
 
-def _interval_text(command, result, as_json) -> str:
-    """What `interval <command>` prints for its result: the norm, the sum,
-    or the products of both orders."""
+def cmd_interval(args) -> int:
+    command, ends = args.interval_command, args.args
+    expected = 2 if command == "norm" else 4
+    if len(ends) != expected:
+        print("catgeo: interval %s takes %d endpoint arguments" % (command, expected), file=sys.stderr)
+        return USAGE_EXIT
+    f = _interval(ends[0], ends[1])
+    g = _interval(ends[2], ends[3]) if command != "norm" else None
     endpoint = realline.format_endpoint
-    if command == "norm":
-        return _json_text({"norm": endpoint(result)}) if as_json else endpoint(result)
-    if command == "add":
-        return _json_text({"lo": endpoint(result.lo), "hi": endpoint(result.hi)}) if as_json else repr(result)
-    (inner_fg, outer_fg, geom_fg), (inner_gf, _, geom_gf) = result
-    anticommutator_fg = geom_fg + geom_gf
-    if as_json:
-        return _json_text(
-            {
-                "inner_fg": endpoint(inner_fg),
-                "inner_gf": endpoint(inner_gf),
+    try:
+        if command == "norm":
+            norm = endpoint(realline.interval_norm(f))
+            data, text = {"norm": norm}, norm
+        elif command == "add":
+            total = realline.interval_add(f, g)
+            lo, hi = endpoint(total.lo), endpoint(total.hi)
+            data, text = {"lo": lo, "hi": hi}, "(%s, %s)" % (lo, hi)
+        else:
+            inner_fg, outer_fg, geom_fg = realline.interval_products(f, g)
+            inner_gf, _, geom_gf = realline.interval_products(g, f)
+            anticommutator_fg = geom_fg + geom_gf
+            inner_fg, inner_gf = endpoint(inner_fg), endpoint(inner_gf)
+            data = {
+                "inner_fg": inner_fg,
+                "inner_gf": inner_gf,
                 "outer_fg": _multivector_dict(outer_fg),
                 "geometric_fg": _multivector_dict(geom_fg),
                 "anticommutator": _multivector_dict(anticommutator_fg),
             }
-        )
-    return "\n".join(
-        (
-            "inner fg = %s" % endpoint(inner_fg),
-            "inner gf = %s" % endpoint(inner_gf),
-            "outer: %r" % outer_fg,
-            "geometric fg: %r" % geom_fg,
-            "anticommutator: %r" % anticommutator_fg,
-        )
-    )
-
-
-def cmd_interval(args) -> int:
-    ends = args.args
-    expected = 2 if args.interval_command == "norm" else 4
-    if len(ends) != expected:
-        print("catgeo: interval %s takes %d endpoint arguments" % (args.interval_command, expected), file=sys.stderr)
-        return USAGE_EXIT
-    if args.interval_command == "norm":
-        result = realline.interval_norm(_interval(ends[0], ends[1]))
-    else:
-        f, g = _interval(ends[0], ends[1]), _interval(ends[2], ends[3])
-        if args.interval_command == "add":
-            result = realline.interval_add(f, g)
-        else:
-            result = realline.interval_products(f, g), realline.interval_products(g, f)
-    try:
-        text = _interval_text(args.interval_command, result, args.json)
+            text = "\n".join(
+                (
+                    "inner fg = %s" % inner_fg,
+                    "inner gf = %s" % inner_gf,
+                    "outer: %r" % outer_fg,
+                    "geometric fg: %r" % geom_fg,
+                    "anticommutator: %r" % anticommutator_fg,
+                )
+            )
+        if args.json:
+            text = _json_text(data)
     except ValueError:  # str() refuses an integer beyond sys.get_int_max_str_digits()
         raise CatGeoError(
             "result has more than %d digits, the limit sys.get_int_max_str_digits() sets on printing a number"

@@ -79,7 +79,7 @@ def parse_document(text: str) -> CategoryDocument:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond sys.get_int_max_str_digits()
         raise ParseError("invalid JSON: %s" % exc) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None

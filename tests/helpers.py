@@ -327,7 +327,7 @@ def oracle_parse_document(text: str) -> CategoryDocument:
     parse_document must return an equal document or raise the same text."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond sys.get_int_max_str_digits()
         raise ParseError("invalid JSON: %s" % exc) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None

@@ -31,7 +31,7 @@ from helpers import closed_form_anticommutator
 @pytest.fixture()
 def po6_file(tmp_path):
     path = tmp_path / "po6.json"
-    path.write_text(builtin_document("po6"))
+    path.write_text(builtin_document("po6"), encoding="utf-8")
     return str(path)
 
 
@@ -70,7 +70,8 @@ class TestValidate:
                     ],
                     "compositions": [{"f": "f", "g": "g", "result": "f"}],
                 }
-            )
+            ),
+            encoding="utf-8",
         )
         status, out, _ = run(capsys, "validate", str(bad))
         assert status == 2
@@ -92,7 +93,7 @@ class TestValidate:
         else:
             text = builtin_document(name)
         path = tmp_path / "doc.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         counted = []
         for module in (catgeo.cli, catgeo.documents):
             if hasattr(module, "validate_axioms"):
@@ -111,7 +112,8 @@ class TestValidate:
         arrows = [("a", "o", "o"), ("b", "o", "o")]
         path = tmp_path / "c3.json"
         path.write_text(
-            document_to_json(CategoryDocument("explicit", ["o"], arrows, [(f, g, r) for (f, g), r in table.items()]))
+            document_to_json(CategoryDocument("explicit", ["o"], arrows, [(f, g, r) for (f, g), r in table.items()])),
+            encoding="utf-8",
         )
         expected = validate_axioms(build_explicit(["o"], arrows, table))
         assert len(expected) == 6
@@ -166,7 +168,7 @@ class TestOutputs:
 
     def test_table_json_of_one_object(self, capsys, tmp_path):
         doc = tmp_path / "point.json"
-        doc.write_text(json.dumps({"mode": "thin", "objects": ["a"], "arrows": []}))
+        doc.write_text(json.dumps({"mode": "thin", "objects": ["a"], "arrows": []}), encoding="utf-8")
         assert run(capsys, "table", str(doc), "--json") == (0, '{\n  "entries": []\n}\n', "")
 
     def test_table_entries_match_closed_form(self, capsys, po6_file):
@@ -241,7 +243,7 @@ class TestExample:
         target = tmp_path / "cat.json"
         status, _, _ = run(capsys, "example", "po6", "--out", str(target))
         assert status == 0
-        assert json.loads(target.read_text())["mode"] == "thin"
+        assert json.loads(target.read_text(encoding="utf-8"))["mode"] == "thin"
 
     def test_unknown_example(self, capsys):
         status, _, err = run(capsys, "example", "nope")
@@ -404,7 +406,8 @@ class TestErrors:
                     "objects": ["x", "y", "z"],
                     "arrows": [{"id": "x->z", "dom": "x", "cod": "y"}, {"id": "g2", "dom": "y", "cod": "z"}],
                 }
-            )
+            ),
+            encoding="utf-8",
         )
         for command in ("validate", "norms", "clifford"):
             status, out, err = run(capsys, command, str(doc))
@@ -416,7 +419,7 @@ class TestErrors:
         objects = ["o%d" % i for i in range(n)]
         arrows = [{"id": "g%d" % i, "dom": objects[i], "cod": objects[i + 1]} for i in range(n - 1)]
         doc = tmp_path / "chain.json"
-        doc.write_text(json.dumps({"mode": "free", "objects": objects, "arrows": arrows}))
+        doc.write_text(json.dumps({"mode": "free", "objects": objects, "arrows": arrows}), encoding="utf-8")
         status, out, err = run(capsys, "norms", str(doc))
         assert (status, out) == (2, "")
         assert err.startswith("catgeo: error:") and str(n * (n - 1) // 2) in err
@@ -427,7 +430,7 @@ class TestErrors:
         objects = ["o%d" % i for i in range(1100)]
         arrows = [{"id": "g%d" % i, "dom": a, "cod": b} for i, (a, b) in enumerate(zip(objects, objects[1:]))]
         doc = tmp_path / "chain.json"
-        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}))
+        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}), encoding="utf-8")
         status, out, err = run(capsys, "norms", str(doc))
         assert (status, out, err) == (2, "", "catgeo: error: thin category would have more than 20000 arrows\n")
 
@@ -439,7 +442,7 @@ class TestErrors:
         objects = ["o%d" % i for i in range(n)]
         arrows = [{"id": "g%d" % i, "dom": a, "cod": b} for i, (a, b) in enumerate(zip(objects, objects[1:]))]
         doc = tmp_path / "chain.json"
-        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}))
+        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
         # a fresh parent process, so that its RUSAGE_CHILDREN peak (in KiB
         # on Linux) is that of the one catgeo run and of no earlier child
@@ -453,7 +456,7 @@ class TestErrors:
         outputs = {}
         for command in ("norms", "basis"):
             argv = [sys.executable, "-c", code, sys.executable, "-m", "catgeo.cli", command, "--json", str(doc)]
-            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            proc = subprocess.run(argv, capture_output=True, text=True, encoding="utf-8", env=env)
             assert proc.returncode == 0, proc.stderr
             peak_kib, out = proc.stdout.split("\n", 1)
             assert int(peak_kib) < 40 * 1024, "%s peaked at %s KiB" % (command, peak_kib)
@@ -477,7 +480,8 @@ class TestErrors:
                     "arrows": [{"id": "a", "dom": "o", "cod": "o"}, {"id": "b", "dom": "o", "cod": "o"}],
                     "compositions": [{"f": f, "g": g, "result": result} for f, g, result in compositions],
                 }
-            )
+            ),
+            encoding="utf-8",
         )
         for argv in (["norms"], ["norms", "--json"], ["clifford"], ["table"], ["table", "--json"], ["dot"]):
             status, out, err = run(capsys, *argv, str(doc))
@@ -494,7 +498,7 @@ class TestErrors:
         objects = ["o%d" % i for i in range(40)]
         arrows = [{"id": "g%d" % i, "dom": a, "cod": b} for i, (a, b) in enumerate(zip(objects, objects[1:]))]
         doc = tmp_path / "chain.json"
-        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}))
+        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
         # a text stream opened without an encoding would fail the run
         warnings = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
@@ -509,7 +513,7 @@ class TestErrors:
     def test_closed_pipe_sends_fd_1_to_devnull(self, capsys, monkeypatch, po6_file, tmp_path):
         # in process, a stand-in stdout whose fd is a temp file's, so the
         # dup2 of the branch never touches this process's own fd 1
-        with open(tmp_path / "stdout", "w") as stand_in_fd:
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as stand_in_fd:
 
             class ClosedPipe:
                 def write(self, text):
@@ -533,13 +537,17 @@ class TestErrors:
 
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{broken")
+        bad.write_text("{broken", encoding="utf-8")
         status, _, err = run(capsys, "validate", str(bad))
         assert status == 1
 
     @pytest.mark.parametrize(
         "content, message",
-        [(b"[" * 200000, "nested too deeply"), (b'{"mode": "thin", "objects": ["\xff"]}', "not valid UTF-8")],
+        [
+            (b"[" * 200000, "nested too deeply"),
+            (b'{"mode": "thin", "objects": ["\xff"]}', "not valid UTF-8"),
+            (b'{"mode": "thin", "objects": ["a"], "n": ' + b"1" * 4301 + b"}", "invalid JSON"),
+        ],
     )
     def test_malformed_document_is_a_parse_error(self, capsys, tmp_path, content, message):
         bad = tmp_path / "bad.json"
@@ -574,7 +582,7 @@ class TestErrors:
         # (exit 2), and basis, norms and table --json write bytes that are
         # not UTF-8
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data), encoding="utf-8")
         expected = (1, "", "catgeo: parse error: id %s is not Unicode text: it holds a lone surrogate\n" % name)
         for command in ("validate", "basis", "norms", "table", "clifford", "embed", "dot", "product"):
             argv = [command, str(path)] + (["a", "b"] if command == "product" else [])
@@ -606,7 +614,7 @@ class TestErrors:
     )
     def test_presentation_refused_on_load_exits_1(self, capsys, tmp_path, data, message):
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data), encoding="utf-8")
         assert run(capsys, "validate", str(path)) == (1, "", "catgeo: parse error: %s\n" % message)
 
     def test_stdin_not_utf8_is_a_parse_error(self, capsys, monkeypatch):
@@ -655,15 +663,6 @@ class TestErrors:
         )
 
 
-def test_import_loads_neither_dataclasses_nor_typing():
-    # every cold start pays for what the CLI imports; -S keeps site hooks,
-    # which may import typing themselves, out of the measurement
-    env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
-    code = "import catgeo.cli, sys; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout == "[]\n"
-
-
 def test_cli_imports_no_dataclasses_typing_or_inspect():
     # README promises the CLI loads nothing it does not use; src goes first
     # on sys.path, so this checkout's catgeo is the one imported
@@ -672,7 +671,9 @@ def test_cli_imports_no_dataclasses_typing_or_inspect():
         "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
     )
     src = str(Path(catgeo.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, encoding="utf-8", check=True
+    )
     assert (proc.stdout, proc.stderr) == ("[]\n", "")
 
 
@@ -707,7 +708,12 @@ class TestRepeatedMain:
         fresh = []
         for argv in commands:
             proc = subprocess.run(
-                [sys.executable, "-m", "catgeo.cli", *argv], capture_output=True, text=True, env=env, check=False
+                [sys.executable, "-m", "catgeo.cli", *argv],
+                capture_output=True,
+                text=True,
+                encoding="utf-8",
+                env=env,
+                check=False,
             )
             fresh.append((proc.returncode, proc.stdout, proc.stderr))
         assert fresh[0][0] == 1 and "unrecognized arguments: --bogus" in fresh[0][2]

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -58,6 +59,13 @@ class TestParseDocument:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parse_document("{not json")
+
+    def test_integer_too_long_to_read(self):
+        # json.loads raises a plain ValueError for such an integer, even
+        # in a key catgeo ignores; json.dumps cannot write one, so raw text
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_document('{"mode": "thin", "objects": ["a"], "n": %s}' % digits)
 
     def test_deep_nesting(self):
         with pytest.raises(ParseError, match="nested too deeply"):

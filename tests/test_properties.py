@@ -11,6 +11,7 @@ from catgeo import (
     Arrow,
     CyclicGraph,
     FiniteCategory,
+    NoDifference,
     NontrivialCycle,
     ParseError,
     anticommutator,
@@ -238,6 +239,37 @@ def test_triangle_inequality(cat):
             if cat.arrows[f].cod == cat.arrows[g].dom:
                 composite = cat.table[(f, g)]
                 assert norms[composite] <= norms[f] + norms[g]
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_categories())
+def test_free_norm_is_additive(cat):
+    # a free arrow is one path, and its norm is the path's length
+    norms = compute_norms(cat, atomic_basis(cat))
+    for f in cat.vectors:
+        for g in cat.vectors:
+            if cat.arrows[f].cod == cat.arrows[g].dom:
+                assert norms[vec_add(cat, f, g)] == norms[f] + norms[g]
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories)
+def test_distance_triangle_inequality(cat):
+    # f = g (+) l1 and g = h (+) l2 give f = h (+) (l2 (+) l1), and the norm
+    # is subadditive
+    norms = compute_norms(cat, atomic_basis(cat))
+    vectors = cat.vectors
+    d = {}
+    for f in vectors:
+        for g in vectors:
+            try:
+                d[f, g] = distance(cat, norms, f, g)
+            except NoDifference:
+                pass
+    for (f, g), fg in d.items():
+        for h in vectors:
+            if (g, h) in d:
+                assert (f, h) in d and d[f, h] <= fg + d[g, h]
 
 
 @settings(max_examples=40, deadline=None)

@@ -136,6 +136,12 @@ class TestNorms:
                 if po6.arrows[f].cod == po6.arrows[g].dom:
                     assert po6_norms[po6.table[(f, g)]] <= po6_norms[f] + po6_norms[g]
 
+    def test_thin_norm_is_not_additive(self, po6, po6_norms):
+        # e1 then a1->a4 is a0->a4, which the generator e2 then e4 also
+        # factors in two steps: ||e1 (+) a1->a4|| = 2 < 1 + 2
+        assert vec_add(po6, "e1", "a1->a4") == "a0->a4"
+        assert (po6_norms["e1"], po6_norms["a1->a4"], po6_norms["a0->a4"]) == (1, 2, 2)
+
     def test_bfs_matches_brute_force(self, po6, po6_norms):
         basis = atomic_basis(po6)
         expected = oracle_norms(po6, basis, len(po6.vectors))
