@@ -242,7 +242,8 @@ def _generator_graph(objects, generators, cycle_error):
 def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]]) -> FiniteCategory:
     """Thin category: one arrow a→b per nonempty generator path, a != b.
 
-    The objects each reach are collected targets first, in one DAG order.
+    The objects each object reaches and its atomic generators are found
+    in one pass, targets first, in one DAG order.
     Generator arrows keep their given ids; derived arrows are named
     "<dom>-><cod>".  Raises NontrivialCycle when the generator graph has a
     directed cycle, CatGeoError when the category would have more than
@@ -252,15 +253,18 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     _check_presentation(objects, generators)
     out_edges, order = _generator_graph(objects, generators, NontrivialCycle)
 
-    # reach[a]: the objects a nonempty path from a ends at
+    # reach[a]: the objects a nonempty path from a ends at; a generator
+    # a -> b is atomic unless b lies beyond another generator a -> c, and
+    # every derived arrow is a composite
     reach: dict[str, set[str]] = {}
+    basis = []
     total = 0
     for node in order:
-        ends = reach[node] = set()
-        for _, nxt in out_edges[node]:
-            ends.add(nxt)
-            ends |= reach[nxt]
-        total += len(ends)
+        edges = out_edges[node]
+        beyond = set().union(*[reach[nxt] for _, nxt in edges])
+        basis += [gid for gid, nxt in edges if nxt not in beyond]
+        reach[node] = beyond | {nxt for _, nxt in edges}
+        total += len(reach[node])
         if total > MAX_FREE_PATHS:
             raise CatGeoError("thin category would have more than %d arrows" % MAX_FREE_PATHS)
 
@@ -285,13 +289,6 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
                     raise ParseError("derived arrow %s -> %s would be named %r, which is already taken" % (a, b, aid))
                 used.add(aid)
             arrows.append(Arrow(aid, a, b))
-
-    # a generator a -> b is atomic unless b lies beyond another generator
-    # a -> c; every derived arrow is a composite
-    basis = []
-    for a in objects:
-        beyond = set().union(*(reach[c] for _, c in out_edges[a]))
-        basis += [gid for gid, b in out_edges[a] if b not in beyond]
     category = FiniteCategory(objects, arrows, {}, "thin", tuple(sorted(basis)))
     category.table = _RuleTable(category, between)
     return category

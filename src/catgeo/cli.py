@@ -1,4 +1,4 @@
-"""Command-line surface.
+"""Build a finite category from a document and compute its arrow algebra.
 
 Exit status: 0 success, 1 usage or parse error, 2 semantic error
 (axiom violation, ungenerated arrows, unknown arrow, builder rejection,
@@ -6,8 +6,6 @@ an interval result with more digits than sys.get_int_max_str_digits()),
 and 0, silently, when the reader closes stdout early (`| head -1`).
 
 --json output is indented by 2 with sorted keys and non-ASCII text kept.
-`table --json`, which grows with the square of the arrow count, is
-written row by row, one write per arrow f, never as one string.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from . import realline
 from .category import FiniteCategory
 from .documents import builtin_document, builtin_names, load_category
 from .errors import AxiomViolation, CatGeoError, ParseError
-from .geometry import Multivector, anticommutator_table, clifford_report, format_terms, geometric, is_parallel
+from .geometry import Multivector, anticommutator_table, clifford_report, format_terms, geometric
 from .render import export_dot, export_embedding
 from .vectors import atomic_basis, compute_norms
 
@@ -51,18 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _read_file(path: str) -> str:
+def _load(path: str) -> FiniteCategory:
     try:
         if path == "-":  # decoded strictly, as a file is, under any locale
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not valid UTF-8: %s" % ("stdin" if path == "-" else path, exc)) from None
-
-
-def _load(path: str) -> FiniteCategory:
-    return load_category(_read_file(path))
+    return load_category(text)
 
 
 def _terms_dict(scalar, terms, norms: dict[str, int] | None = None) -> dict:
@@ -208,7 +204,7 @@ def cmd_product(args) -> int:
         "inner_fg": geometric_fg.scalar,
         "inner_gf": geometric_gf.scalar,
         "orthogonal": geometric_fg.scalar == 0 and geometric_gf.scalar == 0,
-        "parallel": is_parallel(category, f, g),
+        "parallel": geometric_fg.scalar != 0 and geometric_gf.scalar != 0,
         "outer_fg": _multivector_dict(outer_fg, norms),
         "geometric_fg": _multivector_dict(geometric_fg, norms),
         "geometric_gf": _multivector_dict(geometric_gf, norms),
@@ -358,7 +354,10 @@ def cmd_interval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # building the nine subparsers costs far more than a parse, so one
+    # parser serves every main call in a process
     parser = _Parser(prog="catgeo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -367,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", nargs="?", default="-", help="category document (default: stdin)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(handler=handler)
-        return p
 
     file_command("validate", cmd_validate, "axiom report for a category document")
     file_command("basis", cmd_basis, "atomic basis of the arrow vector space")
@@ -401,15 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # building the nine subparsers costs far more than a parse, so one
-    # parser serves every main call in a process
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -150,6 +150,26 @@ class TestOutputs:
         assert "inner e5.e2 = 0" in out
         assert "orthogonal: true" in out
 
+    def test_product_of_an_arrow_with_itself_is_parallel(self, capsys, po6_file):
+        status, out, _ = run(capsys, "product", po6_file, "e1", "e1")
+        assert status == 0
+        assert "parallel: true" in out
+
+    def test_product_json_of_an_isomorphism_pair_is_parallel(self, capsys, tmp_path):
+        # f: a -> b and g: b -> a compose both ways, to the identities
+        document = {
+            "mode": "explicit",
+            "objects": ["a", "b"],
+            "arrows": [{"id": "f", "dom": "a", "cod": "b"}, {"id": "g", "dom": "b", "cod": "a"}],
+            "compositions": [{"f": "f", "g": "g", "result": "id:a"}, {"f": "g", "g": "f", "result": "id:b"}],
+        }
+        doc = tmp_path / "iso.json"
+        doc.write_text(json.dumps(document), encoding="utf-8")
+        status, out, _ = run(capsys, "product", str(doc), "f", "g", "--json")
+        assert status == 0
+        data = json.loads(out)
+        assert (data["parallel"], data["orthogonal"]) == (True, False)
+
     def test_product_unknown_arrow(self, capsys, po6_file):
         status, _, err = run(capsys, "product", po6_file, "e2", "nope")
         assert status == 2
@@ -548,6 +568,7 @@ class TestErrors:
             (b'{"mode": "thin", "objects": ["\xff"]}', "not valid UTF-8"),
             (b'{"mode": "thin", "objects": ["a"], "n": ' + b"1" * 4301 + b"}", "invalid JSON"),
         ],
+        ids=["nested-too-deeply", "not-utf-8", "integer-too-long"],
     )
     def test_malformed_document_is_a_parse_error(self, capsys, tmp_path, content, message):
         bad = tmp_path / "bad.json"

@@ -20,6 +20,7 @@ from catgeo import (
     is_orthogonal,
     is_parallel,
     outer,
+    vec_add,
 )
 
 from helpers import oracle_clifford_failures
@@ -82,6 +83,20 @@ class TestInner:
                 assert inner(po6, norms, f, g) in (0, norms[f] * norms[g])
 
 
+def test_inner_product_does_not_distribute_over_sum(po6, norms):
+    # (f (+) g)·h = f·h + g·h fails on a thin and on a free category: the
+    # sum's norm enters the left side whole, and f·h is 0 when f does not
+    # end where h starts
+    assert vec_add(po6, "e1", "e3") == H
+    assert inner(po6, norms, H, "e5") == 2
+    assert inner(po6, norms, "e1", "e5") + inner(po6, norms, "e3", "e5") == 1
+    chain = build_free(["x", "y", "z", "w"], [("p", "x", "y"), ("q", "y", "z"), ("r", "z", "w")])
+    chain_norms = compute_norms(chain, atomic_basis(chain))
+    pq = vec_add(chain, "p", "q")
+    assert inner(chain, chain_norms, pq, "r") == 2
+    assert inner(chain, chain_norms, "p", "r") + inner(chain, chain_norms, "q", "r") == 1
+
+
 class TestOrthogonalParallel:
     def test_e4_m_orthogonal(self, po6, norms):
         assert is_orthogonal(po6, norms, "e4", M)
@@ -114,6 +129,8 @@ class TestOrthogonalParallel:
                 assert is_orthogonal(po6, norms, f, g) == is_orthogonal(po6, norms, g, f)
                 assert is_parallel(po6, f, g) == is_parallel(po6, g, f)
                 assert not (is_orthogonal(po6, norms, f, g) and is_parallel(po6, f, g))
+                # `catgeo product` reports parallel as both inner products non-zero
+                assert is_parallel(po6, f, g) == (inner(po6, norms, f, g) != 0 and inner(po6, norms, g, f) != 0)
 
 
 class TestOuter:

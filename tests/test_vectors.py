@@ -172,6 +172,12 @@ class TestDistance:
         with pytest.raises(NoDifference):
             distance(po6, po6_norms, "e1", "e2")
 
+    def test_distance_is_not_symmetric(self, po6, po6_norms):
+        # a0->a3 = e1 (+) e3, but no l gives e1 = a0->a3 (+) l
+        assert distance(po6, po6_norms, "a0->a3", "e1") == 1
+        with pytest.raises(NoDifference):
+            distance(po6, po6_norms, "e1", "a0->a3")
+
     def test_distance_from_zero(self, po6, po6_norms):
         # f = O (+) l forces l = f
         assert distance(po6, po6_norms, "a0->a5", ZERO) == 3
