@@ -21,14 +21,18 @@ dom, cod and norm once and then run the kernel once per unordered pair
 {f, g}, building a Multivector only for what they return: fg = -gf and
 fg + gf are the same for (f, g) as for (g, f), so each pair is computed
 once and reported for both orders.  The table computes fg and gf of every
-pair; the report computes gf only when the scalar of fg is 0, since a
-pair with f·g != 0 is not orthogonal.
+pair and yields its rows one f at a time, keeping the mirrored row of a
+non-zero pair only until it is due, so it holds O(arrows + composable
+pairs) rows, never all n².  The report computes gf only when the scalar
+of fg is 0, since a pair with f·g != 0 is not orthogonal, and tests the
+unpacked kernel values in place: fg = -gf holds when both blades are the
+same and the coefficients cancel.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .category import Arrow, FiniteCategory
 from .vectors import Vector, _check_vector
@@ -180,28 +184,43 @@ def _ends(category: FiniteCategory, norms: dict[str, int]) -> list[tuple]:
     return [(v, arrows[v].dom, arrows[v].cod, norms[v]) for v in category.vectors]
 
 
-def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> list[tuple]:
+def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> Iterator[tuple]:
     """fg + gf for every ordered pair of non-identity arrows, in canonical order.
 
-    One row (f, g, scalar, terms) per pair, with terms as in
+    Yields one row (f, g, scalar, terms) per pair, with terms as in
     Multivector.terms(): the values anticommutator gives, without a
-    Multivector per pair.  fg + gf = gf + fg, so the kernel runs once per
-    unordered pair and the row of (g, f) repeats the values of (f, g).
+    Multivector per pair.  The rows are made and yielded one f at a time.
+    fg + gf = gf + fg, so the kernel runs once for fg and once for gf of
+    each pair with g at or after f; the row of (g, f) repeats that of
+    (f, g), and is kept until g's rows are made only when it is non-zero.
+    Every other row of g before its diagonal is the zero row (0, ()).  A
+    row is non-zero only when the pair composes in some order, so memory
+    is O(arrows + composable pairs).
     """
+    product = _product
     ends = _ends(category, norms)
-    n = len(ends)
-    rows = []
+    ids = category.vectors
+    mirrors = {}  # g -> [(position of f, row of (g, f))] for the f before g
     for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
-        for j, (g, dom_g, cod_g, norm_g) in enumerate(ends):
-            if j < i:
-                _, _, scalar, terms = rows[j * n + i]
-                rows.append((f, g, scalar, terms))
-                continue
-            fg = _product(f, g, cod_f, dom_g, norm_f, norm_g)
-            gf = _product(g, f, cod_g, dom_f, norm_g, norm_f)
-            scalar, blade, c = _add(fg, gf)
-            rows.append((f, g, scalar, () if blade is None else ((blade[0], blade[1], c),)))
-    return rows
+        rows = [(f, g, 0, ()) for g in ids[:i]]
+        for j, row in mirrors.pop(f, ()):
+            rows[j] = row
+        for g, dom_g, cod_g, norm_g in ends[i:]:
+            scalar, blade, c = product(f, g, cod_f, dom_g, norm_f, norm_g)
+            scalar_gf, blade_gf, c_gf = product(g, f, cod_g, dom_f, norm_g, norm_f)
+            scalar += scalar_gf
+            # _add's sum, inline, to save a call per pair
+            if blade is None:
+                terms = () if blade_gf is None else ((blade_gf[0], blade_gf[1], c_gf),)
+            elif blade_gf is None:
+                terms = ((blade[0], blade[1], c),)
+            else:  # both blades are the pair {f, g} in canonical order
+                c += c_gf
+                terms = ((blade[0], blade[1], c),) if c else ()
+            rows.append((f, g, scalar, terms))
+            if (scalar or terms) and g != f:
+                mirrors.setdefault(g, []).append((i, (g, f, scalar, terms)))
+        yield from rows
 
 
 class CliffordReport(namedtuple("CliffordReport", "unit_square_failures anticommutation_failures")):
@@ -234,13 +253,14 @@ def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequ
         if square != (1, None, 0):
             unit_failures.append((e, _as_multivector(*square)))
     anti_failures = []
+    product = _product
     ends = _ends(category, norms)
-    for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
-        for g, dom_g, cod_g, norm_g in ends[i + 1 :]:
-            fg = _product(f, g, cod_f, dom_g, norm_f, norm_g)
-            if fg[0] == 0:
-                gf = _product(g, f, cod_g, dom_f, norm_g, norm_f)
-                if gf[0] == 0 and fg != (0, gf[1], -gf[2]):
+    for i, (f, dom_f, cod_f, norm_f) in enumerate(ends, 1):
+        for g, dom_g, cod_g, norm_g in ends[i:]:
+            scalar, blade, c = product(f, g, cod_f, dom_g, norm_f, norm_g)
+            if not scalar:
+                scalar_gf, blade_gf, c_gf = product(g, f, cod_g, dom_f, norm_g, norm_f)
+                if not scalar_gf and (blade != blade_gf or c != -c_gf):
                     anti_failures += ((f, g), (g, f))
     anti_failures.sort()
     return CliffordReport(unit_failures, anti_failures)

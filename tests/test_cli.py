@@ -353,7 +353,7 @@ class TestTableWriter:
         cat = build_free(objects, [(gid, objects[i], objects[j]) for gid, (i, j) in zip(ids, edges)])
         vectors = cat.vectors
         norms = {v: data.draw(st.integers(min_value=0, max_value=10**20)) for v in vectors}
-        rows = anticommutator_table(cat, norms)
+        rows = list(anticommutator_table(cat, norms))
         assert _table_json(rows, norms) == _dumps_entries(rows, norms)
 
     @settings(max_examples=60, deadline=None)
@@ -392,11 +392,11 @@ class TestTableWriter:
         assert _table_json(iter([]), {}) == _dumps_entries([], {}) == '{\n  "entries": []\n}\n'
         po6 = builtin_category("po6")
         po6_norms = compute_norms(po6, atomic_basis(po6))
-        po6_rows = anticommutator_table(po6, po6_norms)
+        po6_rows = list(anticommutator_table(po6, po6_norms))
         assert _table_json(iter(po6_rows), po6_norms) == _table_json(po6_rows, po6_norms)
         cat = build_free(["x", "y", "z"], [("%s", "x", "y"), ("%%", "y", "z"), ('"', "x", "y"), ("\\", "y", "z"), ("é%", "x", "z")])
         norms = compute_norms(cat, atomic_basis(cat))
-        rows = anticommutator_table(cat, norms)
+        rows = list(anticommutator_table(cat, norms))
         assert any(not scalar and not terms for _, _, scalar, terms in rows)
         assert any(scalar for _, _, scalar, _ in rows) and any(terms for *_, terms in rows)
         assert _table_json(rows, norms) == _dumps_entries(rows, norms)
@@ -485,6 +485,42 @@ class TestErrors:
         assert len(norms) == n * (n - 1) // 2
         assert norms["o0->o%d" % (n - 1)] == n - 1
         assert outputs["basis"]["basis"] == sorted(g["id"] for g in arrows)
+
+    @pytest.mark.parametrize(
+        "json_flag, size, digest",
+        [
+            ([], 12346428, "ce6bd98572cf5a6530480dac2981fd5630434955c114c4de07cb38eff1d1de4d"),
+            (["--json"], 84270516, "fbb043e184eaf69a52d8104f6c0a4b9b84672488fa8f3d582623293e921a186c"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_table_streams_its_rows_in_small_memory(self, tmp_path, json_flag, size, digest):
+        # a thin chain of 40 objects has 780 arrows and 608,400 table rows;
+        # held as one list they took about 68 MB, made one f at a time they
+        # need a few; the output is hashed as it arrives, never held
+        objects = ["o%d" % i for i in range(40)]
+        arrows = [{"id": "g%d" % i, "dom": a, "cod": b} for i, (a, b) in enumerate(zip(objects, objects[1:]))]
+        doc = tmp_path / "chain.json"
+        doc.write_text(json.dumps({"mode": "thin", "objects": objects, "arrows": arrows}), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(catgeo.__file__).parents[1]))
+        # as above, a fresh parent process measures the one catgeo run
+        code = (
+            "import hashlib, resource, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)\n"
+            "digest, size = hashlib.sha256(), 0\n"
+            "for chunk in iter(lambda: proc.stdout.read(1 << 16), b''):\n"
+            "    digest.update(chunk)\n"
+            "    size += len(chunk)\n"
+            "status = proc.wait()\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, size, digest.hexdigest())\n"
+            "sys.exit(status)\n"
+        )
+        argv = [sys.executable, "-c", code, sys.executable, "-m", "catgeo.cli", "table", str(doc), *json_flag]
+        proc = subprocess.run(argv, capture_output=True, text=True, encoding="utf-8", env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        peak_kib, out_size, out_digest = proc.stdout.split()
+        assert (int(out_size), out_digest) == (size, digest)
+        assert int(peak_kib) < 40 * 1024, "table peaked at %s KiB" % peak_kib
 
     def test_ungenerated_arrows_exit_2(self, capsys, tmp_path):
         # the cyclic group of order 3 (a∘a = b, b∘b = a, a∘b = b∘a = id:o)

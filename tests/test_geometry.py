@@ -9,6 +9,7 @@ from catgeo import (
     Multivector,
     UnknownArrow,
     anticommutator,
+    anticommutator_table,
     atomic_basis,
     build_explicit,
     build_free,
@@ -291,6 +292,32 @@ class TestCliffordReport:
         monkeypatch.setattr(geometry, "_product", counting)
         assert clifford_report(cat, norms, basis).holds
         assert [(f, g) for f, g in calls if f != g] == expected
+
+    @pytest.mark.parametrize("name", ["po6", "parallel_free"])
+    def test_table_runs_the_kernel_once_per_order_of_each_unordered_pair(self, name, po6, monkeypatch):
+        # the row of (g, f) for g before f repeats that of (f, g): the kernel
+        # runs for fg and then gf with g at or after f, f-major, and never again
+        if name == "po6":
+            cat = po6
+        else:
+            cat = build_free(["x", "y", "z"], [("p1", "x", "y"), ("p2", "x", "y"), ("q", "y", "z"), ("e", "y", "z")])
+        norms = compute_norms(cat, atomic_basis(cat))
+        vectors = cat.vectors
+        expected = []
+        for i, f in enumerate(vectors):
+            for g in vectors[i:]:
+                expected += [(f, g), (g, f)]
+        calls = []
+        kernel = geometry._product
+
+        def counting(f, g, *rest):
+            calls.append((f, g))
+            return kernel(f, g, *rest)
+
+        monkeypatch.setattr(geometry, "_product", counting)
+        rows = list(anticommutator_table(cat, norms))
+        assert len(rows) == len(vectors) ** 2
+        assert calls == expected
 
     def test_unknown_basis_member_rejected(self, po6, norms):
         with pytest.raises(UnknownArrow):

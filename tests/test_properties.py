@@ -304,16 +304,28 @@ def test_anticommutator_matches_closed_form(cat):
             assert anticommutator(cat, norms, f, g) == closed_form_anticommutator(cat, norms, f, g)
 
 
-@settings(max_examples=40, deadline=None)
-@given(categories)
-def test_anticommutator_table_matches_pairwise_products(cat):
-    norms = compute_norms(cat, atomic_basis(cat))
+def _assert_table_matches_pairwise_products(cat, norms):
     vectors = cat.vectors
-    rows = anticommutator_table(cat, norms)
+    rows = list(anticommutator_table(cat, norms))
     assert [(f, g) for f, g, _, _ in rows] == [(f, g) for f in vectors for g in vectors]
     for f, g, scalar, terms in rows:
         mv = anticommutator(cat, norms, f, g)
         assert (scalar, tuple(terms)) == (mv.scalar, tuple(mv.terms()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(categories)
+def test_anticommutator_table_matches_pairwise_products(cat):
+    _assert_table_matches_pairwise_products(cat, compute_norms(cat, atomic_basis(cat)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories, st.data())
+def test_anticommutator_table_matches_pairwise_products_under_any_norms(cat, data):
+    # a zero norm makes the scalar of a composable pair 0 while its blade
+    # stays, so such a row is non-zero and its mirror must repeat it
+    norms = {v: data.draw(st.sampled_from((0, 1, 3, 10**20))) for v in cat.vectors}
+    _assert_table_matches_pairwise_products(cat, norms)
 
 
 @settings(max_examples=60, deadline=None)
