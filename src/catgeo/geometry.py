@@ -196,27 +196,23 @@ def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> Ite
     Every other row of g before its diagonal is the zero row (0, ()).  A
     row is non-zero only when the pair composes in some order, so memory
     is O(arrows + composable pairs).
+
+    The result is a one-shot iterator: take list() of it to read the rows
+    twice, count or index them.  Nothing runs before the first next(), so
+    a missing norm raises KeyError there, not at the call.
     """
     product = _product
     ends = _ends(category, norms)
-    ids = category.vectors
     mirrors = {}  # g -> [(position of f, row of (g, f))] for the f before g
     for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
-        rows = [(f, g, 0, ()) for g in ids[:i]]
+        rows = [(f, g, 0, ()) for g, _, _, _ in ends[:i]]
         for j, row in mirrors.pop(f, ()):
             rows[j] = row
         for g, dom_g, cod_g, norm_g in ends[i:]:
-            scalar, blade, c = product(f, g, cod_f, dom_g, norm_f, norm_g)
-            scalar_gf, blade_gf, c_gf = product(g, f, cod_g, dom_f, norm_g, norm_f)
-            scalar += scalar_gf
-            # _add's sum, inline, to save a call per pair
-            if blade is None:
-                terms = () if blade_gf is None else ((blade_gf[0], blade_gf[1], c_gf),)
-            elif blade_gf is None:
-                terms = ((blade[0], blade[1], c),)
-            else:  # both blades are the pair {f, g} in canonical order
-                c += c_gf
-                terms = ((blade[0], blade[1], c),) if c else ()
+            fg = product(f, g, cod_f, dom_g, norm_f, norm_g)
+            gf = product(g, f, cod_g, dom_f, norm_g, norm_f)
+            scalar, blade, c = _add(fg, gf)
+            terms = () if blade is None else ((blade[0], blade[1], c),)
             rows.append((f, g, scalar, terms))
             if (scalar or terms) and g != f:
                 mirrors.setdefault(g, []).append((i, (g, f, scalar, terms)))

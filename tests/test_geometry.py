@@ -37,6 +37,33 @@ def norms(po6):
     return compute_norms(po6, atomic_basis(po6))
 
 
+@pytest.fixture(params=["po6", "parallel_free"])
+def survey_category(request, po6):
+    """A category for the survey loops' kernel-call tests."""
+    if request.param == "po6":
+        return po6
+    # parallel edges; e comes before the p it follows, q after them
+    return build_free(["x", "y", "z"], [("p1", "x", "y"), ("p2", "x", "y"), ("q", "y", "z"), ("e", "y", "z")])
+
+
+@pytest.fixture
+def count_kernel_calls(monkeypatch):
+    """Wrap the pair kernel from here on; the returned list gets (f, g) of each call."""
+
+    def install():
+        calls = []
+        kernel = geometry._product
+
+        def counting(f, g, *rest):
+            calls.append((f, g))
+            return kernel(f, g, *rest)
+
+        monkeypatch.setattr(geometry, "_product", counting)
+        return calls
+
+    return install
+
+
 # the derived arrows named in the worked example
 F = "a0->a4"
 H = "a0->a3"
@@ -264,13 +291,9 @@ class TestCliffordReport:
         assert anti and not set(anti) & set(planted)
         assert clifford_report(po6, doctored, basis).anticommutation_failures == sorted(anti + planted)
 
-    @pytest.mark.parametrize("name", ["po6", "parallel_free"])
-    def test_reverse_product_only_when_the_first_scalar_is_0(self, name, po6, monkeypatch):
+    def test_reverse_product_only_when_the_first_scalar_is_0(self, survey_category, count_kernel_calls):
         # a pair with f·g != 0 is not orthogonal, so gf is not needed for it
-        if name == "po6":
-            cat = po6
-        else:  # parallel edges; e comes before the p it follows, q after them
-            cat = build_free(["x", "y", "z"], [("p1", "x", "y"), ("p2", "x", "y"), ("q", "y", "z"), ("e", "y", "z")])
+        cat = survey_category
         basis = atomic_basis(cat)
         norms = compute_norms(cat, basis)
         pairs = list(itertools.combinations(cat.vectors, 2))
@@ -282,48 +305,32 @@ class TestCliffordReport:
         # both sides of the rule occur: some gf skipped, some gf != 0 computed
         assert any(inner(cat, norms, f, g) for f, g in pairs)
         assert any(inner(cat, norms, g, f) and not inner(cat, norms, f, g) for f, g in pairs)
-        calls = []
-        kernel = geometry._product
-
-        def counting(f, g, *rest):
-            calls.append((f, g))
-            return kernel(f, g, *rest)
-
-        monkeypatch.setattr(geometry, "_product", counting)
+        calls = count_kernel_calls()
         assert clifford_report(cat, norms, basis).holds
         assert [(f, g) for f, g in calls if f != g] == expected
-
-    @pytest.mark.parametrize("name", ["po6", "parallel_free"])
-    def test_table_runs_the_kernel_once_per_order_of_each_unordered_pair(self, name, po6, monkeypatch):
-        # the row of (g, f) for g before f repeats that of (f, g): the kernel
-        # runs for fg and then gf with g at or after f, f-major, and never again
-        if name == "po6":
-            cat = po6
-        else:
-            cat = build_free(["x", "y", "z"], [("p1", "x", "y"), ("p2", "x", "y"), ("q", "y", "z"), ("e", "y", "z")])
-        norms = compute_norms(cat, atomic_basis(cat))
-        vectors = cat.vectors
-        expected = []
-        for i, f in enumerate(vectors):
-            for g in vectors[i:]:
-                expected += [(f, g), (g, f)]
-        calls = []
-        kernel = geometry._product
-
-        def counting(f, g, *rest):
-            calls.append((f, g))
-            return kernel(f, g, *rest)
-
-        monkeypatch.setattr(geometry, "_product", counting)
-        rows = list(anticommutator_table(cat, norms))
-        assert len(rows) == len(vectors) ** 2
-        assert calls == expected
 
     def test_unknown_basis_member_rejected(self, po6, norms):
         with pytest.raises(UnknownArrow):
             clifford_report(po6, norms, ["e1", "nope"])
         with pytest.raises(UnknownArrow):
             clifford_report(po6, norms, ["id:a0"])
+
+
+class TestAnticommutatorTable:
+    def test_table_runs_the_kernel_once_per_order_of_each_unordered_pair(self, survey_category, count_kernel_calls):
+        # the row of (g, f) for g before f repeats that of (f, g): the kernel
+        # runs for fg and then gf with g at or after f, f-major, and never again
+        cat = survey_category
+        norms = compute_norms(cat, atomic_basis(cat))
+        vectors = cat.vectors
+        expected = []
+        for i, f in enumerate(vectors):
+            for g in vectors[i:]:
+                expected += [(f, g), (g, f)]
+        calls = count_kernel_calls()
+        rows = list(anticommutator_table(cat, norms))
+        assert len(rows) == len(vectors) ** 2
+        assert calls == expected
 
 
 class TestArgumentChecks:
