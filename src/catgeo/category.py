@@ -41,7 +41,7 @@ PATH_SEP = "∘"  # "∘"
 #: most non-identity arrows build_thin and build_free make; a larger thin or
 #: free category is refused, since the passes over a whole category grow
 #: faster than its arrows: validation visits every composable triple, and
-#: the law survey every pair of arrows
+#: the anticommutator table has a row for every pair of arrows
 MAX_FREE_PATHS = 20_000
 
 

@@ -15,18 +15,11 @@ for anything but O or a non-identity arrow of the category, and the
 product reads dom and cod from that Arrow.  Norms are a plain dict of
 arrow id to length; O never needs one, as it annihilates.  Past that
 boundary one private kernel, `_product`, computes fg of two non-zero
-vectors as plain values; the real-line backend shares it.  The survey
-functions (`clifford_report`, `anticommutator_table`) read each arrow's
-dom, cod and norm once and then run the kernel once per unordered pair
-{f, g}, building a Multivector only for what they return: fg = -gf and
-fg + gf are the same for (f, g) as for (g, f), so each pair is computed
-once and reported for both orders.  The table computes fg and gf of every
-pair and yields its rows one f at a time, keeping the mirrored row of a
-non-zero pair only until it is due, so it holds O(arrows + composable
-pairs) rows, never all n².  The report computes gf only when the scalar
-of fg is 0, since a pair with f·g != 0 is not orthogonal, and tests the
-unpacked kernel values in place: fg = -gf holds when both blades are the
-same and the coefficients cancel.
+vectors as plain values; the real-line backend shares it.  The kernel
+makes distinct f and g that compose in neither order anticommute, as fg
+and gf are the same blade with opposite signs, so the survey functions
+(`clifford_report`, `anticommutator_table`) read those pairs off
+composability and run the kernel only on the others.
 """
 
 from __future__ import annotations
@@ -178,44 +171,36 @@ def anticommutator(category: FiniteCategory, norms: dict[str, int], f: Vector, g
     return _as_multivector(*_add(_fg(norms, a, b), _fg(norms, b, a)))
 
 
-def _ends(category: FiniteCategory, norms: dict[str, int]) -> list[tuple]:
-    """(id, dom, cod, norm) of every non-identity arrow, in canonical order."""
-    arrows = category.arrows
-    return [(v, arrows[v].dom, arrows[v].cod, norms[v]) for v in category.vectors]
-
-
 def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> Iterator[tuple]:
     """fg + gf for every ordered pair of non-identity arrows, in canonical order.
 
     Yields one row (f, g, scalar, terms) per pair, with terms as in
     Multivector.terms(): the values anticommutator gives, without a
-    Multivector per pair.  The rows are made and yielded one f at a time.
-    fg + gf = gf + fg, so the kernel runs once for fg and once for gf of
-    each pair with g at or after f; the row of (g, f) repeats that of
-    (f, g), and is kept until g's rows are made only when it is non-zero.
-    Every other row of g before its diagonal is the zero row (0, ()).  A
-    row is non-zero only when the pair composes in some order, so memory
-    is O(arrows + composable pairs).
+    Multivector per pair.  Distinct f and g that compose in neither order
+    have the zero row (0, ()); the kernel runs for fg and then gf of every
+    other pair.  The rows are made and yielded one f at a time.
 
     The result is a one-shot iterator: take list() of it to read the rows
     twice, count or index them.  Nothing runs before the first next(), so
-    a missing norm raises KeyError there, not at the call.
+    a missing norm raises KeyError while the rows are read, by the rows of
+    its own arrow at the latest, not at the call.
     """
     product = _product
-    ends = _ends(category, norms)
-    mirrors = {}  # g -> [(position of f, row of (g, f))] for the f before g
-    for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
-        rows = [(f, g, 0, ()) for g, _, _, _ in ends[:i]]
-        for j, row in mirrors.pop(f, ()):
-            rows[j] = row
-        for g, dom_g, cod_g, norm_g in ends[i:]:
-            fg = product(f, g, cod_f, dom_g, norm_f, norm_g)
-            gf = product(g, f, cod_g, dom_f, norm_g, norm_f)
+    arrows = category.arrows
+    ends = [arrows[g] for g in category.vectors]
+    for a in ends:
+        f, dom_f, cod_f, norm_f = a.id, a.dom, a.cod, norms[a.id]
+        rows = []
+        for b in ends:
+            g = b.id
+            if g != f and cod_f != b.dom and b.cod != dom_f:
+                rows.append((f, g, 0, ()))
+                continue
+            norm_g = norms[g]
+            fg = product(f, g, cod_f, b.dom, norm_f, norm_g)
+            gf = product(g, f, b.cod, dom_f, norm_g, norm_f)
             scalar, blade, c = _add(fg, gf)
-            terms = () if blade is None else ((blade[0], blade[1], c),)
-            rows.append((f, g, scalar, terms))
-            if (scalar or terms) and g != f:
-                mirrors.setdefault(g, []).append((i, (g, f, scalar, terms)))
+            rows.append((f, g, scalar, () if blade is None else ((blade[0], blade[1], c),)))
         yield from rows
 
 
@@ -236,11 +221,10 @@ class CliffordReport(namedtuple("CliffordReport", "unit_square_failures anticomm
 def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequence[str]) -> CliffordReport:
     """Check e² = 1 for basis arrows and fg = -gf on orthogonal pairs.
 
-    Every basis square is computed, and fg of every unordered pair {f, g}
-    of distinct arrows, f before g; gf is computed only when the scalar of
-    fg is 0, as a pair is orthogonal when both scalars are 0.  fg = -gf is
-    one condition for (f, g) and (g, f), so a failing pair is reported in
-    both orders, in canonical (f-major) order.
+    Every basis square is computed.  Distinct f and g fail fg = -gf
+    exactly when they compose in one order only, say cod f = dom g, and
+    ||f|| × ||g|| = 0: then fg = 0 and gf is a blade.  Each such pair is
+    reported in both orders, in canonical (f-major) order.
     """
     unit_failures = []
     for e in basis:
@@ -249,14 +233,13 @@ def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequ
         if square != (1, None, 0):
             unit_failures.append((e, _as_multivector(*square)))
     anti_failures = []
-    product = _product
-    ends = _ends(category, norms)
-    for i, (f, dom_f, cod_f, norm_f) in enumerate(ends, 1):
-        for g, dom_g, cod_g, norm_g in ends[i:]:
-            scalar, blade, c = product(f, g, cod_f, dom_g, norm_f, norm_g)
-            if not scalar:
-                scalar_gf, blade_gf, c_gf = product(g, f, cod_g, dom_f, norm_g, norm_f)
-                if not scalar_gf and (blade != blade_gf or c != -c_gf):
-                    anti_failures += ((f, g), (g, f))
+    arrows, out_arrows = category.arrows, category.out_arrows
+    for f in category.vectors:
+        a = arrows[f]
+        norm_f = norms[f]
+        # cod g != dom f also rules out g = f: f leaves cod f only when dom f = cod f
+        for b in out_arrows[a.cod]:
+            if not b.is_identity and b.cod != a.dom and not norm_f * norms[b.id]:
+                anti_failures += ((f, b.id), (b.id, f))
     anti_failures.sort()
     return CliffordReport(unit_failures, anti_failures)

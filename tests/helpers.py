@@ -6,20 +6,24 @@ import json
 import random
 from typing import Sequence
 
+from catgeo import geometry
 from catgeo import (
     Arrow,
     Blade2,
+    CliffordReport,
     CyclicGraph,
     FiniteCategory,
     Multivector,
     NontrivialCycle,
     ParseError,
     Violation,
+    build_explicit,
     build_free,
     build_thin,
 )
 from catgeo.category import IDENTITY_PREFIX
 from catgeo.documents import MODES, CategoryDocument
+from catgeo.vectors import _check_vector
 
 
 def random_thin(rng: random.Random, max_objects: int = 8, max_edges: int = 14) -> FiniteCategory:
@@ -239,6 +243,73 @@ def oracle_clifford_failures(category, norms, basis):
             if orthogonal and fg_composes != gf_composes:
                 anti.append((f, g))
     return unit, anti
+
+
+def category_ends(category, norms) -> list:
+    """(id, dom, cod, norm) of each non-identity arrow, in canonical order."""
+    return [(v, category.arrows[v].dom, category.arrows[v].cod, norms[v]) for v in category.vectors]
+
+
+def exhaustive_clifford_report(category, norms, basis) -> CliffordReport:
+    """clifford_report as it was before it read anticommutation off
+    composability: the kernel runs on every basis square and on fg of every
+    unordered pair {f, g} of distinct arrows, f before g, and on gf when the
+    scalar of fg is 0.  It reads geometry._product at call time, so a test
+    can plant a broken kernel and watch the report notice."""
+    unit_failures = []
+    for e in basis:
+        a = _check_vector(category, e)
+        square = geometry._fg(norms, a, a)
+        if square != (1, None, 0):
+            unit_failures.append((e, geometry._as_multivector(*square)))
+    anti_failures = []
+    product = geometry._product
+    ends = category_ends(category, norms)
+    for i, (f, dom_f, cod_f, norm_f) in enumerate(ends, 1):
+        for g, dom_g, cod_g, norm_g in ends[i:]:
+            scalar, blade, c = product(f, g, cod_f, dom_g, norm_f, norm_g)
+            if not scalar:
+                scalar_gf, blade_gf, c_gf = product(g, f, cod_g, dom_f, norm_g, norm_f)
+                if not scalar_gf and (blade != blade_gf or c != -c_gf):
+                    anti_failures += ((f, g), (g, f))
+    anti_failures.sort()
+    return CliffordReport(unit_failures, anti_failures)
+
+
+def kernel_anticommutation_failures(ends) -> list:
+    """(f, g) for each ordered pair of distinct vectors that compose in
+    neither order on which the kernel does not give fg = -gf as one blade:
+    both scalars 0, one blade, opposite coefficients.  `ends` lists
+    (vector, dom, cod, norm) for arrows and intervals alike; the kernel is
+    read from geometry._product at call time.  The survey functions rely on
+    this to skip such pairs."""
+    product = geometry._product
+    failures = []
+    for f, dom_f, cod_f, norm_f in ends:
+        for g, dom_g, cod_g, norm_g in ends:
+            if f != g and cod_f != dom_g and cod_g != dom_f:
+                scalar, blade, c = product(f, g, cod_f, dom_g, norm_f, norm_g)
+                scalar_gf, blade_gf, c_gf = product(g, f, cod_g, dom_f, norm_g, norm_f)
+                if scalar or scalar_gf or blade is None or blade != blade_gf or c != -c_gf:
+                    failures.append((f, g))
+    return failures
+
+
+def cyclic_categories() -> dict[str, FiniteCategory]:
+    """Valid categories with an isomorphism or a non-trivial endomorphism,
+    which no random population draws: the groupoid of an isomorphism f with
+    inverse g, the cyclic group of order three (a∘a = b, b∘b = a), which
+    has no basis, and the monoid of two idempotents with a∘b = b∘a = a."""
+    c3 = {("a", "a"): "b", ("a", "b"): "id:o", ("b", "a"): "id:o", ("b", "b"): "a"}
+    idempotents = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "a", ("b", "b"): "b"}
+    endos = [("a", "o", "o"), ("b", "o", "o")]
+    return {
+        "groupoid": build_explicit(
+            ["x", "y"], [("f", "x", "y"), ("g", "y", "x")], {("f", "g"): "id:x", ("g", "f"): "id:y"}
+        ),
+        "c3": build_explicit(["o"], endos, c3),
+        "idempotents": build_explicit(["o"], endos, idempotents),
+    }
 
 
 def oracle_validate_axioms(category: FiniteCategory) -> list[Violation]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catgeo
-from catgeo import geometry
+from catgeo import cli
 from catgeo import (
     anticommutator_table,
     atomic_basis,
@@ -214,24 +214,18 @@ class TestOutputs:
         assert json.loads(out)["holds"] is True
 
     def test_clifford_text_lists_the_failures(self, capsys, po6_file, monkeypatch):
-        # break the kernel on e1² (4, not 1) and on the orthogonal pair (e2, e5)
-        kernel = geometry._product
-
-        def broken(f, g, *rest):
-            if (f, g) == ("e1", "e1"):
-                return 4, None, 0
-            if (f, g) == ("e2", "e5"):
-                return 0, None, 0
-            return kernel(f, g, *rest)
-
-        monkeypatch.setattr(geometry, "_product", broken)
+        # doctored norms: ||e1|| = 2 gives e1^2 = 4, and ||a2->a5|| = 0 makes
+        # f·g = 0 for the one pair that composes with a2->a5 in one order
+        # only, e2 then a2->a5, whose gf is a blade
+        norms = compute_norms
+        monkeypatch.setattr(cli, "compute_norms", lambda cat, basis: dict(norms(cat, basis), e1=2, **{"a2->a5": 0}))
         assert run(capsys, "clifford", po6_file) == (
             2,
             "basis squares to 1: NO\n"
             "  e1^2 = 4\n"
             "orthogonal pairs anticommute: NO\n"
-            "  counterexample: e2, e5\n"
-            "  counterexample: e5, e2\n",
+            "  counterexample: a2->a5, e2\n"
+            "  counterexample: e2, a2->a5\n",
             "",
         )
 

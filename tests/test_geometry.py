@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from catgeo import geometry
@@ -24,7 +22,12 @@ from catgeo import (
     vec_add,
 )
 
-from helpers import oracle_clifford_failures
+from helpers import (
+    category_ends,
+    exhaustive_clifford_report,
+    kernel_anticommutation_failures,
+    oracle_clifford_failures,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,31 @@ def count_kernel_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def plant_broken_kernel(monkeypatch):
+    """Break the pair kernel on the given ordered pairs: fg = 0 there instead
+    of a blade or a scalar."""
+
+    def install(broken_orders):
+        kernel = geometry._product
+
+        def broken(f, g, *rest):
+            if (f, g) in broken_orders:
+                return 0, None, 0
+            return kernel(f, g, *rest)
+
+        monkeypatch.setattr(geometry, "_product", broken)
+
+    return install
+
+
+#: broken kernels of the planted-breakage tests: one order of {e2, e5}, and
+#: one order each of {e1, e2}, {e1, e5} and {e2, e5}, some with the smaller
+#: id first and some with it second
+ONE_BROKEN_ORDER = {("e2", "e5")}
+THREE_BROKEN_ORDERS = {("e2", "e1"), ("e1", "e5"), ("e5", "e2")}
 
 
 # the derived arrows named in the worked example
@@ -252,62 +280,54 @@ class TestCliffordReport:
         assert report.unit_square_failures == [("e3", Multivector(4))]
         assert report.anticommutation_failures == []
 
-    def test_every_orthogonal_pair_is_compared(self, po6, norms, monkeypatch):
-        # break the kernel on the single ordered pair (e2, e5): fg = 0 instead
-        # of a blade.  fg = -gf is one condition for (e2, e5) and (e5, e2), so
-        # exactly those two ordered pairs must be reported, and no other.
-        assert is_orthogonal(po6, norms, "e2", "e5")
+    def test_broken_square_is_reported(self, po6, norms, monkeypatch):
+        # the report runs the kernel on every basis square
         kernel = geometry._product
 
         def broken(f, g, *rest):
-            if (f, g) == ("e2", "e5"):
-                return 0, None, 0
-            return kernel(f, g, *rest)
+            return (4, None, 0) if f == g == "e1" else kernel(f, g, *rest)
 
         monkeypatch.setattr(geometry, "_product", broken)
         report = clifford_report(po6, norms, atomic_basis(po6))
+        assert report.unit_square_failures == [("e1", Multivector(4))]
+        assert report.anticommutation_failures == []
+
+    def test_every_orthogonal_pair_is_compared(self, po6, norms, plant_broken_kernel):
+        # the exhaustive oracle compares fg and gf of every orthogonal pair:
+        # with the kernel broken on the single ordered pair (e2, e5), fg = -gf
+        # fails for (e2, e5) and (e5, e2), and for no other pair
+        assert is_orthogonal(po6, norms, "e2", "e5")
+        plant_broken_kernel(ONE_BROKEN_ORDER)
+        report = exhaustive_clifford_report(po6, norms, atomic_basis(po6))
         assert report.unit_square_failures == []
         assert report.anticommutation_failures == [("e2", "e5"), ("e5", "e2")]
 
-    def test_three_broken_pairs_sharing_arrows(self, po6, norms, monkeypatch):
-        # break one order of each of {e1, e2}, {e1, e5} and {e2, e5}, some
-        # with the smaller id first and some with it second: each pair is
-        # reported in both orders, f-major, and nothing else is
-        kernel = geometry._product
-        broken_orders = {("e2", "e1"), ("e1", "e5"), ("e5", "e2")}
-
-        def broken(f, g, *rest):
-            if (f, g) in broken_orders:
-                return 0, None, 0
-            return kernel(f, g, *rest)
-
-        monkeypatch.setattr(geometry, "_product", broken)
+    def test_three_broken_pairs_sharing_arrows(self, po6, norms, plant_broken_kernel):
+        # each broken pair is reported in both orders, f-major, and nothing else is
+        plant_broken_kernel(THREE_BROKEN_ORDERS)
         planted = [("e1", "e2"), ("e1", "e5"), ("e2", "e1"), ("e2", "e5"), ("e5", "e1"), ("e5", "e2")]
         basis = atomic_basis(po6)
-        assert clifford_report(po6, norms, basis).anticommutation_failures == planted
+        assert exhaustive_clifford_report(po6, norms, basis).anticommutation_failures == planted
         # under doctored norms the oracle's own failures interleave with them
         doctored = dict(norms, e4=0)
         _, anti = oracle_clifford_failures(po6, doctored, basis)
         assert anti and not set(anti) & set(planted)
-        assert clifford_report(po6, doctored, basis).anticommutation_failures == sorted(anti + planted)
+        assert exhaustive_clifford_report(po6, doctored, basis).anticommutation_failures == sorted(anti + planted)
 
-    def test_reverse_product_only_when_the_first_scalar_is_0(self, survey_category, count_kernel_calls):
-        # a pair with f·g != 0 is not orthogonal, so gf is not needed for it
+    def test_kernel_runs_once_per_basis_square(self, survey_category, count_kernel_calls):
+        # anticommutation is read off composability: the kernel runs on e² only
         cat = survey_category
         basis = atomic_basis(cat)
         norms = compute_norms(cat, basis)
-        pairs = list(itertools.combinations(cat.vectors, 2))
-        expected = []
-        for f, g in pairs:
-            expected.append((f, g))
-            if inner(cat, norms, f, g) == 0:
-                expected.append((g, f))
-        # both sides of the rule occur: some gf skipped, some gf != 0 computed
-        assert any(inner(cat, norms, f, g) for f, g in pairs)
-        assert any(inner(cat, norms, g, f) and not inner(cat, norms, f, g) for f, g in pairs)
         calls = count_kernel_calls()
         assert clifford_report(cat, norms, basis).holds
-        assert [(f, g) for f, g in calls if f != g] == expected
+        assert calls == [(e, e) for e in basis]
+
+    def test_missing_norm_raises_key_error(self, po6, norms):
+        for v in po6.vectors:
+            partial = {a: n for a, n in norms.items() if a != v}
+            with pytest.raises(KeyError):
+                clifford_report(po6, partial, [])
 
     def test_unknown_basis_member_rejected(self, po6, norms):
         with pytest.raises(UnknownArrow):
@@ -317,20 +337,43 @@ class TestCliffordReport:
 
 
 class TestAnticommutatorTable:
-    def test_table_runs_the_kernel_once_per_order_of_each_unordered_pair(self, survey_category, count_kernel_calls):
-        # the row of (g, f) for g before f repeats that of (f, g): the kernel
-        # runs for fg and then gf with g at or after f, f-major, and never again
+    def test_table_runs_the_kernel_on_the_diagonal_and_composing_pairs(self, survey_category, count_kernel_calls):
+        # distinct arrows that compose in neither order have the zero row
+        # without the kernel; every other ordered pair runs it for fg and
+        # then gf, in row order
         cat = survey_category
         norms = compute_norms(cat, atomic_basis(cat))
-        vectors = cat.vectors
+        vectors, arrows = cat.vectors, cat.arrows
         expected = []
-        for i, f in enumerate(vectors):
-            for g in vectors[i:]:
-                expected += [(f, g), (g, f)]
+        for f in vectors:
+            for g in vectors:
+                if f == g or arrows[f].cod == arrows[g].dom or arrows[g].cod == arrows[f].dom:
+                    expected += [(f, g), (g, f)]
         calls = count_kernel_calls()
         rows = list(anticommutator_table(cat, norms))
         assert len(rows) == len(vectors) ** 2
         assert calls == expected
+        assert len(calls) < 2 * len(rows)  # some rows are zero without the kernel
+
+    def test_missing_norm_raises_key_error_once_rows_are_read(self, po6, norms):
+        for v in po6.vectors:
+            rows = anticommutator_table(po6, {a: n for a, n in norms.items() if a != v})
+            with pytest.raises(KeyError):
+                list(rows)
+
+
+class TestKernel:
+    """Distinct vectors that compose in neither order anticommute in the
+    kernel itself, which the survey functions rely on to skip them."""
+
+    def test_po6_pairs_anticommute(self, po6, norms):
+        assert kernel_anticommutation_failures(category_ends(po6, norms)) == []
+
+    @pytest.mark.parametrize("broken_orders", [ONE_BROKEN_ORDER, THREE_BROKEN_ORDERS], ids=["one", "three"])
+    def test_each_planted_breakage_is_seen(self, po6, norms, plant_broken_kernel, broken_orders):
+        plant_broken_kernel(broken_orders)
+        expected = sorted(broken_orders | {(g, f) for f, g in broken_orders})
+        assert kernel_anticommutation_failures(category_ends(po6, norms)) == expected
 
 
 class TestArgumentChecks:

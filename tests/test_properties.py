@@ -1,5 +1,6 @@
 """Law suites over randomly generated categories and rational intervals."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,11 @@ from catgeo import (
 )
 
 from helpers import (
+    category_ends,
     closed_form_anticommutator,
+    cyclic_categories,
+    exhaustive_clifford_report,
+    kernel_anticommutation_failures,
     oracle_atomic_basis,
     oracle_clifford_failures,
     oracle_norms,
@@ -322,22 +327,56 @@ def test_anticommutator_table_matches_pairwise_products(cat):
 @settings(max_examples=60, deadline=None)
 @given(categories, st.data())
 def test_anticommutator_table_matches_pairwise_products_under_any_norms(cat, data):
-    # a zero norm makes the scalar of a composable pair 0 while its blade
-    # stays, so such a row is non-zero and its mirror must repeat it
+    # a zero norm makes the scalar of a pair that composes in one order 0
+    # while its blade stays, so such a row is non-zero with scalar 0
     norms = {v: data.draw(st.sampled_from((0, 1, 3, 10**20))) for v in cat.vectors}
     _assert_table_matches_pairwise_products(cat, norms)
+
+
+def _assert_report_matches_oracles(cat, norms, basis):
+    report = clifford_report(cat, norms, basis)
+    unit, anti = oracle_clifford_failures(cat, norms, basis)
+    assert [(e, mv.scalar, mv.blades) for e, mv in report.unit_square_failures] == [(e, s, {}) for e, s in unit]
+    assert report.anticommutation_failures == anti
+    assert report == exhaustive_clifford_report(cat, norms, basis)
 
 
 @settings(max_examples=60, deadline=None)
 @given(categories, st.randoms(use_true_random=False))
 def test_clifford_report_matches_oracle_under_any_norms(cat, rng):
     # doctored norms (0 included) make both conditions fail in places
-    basis = atomic_basis(cat)
     norms = {a: rng.randint(0, 3) for a in cat.vectors}
-    report = clifford_report(cat, norms, basis)
-    unit, anti = oracle_clifford_failures(cat, norms, basis)
-    assert [(e, mv.scalar, mv.blades) for e, mv in report.unit_square_failures] == [(e, s, {}) for e, s in unit]
-    assert report.anticommutation_failures == anti
+    _assert_report_matches_oracles(cat, norms, atomic_basis(cat))
+
+
+@pytest.mark.parametrize("name", sorted(cyclic_categories()))
+def test_survey_of_cyclic_categories_matches_oracles_under_every_norm(name):
+    # every pair of a one-object category composes in both orders, and so
+    # does the groupoid's f, g: no failure, however the norms are doctored;
+    # C3 has no basis, so doctored norms are its only norms
+    cat = cyclic_categories()[name]
+    basis = atomic_basis(cat)
+    for values in itertools.product((0, 1, 3), repeat=len(cat.vectors)):
+        norms = dict(zip(cat.vectors, values))
+        _assert_report_matches_oracles(cat, norms, basis)
+        _assert_table_matches_pairwise_products(cat, norms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories | staged_categories() | st.sampled_from(list(cyclic_categories().values())), st.data())
+def test_kernel_anticommutes_arrows_that_compose_in_neither_order(cat, data):
+    norms = {v: data.draw(st.sampled_from((0, 1, 3, 10**20))) for v in cat.vectors}
+    assert kernel_anticommutation_failures(category_ends(cat, norms)) == []
+
+
+halves = st.sampled_from([Fraction(k, 2) for k in range(7)])
+
+
+@given(st.lists(st.tuples(halves, halves).filter(lambda ends: ends[0] != ends[1]), max_size=6))
+def test_kernel_anticommutes_intervals_that_compose_in_neither_order(pairs):
+    # endpoints from a few halves, so that intervals meet end to start
+    intervals = {interval(min(a, b), max(a, b)) for a, b in pairs}
+    assert kernel_anticommutation_failures([(f, f.lo, f.hi, interval_norm(f)) for f in intervals]) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,6 @@ from catgeo import (
     UndefinedSum,
     UnknownArrow,
     atomic_basis,
-    build_explicit,
     build_free,
     build_thin,
     builtin_category,
@@ -19,7 +18,7 @@ from catgeo import (
     vec_add,
 )
 
-from helpers import oracle_atomic_basis, oracle_norms
+from helpers import cyclic_categories, oracle_atomic_basis, oracle_norms
 
 
 @pytest.fixture(scope="module")
@@ -150,8 +149,7 @@ class TestNorms:
     def test_cyclic_group_of_order_three_is_not_generated(self):
         # a∘a = b and b∘b = a: every arrow is a composite, so the basis is
         # empty and neither arrow has a factorization
-        table = {("a", "a"): "b", ("a", "b"): "id:o", ("b", "a"): "id:o", ("b", "b"): "a"}
-        group = build_explicit(["o"], [("a", "o", "o"), ("b", "o", "o")], table)
+        group = cyclic_categories()["c3"]
         assert atomic_basis(group) == ()
         with pytest.raises(NotGenerated) as caught:
             compute_norms(group, atomic_basis(group))
