@@ -39,9 +39,9 @@ IDENTITY_PREFIX = "id:"
 PATH_SEP = "∘"  # "∘"
 
 #: most non-identity arrows build_thin and build_free make; a larger thin or
-#: free category is refused, since the passes over a whole category grow
-#: faster than its arrows: validation visits every composable triple, and
-#: the anticommutator table has a row for every pair of arrows
+#: free category is refused before any arrow is made.  The cap bounds the
+#: builders' work and the anticommutator table, which has a row for every
+#: ordered pair of arrows
 MAX_FREE_PATHS = 20_000
 
 
@@ -109,9 +109,6 @@ class FiniteCategory:
             out.setdefault(a.dom, []).append(a)
         self.out_arrows: dict[str, tuple[Arrow, ...]] = {o: tuple(leaving) for o, leaving in out.items()}
         self.vectors: tuple[str, ...] = tuple(sorted(a.id for a in self.arrows.values() if not a.is_identity))
-
-    def identity(self, obj: str) -> str:
-        return IDENTITY_PREFIX + obj
 
     def __repr__(self):
         return "FiniteCategory(mode=%r, objects=%d, arrows=%d)" % (
@@ -440,10 +437,10 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     violations = [v for _, _, v in pairs] + unknown
 
     for f in arrows.values():
-        left = table.get((category.identity(f.dom), f.id))
+        left = table.get((IDENTITY_PREFIX + f.dom, f.id))
         if left != f.id:
             violations.append(Violation("unit", "%s ∘ id_%s = %s, expected %s" % (f.id, f.dom, left, f.id)))
-        right = table.get((f.id, category.identity(f.cod)))
+        right = table.get((f.id, IDENTITY_PREFIX + f.cod))
         if right != f.id:
             violations.append(Violation("unit", "id_%s ∘ %s = %s, expected %s" % (f.cod, f.id, right, f.id)))
 
@@ -458,7 +455,7 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
         for (o, c), n in count.items():
             if n > 1:
                 multi.setdefault(o, set()).add(c)
-        units = {a.id for a in arrows.values() if a.dom == a.cod and a.id == category.identity(a.dom)}
+        units = {a.id for a in arrows.values() if a.dom == a.cod and a.id == IDENTITY_PREFIX + a.dom}
         leaving = {o: [a for a in out if a.id not in units] for o, out in category.out_arrows.items()}.get
 
     for f in arrows.values():

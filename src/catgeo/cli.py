@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import re
 import sys
@@ -22,7 +21,7 @@ from operator import itemgetter
 
 from . import realline
 from .category import FiniteCategory
-from .documents import builtin_document, builtin_names, load_category
+from .documents import _json_text, builtin_document, builtin_names, load_category
 from .errors import AxiomViolation, CatGeoError, ParseError
 from .geometry import Multivector, anticommutator_table, clifford_report, format_terms, geometric
 from .render import export_dot, export_embedding
@@ -77,16 +76,12 @@ def _multivector_dict(mv: Multivector, norms: dict[str, int] | None = None) -> d
     return _terms_dict(mv.scalar, mv.terms(), norms)
 
 
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
-
-
 def _emit_json(data) -> None:
     print(_json_text(data))
 
 
-# The text json.dumps(indent=2, sort_keys=True, ensure_ascii=False) gives
-# for one row of `table --json` and for one blade of its anticommutator.
+# The text documents._json_text gives for one row of `table --json` and for
+# one blade of its anticommutator.
 _ROW_JSON = """    {
       "anticommutator": {
         "blades": %s,
@@ -230,9 +225,11 @@ def cmd_table(args) -> int:
     rows = anticommutator_table(category, norms)
     if args.json:
         _write_table_json(rows, norms)
-    else:
-        for f, g, scalar, terms in rows:
-            print("%s %s: %s" % (f, g, format_terms(scalar, terms)))
+    else:  # streamed: the lines are made one at a time as they are written
+        sys.stdout.writelines(
+            "%s %s: %s\n" % (f, g, format_terms(scalar, terms)) if scalar or terms else "%s %s: 0\n" % (f, g)
+            for f, g, scalar, terms in rows
+        )
     return 0
 
 
@@ -297,7 +294,7 @@ def _interval(lo: str, hi: str) -> realline.IntervalArrow:
     for text in (lo, hi):
         value = realline.parse_endpoint(text)
         try:
-            realline.format_endpoint(value)
+            str(value)
         except ValueError:  # str() refuses an integer beyond sys.get_int_max_str_digits()
             limit = sys.get_int_max_str_digits()
             raise ParseError("bad endpoint literal %r: more than %d digits" % (text, limit)) from None
@@ -313,20 +310,18 @@ def cmd_interval(args) -> int:
         return USAGE_EXIT
     f = _interval(ends[0], ends[1])
     g = _interval(ends[2], ends[3]) if command != "norm" else None
-    endpoint = realline.format_endpoint
     try:
         if command == "norm":
-            norm = endpoint(realline.interval_norm(f))
+            norm = str(realline.interval_norm(f))
             data, text = {"norm": norm}, norm
         elif command == "add":
             total = realline.interval_add(f, g)
-            lo, hi = endpoint(total.lo), endpoint(total.hi)
-            data, text = {"lo": lo, "hi": hi}, "(%s, %s)" % (lo, hi)
+            data, text = {"lo": str(total.lo), "hi": str(total.hi)}, repr(total)
         else:
             inner_fg, outer_fg, geom_fg = realline.interval_products(f, g)
             inner_gf, _, geom_gf = realline.interval_products(g, f)
             anticommutator_fg = geom_fg + geom_gf
-            inner_fg, inner_gf = endpoint(inner_fg), endpoint(inner_gf)
+            inner_fg, inner_gf = str(inner_fg), str(inner_gf)
             data = {
                 "inner_fg": inner_fg,
                 "inner_gf": inner_gf,

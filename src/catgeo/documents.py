@@ -183,6 +183,12 @@ def load_category(text: str) -> FiniteCategory:
     return category
 
 
+def _json_text(data) -> str:
+    """The one JSON style of catgeo's output, for documents and every
+    --json: indented by 2, keys sorted, non-ASCII text kept."""
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def document_to_json(document: CategoryDocument) -> str:
     data = {
         "mode": document.mode,
@@ -191,7 +197,7 @@ def document_to_json(document: CategoryDocument) -> str:
     }
     if document.mode == "explicit":
         data["compositions"] = [{"f": f, "g": g, "result": r} for f, g, r in document.compositions]
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
+    return _json_text(data)
 
 
 # Built-in example documents.  "po6" is the six-object order category whose

@@ -44,17 +44,11 @@ def parse_endpoint(text: str) -> Fraction:
         raise ParseError("bad endpoint literal %r: %s" % (text, exc)) from None
 
 
-def format_endpoint(value: Fraction) -> str:
-    """Fraction string; integers are emitted without a denominator."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
-
-
 class IntervalArrow(namedtuple("IntervalArrow", "lo hi")):
     """Arrow lo → hi of the real-line order category; lo < hi strictly.
 
-    Arrows compare and sort as the pair (lo, hi).
+    Arrows compare and sort as the pair (lo, hi), and print as it does
+    with each endpoint in str() form: "n" or "n/d".
     """
 
     __slots__ = ()
@@ -70,7 +64,7 @@ class IntervalArrow(namedtuple("IntervalArrow", "lo hi")):
         return cls(*iterable)
 
     def __repr__(self):
-        return "(%s, %s)" % (format_endpoint(self.lo), format_endpoint(self.hi))
+        return "(%s, %s)" % (self.lo, self.hi)
 
 
 IntervalVector = _ZeroVector | IntervalArrow

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from typing import Sequence
+
+from hypothesis import strategies as st
 
 from catgeo import geometry
 from catgeo import (
+    ZERO,
     Arrow,
     Blade2,
     CliffordReport,
@@ -68,6 +72,66 @@ def random_presentation(rng: random.Random, max_objects: int = 6, max_edges: int
         ends = rng.sample(pairs, min(m, len(pairs)))
     ids = rng.sample(names, len(ends))
     return objects, [(gid, objects[i], objects[j]) for gid, (i, j) in zip(ids, ends)]
+
+
+def concrete_category(sizes: Sequence[int], maps, max_arrows: int = 30) -> FiniteCategory | None:
+    """The category of maps that `maps` generate, or None when it has more
+    than `max_arrows` non-identity arrows.
+
+    Object s<i> is the set {0..sizes[i]-1}, and a map (i, j, images) goes
+    from s<i> to s<j>, sending x to images[x].  The arrows are the closure
+    of the maps under composition, found by a breadth-first search over
+    words that composes each new arrow with every map after it, as Froidure
+    and Pin do for transformation semigroups.  Each arrow is named by its
+    shortest word: "m<k>" for the k-th map, "v∘u" for u then v.  An
+    identity map is its object's identity, so inverses and groups occur.
+    Composition of functions is associative, so every table is a category.
+    """
+    objects = ["s%d" % i for i in range(len(sizes))]
+    names = {(i, i, tuple(range(n))): IDENTITY_PREFIX + objects[i] for i, n in enumerate(sizes)}
+    generators = []
+    for k, m in enumerate(maps):
+        if m not in names:
+            names[m] = "m%d" % k
+            generators.append(m)
+    queue = deque(generators)
+    while queue:
+        u = queue.popleft()
+        for v in generators:
+            if u[1] == v[0]:
+                w = (u[0], v[1], tuple(v[2][x] for x in u[2]))
+                if w not in names:
+                    if len(names) - len(sizes) == max_arrows:
+                        return None
+                    names[w] = names[v] + "∘" + names[u]
+                    queue.append(w)
+    vectors = [m for m, name in names.items() if not name.startswith(IDENTITY_PREFIX)]
+    table = {
+        (names[f], names[g]): names[f[0], g[1], tuple(g[2][x] for x in f[2])]
+        for f in vectors
+        for g in vectors
+        if f[1] == g[0]
+    }
+    return build_explicit(objects, [(names[m], objects[m[0]], objects[m[1]]) for m in vectors], table)
+
+
+def random_concrete(rng: random.Random, max_objects: int = 3, max_size: int = 3, max_maps: int = 4) -> FiniteCategory:
+    """concrete_category of 1..max_maps random maps between 1..max_objects
+    sets of 1..max_size elements; a draw over the arrow cap is discarded."""
+    while True:
+        sizes = [rng.randint(1, max_size) for _ in range(rng.randint(1, max_objects))]
+        maps = []
+        for _ in range(rng.randint(1, max_maps)):
+            i, j = rng.randrange(len(sizes)), rng.randrange(len(sizes))
+            maps.append((i, j, tuple(rng.randrange(sizes[j]) for _ in range(sizes[i]))))
+        category = concrete_category(sizes, maps)
+        if category is not None:
+            return category
+
+
+def concrete_categories():
+    """The hypothesis strategy of random_concrete's population."""
+    return st.randoms(use_true_random=False).map(random_concrete)
 
 
 def _closure(objects, generators) -> dict[str, set[str]]:
@@ -180,6 +244,42 @@ def oracle_norms(category: FiniteCategory, basis: Sequence[str], depth_bound: in
 
     for e in basis:
         extend(e, 1)
+    return best
+
+
+def oracle_word_norms(category: FiniteCategory, basis: Sequence[str]) -> dict[str, int]:
+    """The least k for which some composable word of k basis arrows, with
+    no identity among its prefixes, composes to the arrow, for each arrow
+    some word reaches.  The words are taken a length at a time, as the set
+    of arrows the words of that length compose to, until a length adds no
+    arrow; a missing vector is one no word reaches."""
+    arrows, table = category.arrows, category.table
+    best = {}
+    level = set(basis)
+    k = 1
+    while not level <= best.keys():
+        best.update((v, k) for v in level if v not in best)
+        level = {
+            table[(x, e)]
+            for x in level
+            for e in basis
+            if arrows[x].cod == arrows[e].dom and not arrows[table[(x, e)]].is_identity
+        }
+        k += 1
+    return best
+
+
+def outlist_distance(category: FiniteCategory, norms, f, g):
+    """min ||l|| over the l with f = g (+) l, or None when there is none,
+    found among two kinds of l: O, when f = g, and the non-identity l
+    leaving cod g with g then l composing to f.  For g = O the one
+    candidate is l = f."""
+    if g is ZERO:
+        return 0 if f is ZERO else norms[f]
+    best = 0 if f == g else None
+    for l in category.out_arrows[category.arrows[g].cod]:
+        if not l.is_identity and category.table[(g, l.id)] == f:
+            best = norms[l.id] if best is None else min(best, norms[l.id])
     return best
 
 
@@ -357,10 +457,10 @@ def oracle_validate_axioms(category: FiniteCategory) -> list[Violation]:
         return table.get((f, g))
 
     for f in arrows:
-        left = lookup(category.identity(f.dom), f.id)
+        left = lookup(IDENTITY_PREFIX + f.dom, f.id)
         if left != f.id:
             violations.append(Violation("unit", "%s ∘ id_%s = %s, expected %s" % (f.id, f.dom, left, f.id)))
-        right = lookup(f.id, category.identity(f.cod))
+        right = lookup(f.id, IDENTITY_PREFIX + f.cod)
         if right != f.id:
             violations.append(Violation("unit", "id_%s ∘ %s = %s, expected %s" % (f.cod, f.id, right, f.id)))
 

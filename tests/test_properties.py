@@ -14,6 +14,7 @@ from catgeo import (
     FiniteCategory,
     NoDifference,
     NontrivialCycle,
+    NotGenerated,
     ParseError,
     anticommutator,
     anticommutator_table,
@@ -36,6 +37,7 @@ from catgeo import (
 from helpers import (
     category_ends,
     closed_form_anticommutator,
+    concrete_categories,
     cyclic_categories,
     exhaustive_clifford_report,
     kernel_anticommutation_failures,
@@ -44,6 +46,8 @@ from helpers import (
     oracle_norms,
     oracle_validate_axioms,
     oracle_vectors,
+    oracle_word_norms,
+    outlist_distance,
 )
 
 
@@ -68,6 +72,8 @@ def free_categories(draw):
 
 
 categories = thin_categories() | free_categories()
+#: valid categories with isomorphisms and non-trivial endomorphisms
+cyclic = concrete_categories() | st.sampled_from(list(cyclic_categories().values()))
 
 
 @st.composite
@@ -119,7 +125,7 @@ CORRUPTIONS = (
 
 @settings(max_examples=300, deadline=None)
 @given(
-    categories | staged_categories(),
+    categories | staged_categories() | concrete_categories(),
     st.lists(st.sampled_from(CORRUPTIONS), max_size=4),
     st.randoms(use_true_random=False),
 )
@@ -190,7 +196,7 @@ def one_object_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(categories | staged_categories() | one_object_tables())
+@given(categories | staged_categories() | concrete_categories() | one_object_tables())
 def test_atomic_basis_matches_all_pairs_oracle(cat):
     # a thin or free builder records its basis; the walk over an explicit
     # copy of the table and the all-pairs oracle agree with it
@@ -200,7 +206,7 @@ def test_atomic_basis_matches_all_pairs_oracle(cat):
 
 
 @settings(max_examples=150, deadline=None)
-@given(categories | staged_categories() | one_object_tables(), st.randoms(use_true_random=False))
+@given(categories | staged_categories() | concrete_categories() | one_object_tables(), st.randoms(use_true_random=False))
 def test_vectors_index_is_the_sorted_non_identity_ids(cat, rng):
     # the index is built from the arrows, whatever order they come in and
     # whatever the table holds: here a hand-built copy with shuffled arrows,
@@ -235,6 +241,21 @@ def test_norm_positivity_and_atomicity(cat):
         assert distance(cat, norms, arrow, ZERO) == norms[arrow]
 
 
+@settings(max_examples=150, deadline=None)
+@given(categories | staged_categories() | concrete_categories())
+def test_norms_match_word_lengths_or_name_every_ungenerated_arrow(cat):
+    # a category with isomorphisms or idempotents may have arrows no basis
+    # word reaches (a group has no basis at all); NotGenerated names them
+    basis = atomic_basis(cat)
+    expected = oracle_word_norms(cat, basis)
+    try:
+        norms = compute_norms(cat, basis)
+    except NotGenerated as exc:
+        assert exc.missing == [v for v in cat.vectors if v not in expected] != []
+    else:
+        assert norms == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(categories)
 def test_triangle_inequality(cat):
@@ -255,6 +276,23 @@ def test_free_norm_is_additive(cat):
         for g in cat.vectors:
             if cat.arrows[f].cod == cat.arrows[g].dom:
                 assert norms[vec_add(cat, f, g)] == norms[f] + norms[g]
+
+
+@settings(max_examples=100, deadline=None)
+@given(categories | staged_categories() | cyclic, st.randoms(use_true_random=False))
+def test_distance_matches_the_outlist_formula(cat, rng):
+    # the least ||l|| over l = O and the l leaving cod g, for every pair,
+    # O included; doctored norms (0 included) make the minimum matter
+    norms = {v: rng.randint(0, 3) for v in cat.vectors}
+    vectors = (ZERO, *cat.vectors)
+    for f in vectors:
+        for g in vectors:
+            expected = outlist_distance(cat, norms, f, g)
+            if expected is None:
+                with pytest.raises(NoDifference):
+                    distance(cat, norms, f, g)
+            else:
+                assert distance(cat, norms, f, g) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +363,7 @@ def test_anticommutator_table_matches_pairwise_products(cat):
 
 
 @settings(max_examples=60, deadline=None)
-@given(categories, st.data())
+@given(categories | concrete_categories(), st.data())
 def test_anticommutator_table_matches_pairwise_products_under_any_norms(cat, data):
     # a zero norm makes the scalar of a pair that composes in one order 0
     # while its blade stays, so such a row is non-zero with scalar 0
@@ -342,7 +380,7 @@ def _assert_report_matches_oracles(cat, norms, basis):
 
 
 @settings(max_examples=60, deadline=None)
-@given(categories, st.randoms(use_true_random=False))
+@given(categories | concrete_categories(), st.randoms(use_true_random=False))
 def test_clifford_report_matches_oracle_under_any_norms(cat, rng):
     # doctored norms (0 included) make both conditions fail in places
     norms = {a: rng.randint(0, 3) for a in cat.vectors}
@@ -363,7 +401,7 @@ def test_survey_of_cyclic_categories_matches_oracles_under_every_norm(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(categories | staged_categories() | st.sampled_from(list(cyclic_categories().values())), st.data())
+@given(categories | staged_categories() | cyclic, st.data())
 def test_kernel_anticommutes_arrows_that_compose_in_neither_order(cat, data):
     norms = {v: data.draw(st.sampled_from((0, 1, 3, 10**20))) for v in cat.vectors}
     assert kernel_anticommutation_failures(category_ends(cat, norms)) == []
