@@ -226,10 +226,7 @@ def cmd_table(args) -> int:
     if args.json:
         _write_table_json(rows, norms)
     else:  # streamed: the lines are made one at a time as they are written
-        sys.stdout.writelines(
-            "%s %s: %s\n" % (f, g, format_terms(scalar, terms)) if scalar or terms else "%s %s: 0\n" % (f, g)
-            for f, g, scalar, terms in rows
-        )
+        sys.stdout.writelines("%s %s: %s\n" % (f, g, format_terms(scalar, terms)) for f, g, scalar, terms in rows)
     return 0
 
 

@@ -222,31 +222,6 @@ def oracle_vectors(category: FiniteCategory) -> tuple[str, ...]:
     return tuple(sorted(a.id for a in category.arrows.values() if not a.is_identity))
 
 
-def oracle_norms(category: FiniteCategory, basis: Sequence[str], depth_bound: int) -> dict[str, int]:
-    """Brute-force minima over all composable basis sequences up to the bound.
-
-    Enumerates every sequence (no visited pruning), recording the minimal
-    length realizing each arrow; independent of the BFS implementation.
-    """
-    best: dict[str, int] = {}
-
-    def extend(arrow: str, length: int) -> None:
-        if best.get(arrow, depth_bound + 1) > length:
-            best[arrow] = length
-        if length >= depth_bound:
-            return
-        cod = category.arrows[arrow].cod
-        for e in basis:
-            if category.arrows[e].dom == cod:
-                composite = category.table[(arrow, e)]
-                if not category.arrows[composite].is_identity:
-                    extend(composite, length + 1)
-
-    for e in basis:
-        extend(e, 1)
-    return best
-
-
 def oracle_word_norms(category: FiniteCategory, basis: Sequence[str]) -> dict[str, int]:
     """The least k for which some composable word of k basis arrows, with
     no identity among its prefixes, composes to the arrow, for each arrow
