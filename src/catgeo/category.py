@@ -18,9 +18,10 @@ atomic basis, which they know from the presentation.
 Each category also keeps two indexes, built once when it is made.
 `out_arrows` maps every object to the tuple of arrows leaving it,
 identities included, in arrow order.  The arrows g composable after f are
-exactly `out_arrows[f.cod]`, so the passes over a whole category (axiom
-validation, the builders, the norm search) enumerate composable pairs and
-triples through it instead of scanning every arrow against every arrow.
+exactly `out_arrows[f.cod]`, so the passes that enumerate composable
+pairs or triples go through it instead of scanning every arrow against
+every arrow.  Axiom validation checks pairs in one pass over the table's
+entries, and enumerates them only to find a pair that lacks an entry.
 `vectors` is the tuple of non-identity arrow ids in the canonical (sorted)
 order: the vectors of the arrow vector space other than O, which the
 basis, the norms, the products and the distance all walk in that order.
@@ -380,12 +381,10 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     naming an unknown arrow, in table order), then unit, then
     associativity (ordered by f, g, k).
 
-    The pair checks go into one list of (f, g, violation), in that order.
-    They count the composable pairs that have an entry; the closure pass
-    over every table key runs only when the table has more entries than
-    that, since otherwise every key is such a pair.  That pass appends the
-    entries between known arrows that do not compose to the list, which is
-    then sorted once by the arrow positions of f and g.
+    The pair checks read each table entry once.  Only when fewer entries
+    are composable pairs than there are such pairs are the pairs f, g in
+    `out_arrows[f.cod]` searched for a missing entry.  One sort by the
+    arrow positions of f and g orders the violations that name a pair.
 
     When the pair and unit checks find nothing, the triples that cannot
     fail (through an identity, or with a one-arrow hom-set between their
@@ -395,43 +394,37 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     table = category.table
     leaving = category.out_arrows.get
 
-    # (f id, g id, violation) per bad pair, f and then g in arrow order
-    pairs: list[tuple[str, str, Violation]] = []
-    present = 0  # composable pairs with an entry
-    for f in arrows.values():
-        out = leaving(f.cod, ())
-        present += len(out)
-        for g in out:
-            key = (f.id, g.id)
-            result = table.get(key)
+    pairs: list[tuple[str, str, Violation]] = []  # (f id, g id, violation)
+    unknown: list[Violation] = []
+    present = 0  # entries of composable pairs
+    for key, result in table.items():
+        f, g = key
+        a, b = arrows.get(f), arrows.get(g)
+        if a is None or b is None:
+            name = f if a is None else g
+            unknown.append(Violation("closure", "entry (%s, %s) for unknown arrow %r" % (f, g, name)))
+            continue
+        if a.cod != b.dom:
+            v = Violation("closure", "entry (%s, %s) for non-composable pair" % key)
+        else:
+            present += 1
             r = arrows.get(result)
-            if result is None and key not in table:
-                present -= 1
-                v = Violation("totality", "missing entry (%s, %s)" % key)
-            elif r is None:
-                v = Violation("dom-cod", "entry (%s, %s) names unknown arrow %r" % (f.id, g.id, result))
-            elif r.dom != f.dom or r.cod != g.cod:
+            if r is None:
+                v = Violation("dom-cod", "entry (%s, %s) names unknown arrow %r" % (f, g, result))
+            elif r.dom != a.dom or r.cod != b.cod:
                 v = Violation(
                     "dom-cod",
-                    "(%s, %s) -> %s has type %s->%s, expected %s->%s" % (f.id, g.id, result, r.dom, r.cod, f.dom, g.cod),
+                    "(%s, %s) -> %s has type %s->%s, expected %s->%s" % (f, g, result, r.dom, r.cod, a.dom, b.cod),
                 )
             else:
                 continue
-            pairs.append((f.id, g.id, v))
-
-    # closure: entries naming an unknown arrow, and entries between known
-    # arrows that do not compose.  A table with exactly `present` entries
-    # holds only composable pairs of known arrows, so it has none.
-    unknown: list[Violation] = []
-    if len(table) != present:
-        for key in table:
-            f, g = key
-            a, b = arrows.get(f), arrows.get(g)
-            if a is None or b is None:
-                name = f if a is None else g
-                unknown.append(Violation("closure", "entry (%s, %s) for unknown arrow %r" % (f, g, name)))
-            elif a.cod != b.dom:
-                pairs.append((f, g, Violation("closure", "entry (%s, %s) for non-composable pair" % key)))
+        pairs.append((f, g, v))
+    if present < sum(len(leaving(f.cod, ())) for f in arrows.values()):
+        for f in arrows.values():
+            for g in leaving(f.cod, ()):
+                if (f.id, g.id) not in table:
+                    pairs.append((f.id, g.id, Violation("totality", "missing entry (%s, %s)" % (f.id, g.id))))
+    if pairs:
         position = {aid: i for i, aid in enumerate(arrows)}
         pairs.sort(key=lambda entry: (position[entry[0]], position[entry[1]]))
     violations = [v for _, _, v in pairs] + unknown

@@ -178,7 +178,7 @@ def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> Ite
     Multivector.terms(): the values anticommutator gives, without a
     Multivector per pair.  Distinct f and g that compose in neither order
     have the zero row (0, ()); the kernel runs for fg and then gf of every
-    other pair.  The rows are made and yielded one f at a time.
+    other pair.  Each row is yielded as it is made.
 
     The result is a one-shot iterator: take list() of it to read the rows
     twice, count or index them.  Nothing runs before the first next(), so
@@ -190,18 +190,16 @@ def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> Ite
     ends = [arrows[g] for g in category.vectors]
     for a in ends:
         f, dom_f, cod_f, norm_f = a.id, a.dom, a.cod, norms[a.id]
-        rows = []
         for b in ends:
             g = b.id
             if g != f and cod_f != b.dom and b.cod != dom_f:
-                rows.append((f, g, 0, ()))
+                yield f, g, 0, ()
                 continue
             norm_g = norms[g]
             fg = product(f, g, cod_f, b.dom, norm_f, norm_g)
             gf = product(g, f, b.cod, dom_f, norm_g, norm_f)
             scalar, blade, c = _add(fg, gf)
-            rows.append((f, g, scalar, () if blade is None else ((blade[0], blade[1], c),)))
-        yield from rows
+            yield f, g, scalar, () if blade is None else ((blade[0], blade[1], c),)
 
 
 class CliffordReport(namedtuple("CliffordReport", "unit_square_failures anticommutation_failures")):

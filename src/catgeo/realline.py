@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import ParseError, UndefinedSum
 from .geometry import Multivector, _as_multivector, _ZERO_PRODUCT, _product
-from .vectors import ZERO, _ZeroVector, is_zero
+from .vectors import _ZeroVector, is_zero
 
 #: the exponent digits of a decimal literal such as "2.5e-3", as Fraction reads them
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")

@@ -194,6 +194,14 @@ def one_object_tables(draw):
     return FiniteCategory(["o"], arrows, {(f, g): draw(results) for f in ids for g in ids}, "explicit")
 
 
+@settings(max_examples=400, deadline=None)
+@given(one_object_tables())
+def test_validate_axioms_matches_all_pairs_oracle_on_one_object_tables(cat):
+    # arbitrary results: broken unit laws and non-associative tables, which
+    # no corruption of a valid category draws as freely
+    assert validate_axioms(cat) == oracle_validate_axioms(cat)
+
+
 @settings(max_examples=150, deadline=None)
 @given(categories | staged_categories() | concrete_categories() | one_object_tables())
 def test_atomic_basis_matches_all_pairs_oracle(cat):

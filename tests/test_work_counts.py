@@ -7,7 +7,7 @@ from collections.abc import Mapping
 
 import pytest
 
-from catgeo import atomic_basis, build_free, build_thin, compute_norms
+from catgeo import FiniteCategory, atomic_basis, build_free, build_thin, compute_norms, validate_axioms
 
 from helpers import concrete_category
 
@@ -65,3 +65,24 @@ def test_compute_norms_looks_up_each_basis_arrow_leaving_each_reached_arrow_once
     assert tuple(norms) == category.vectors  # the search reaches every arrow
     leaving = Counter(category.arrows[e].dom for e in basis)
     assert counter.lookups == sum(leaving[category.arrows[v].cod] for v in category.vectors) > 0
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["as built", "explicit copy"])
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_validate_axioms_looks_up_each_entry_once_and_each_unit_twice(name, explicit):
+    category = LADDER[name]()
+    if explicit:
+        category = FiniteCategory(category.objects, category.arrows.values(), dict(category.table.items()), "explicit")
+    category.table = counter = CountingTable(category.table)
+    assert validate_axioms(category) == []
+    arrows, out = category.arrows.values(), category.out_arrows
+    # A arrows, P composable pairs and T composable triples: one lookup per
+    # entry, two per arrow for the unit law, and on a triple that is not
+    # skipped, g∘f once per pair and k∘g, (k∘g)∘f and k∘(g∘f) once each
+    a = len(arrows)
+    p = sum(len(out[f.cod]) for f in arrows)
+    t = sum(len(out[g.cod]) for f in arrows for g in out[f.cod])
+    if name.startswith("thin chain"):  # every hom-set has one arrow, so every triple is skipped
+        assert counter.lookups == p + 2 * a
+    else:
+        assert counter.lookups <= 2 * p + 2 * a + 3 * t
