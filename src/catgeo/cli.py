@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import re
 import sys
 from json.encoder import encode_basestring
-from operator import itemgetter
 
 from . import realline
 from .category import FiniteCategory
 from .documents import _json_text, builtin_document, builtin_names, load_category
 from .errors import AxiomViolation, CatGeoError, ParseError
-from .geometry import Multivector, anticommutator_table, clifford_report, format_terms, geometric
+from .geometry import Multivector, _near_rows, anticommutator_table, clifford_report, format_terms, geometric
 from .render import export_dot, export_embedding
 from .vectors import atomic_basis, compute_norms
 
@@ -96,53 +94,54 @@ _BLADE_JSON = """          {
             "first": %s,
             "second": %s
           }"""
-# _ROW_JSON of a zero row (scalar 0, no blades) cut at its two ids: the
-# text before the quoted f, between the quoted f and g, and after g
-_ZERO_ROW_HEAD, _ZERO_ROW_MIDDLE, _ROW_END = (_ROW_JSON % ("[]", 0, "%s", "%s")).split("%s")
+# _ROW_JSON with its blades filled in, for a row of no blade and of one
+# blade (a row of the table has at most one), and cut, for a zero row, at
+# its two ids: the text before the quoted f, between f and g, and after g
+_SCALAR_ROW_JSON = _ROW_JSON.replace("%s", "[]", 1)
+_BLADE_ROW_JSON = _ROW_JSON.replace("%s", "[\n" + _BLADE_JSON + "\n        ]", 1)
+_ZERO_ROW_HEAD, _ZERO_ROW_MIDDLE, _ROW_END = (_SCALAR_ROW_JSON % (0, "%s", "%s")).split("%s")
 
 
-def _blades_json(terms, quoted, norms) -> str:
-    if not terms:
-        return "[]"
-    blades = ",\n".join(
-        _BLADE_JSON % (norms[first] * norms[second], c, quoted[first], quoted[second]) for first, second, c in terms
-    )
-    return "[\n%s\n        ]" % blades
+def _write_table_json(category: FiniteCategory, norms: dict[str, int]) -> None:
+    """Write {"entries": [...]}, the rows of anticommutator_table, to stdout.
 
-
-def _write_table_json(rows, norms: dict[str, int]) -> None:
-    """Write {"entries": [...]} for anticommutator_table rows to stdout.
-
-    `rows`, a list or an iterator, are grouped by f, and `norms` gives the
-    length of every id in them.  The text is byte for byte what _emit_json
-    gives for the entry dicts (f, g and _terms_dict of the row), but each
-    id is quoted once with the stdlib's C quoter and each integer is
-    formatted with %d, instead of running the pure-Python indenting
-    encoder over a dict per row.  A zero row (scalar 0, no blades), most
-    rows of a sparse category, is one concatenation: the row text up to
-    the quoted g, built once per f, and the quoted g with the row's end,
-    built once per id.  The rows of each f are written together, so the
-    document is never one string.
+    The text is byte for byte what _emit_json gives for the entry dicts
+    (f, g and _terms_dict of the row), but each id is quoted once with the
+    stdlib's C quoter and each row is one %-format or concatenation,
+    instead of the pure-Python indenting encoder over a dict per row.  The
+    near rows of `geometry._near_rows` are one %-format each, with every
+    id in one argument so that no text holding an id is formatted again.
+    Each run of zero rows between them is one join of per-id tails (the
+    quoted g and the row's end) on the zero row's text up to g.  The rows
+    of each f are written together, so the document is never one string.
     """
     write = sys.stdout.write
-    quoted = {v: encode_basestring(v) for v in norms}
-    tails = {v: q + _ROW_END for v, q in quoted.items()}
+    vectors = category.vectors
+    quoted = {v: encode_basestring(v) for v in vectors}
+    tails = [quoted[v] + _ROW_END for v in vectors]
     write('{\n  "entries": [')
     separator = "\n"
-    for f, group in itertools.groupby(rows, key=itemgetter(0)):
+    for f, near in _near_rows(category, norms):
         quoted_f = quoted[f]
         zero = _ZERO_ROW_HEAD + quoted_f + _ZERO_ROW_MIDDLE
-        chunk = ",\n".join(
-            [
-                zero + tails[g]
-                if not (scalar or terms)
-                else _ROW_JSON % (_blades_json(terms, quoted, norms), scalar, quoted_f, quoted[g])
-                for _, g, scalar, terms in group
-            ]
-        )
-        write(separator + chunk)
+        run = (",\n" + zero).join
+        chunk = []
+        start = 0
+        for j, g, scalar, blade, c in near:
+            if start < j:
+                chunk.append(zero + run(tails[start:j]))
+            if blade is None:
+                chunk.append(_SCALAR_ROW_JSON % (scalar, quoted_f, quoted[g]))
+            else:
+                first, second = blade
+                area = norms[first] * norms[second]
+                chunk.append(_BLADE_ROW_JSON % (area, c, quoted[first], quoted[second], scalar, quoted_f, quoted[g]))
+            start = j + 1
+        if start < len(tails):
+            chunk.append(zero + run(tails[start:]))
+        write(separator + ",\n".join(chunk))
         separator = ",\n"
-    write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")  # no chunk: the stdlib's "[]"
+    write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")  # no f: the stdlib's "[]"
 
 
 def cmd_validate(args) -> int:
@@ -222,10 +221,10 @@ def cmd_product(args) -> int:
 def cmd_table(args) -> int:
     category = _load(args.file)
     norms = compute_norms(category, atomic_basis(category))
-    rows = anticommutator_table(category, norms)
     if args.json:
-        _write_table_json(rows, norms)
+        _write_table_json(category, norms)
     else:  # streamed: the lines are made one at a time as they are written
+        rows = anticommutator_table(category, norms)
         sys.stdout.writelines("%s %s: %s\n" % (f, g, format_terms(scalar, terms)) for f, g, scalar, terms in rows)
     return 0
 

@@ -10,22 +10,20 @@ on id); wedging in the reversed order contributes coefficient -1.  The
 blade "area" is not stored, being derivable as ||first|| × ||second||.
 
 Arguments are checked once, at the public functions: `_check_vector`
-returns the Arrow of each vector (None for O) and raises UnknownArrow
-for anything but O or a non-identity arrow of the category, and the
-product reads dom and cod from that Arrow.  Norms are a plain dict of
-arrow id to length; O never needs one, as it annihilates.  Past that
-boundary one private kernel, `_product`, computes fg of two non-zero
-vectors as plain values; the real-line backend shares it.  The kernel
-makes distinct f and g that compose in neither order anticommute, as fg
-and gf are the same blade with opposite signs, so the survey functions
-(`clifford_report`, `anticommutator_table`) read those pairs off
-composability and run the kernel only on the others.
+returns the Arrow of each vector (None for O) or raises UnknownArrow.
+Norms are a plain dict of arrow id to length; O annihilates, so it needs
+none.  Past that boundary one private kernel, `_product`, computes fg of
+two non-zero vectors as plain values; the real-line backend shares it.
+It makes distinct f and g that compose in neither order anticommute, so
+the law survey runs it only on the basis squares (`clifford_report`) and
+on the pairs that compose (`_near_rows`): every other table row is zero.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from itertools import chain, repeat
 
 from .category import Arrow, FiniteCategory
 from .vectors import Vector, _check_vector
@@ -37,14 +35,10 @@ Blade2 = namedtuple("Blade2", "first second")
 
 def format_terms(scalar, terms) -> str:
     """Text form of scalar + Σ coefficient (first∧second), terms in canonical order."""
-    parts = []
-    if scalar != 0 or not terms:
-        parts.append(str(scalar))
+    parts = [str(scalar)] if scalar != 0 or not terms else []
     for first, second, c in terms:
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        coeff = "" if mag == 1 else "%s*" % mag
-        parts.append("%s %s(%s∧%s)" % (sign, coeff, first, second))
+        coeff = "" if abs(c) == 1 else "%s*" % abs(c)
+        parts.append("%s %s(%s∧%s)" % ("+" if c > 0 else "-", coeff, first, second))
     return " ".join(parts)
 
 
@@ -88,8 +82,7 @@ class Multivector:
         return format_terms(self.scalar, self.terms())
 
 
-#: kernel value of a product with the zero vector
-_ZERO_PRODUCT = (0, None, 0)
+_ZERO_PRODUCT = (0, None, 0)  #: kernel value of a product with the zero vector
 
 
 def _product(f, g, cod_f, dom_g, norm_f, norm_g):
@@ -101,9 +94,7 @@ def _product(f, g, cod_f, dom_g, norm_f, norm_g):
     """
     if f == g or cod_f == dom_g:
         return norm_f * norm_g, None, 0
-    if f < g:
-        return 0, (f, g), 1
-    return 0, (g, f), -1
+    return (0, (f, g), 1) if f < g else (0, (g, f), -1)
 
 
 def _add(fg, gf):
@@ -118,14 +109,11 @@ def _add(fg, gf):
 
 
 def _as_multivector(scalar, blade, coefficient) -> Multivector:
-    if blade is None:
-        return Multivector(scalar)
-    return Multivector(scalar, {Blade2(*blade): coefficient})
+    return Multivector(scalar, None if blade is None else {Blade2(*blade): coefficient})
 
 
 def _fg(norms: dict[str, int], a: Arrow | None, b: Arrow | None):
-    """The kernel on two checked vectors, given as their arrows (None for O);
-    O annihilates."""
+    """The kernel on two checked vectors given as arrows; O (None) annihilates."""
     if a is None or b is None:
         return _ZERO_PRODUCT
     return _product(a.id, b.id, a.cod, b.dom, norms[a.id], norms[b.id])
@@ -134,8 +122,7 @@ def _fg(norms: dict[str, int], a: Arrow | None, b: Arrow | None):
 def inner(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vector) -> int:
     """||f|| × ||g|| when g = f or cod(f) = dom(g); 0 otherwise.
 
-    Asymmetric by design when only one composite exists.  The zero vector
-    is orthogonal to everything, itself included.
+    Asymmetric when only one composite exists; O is orthogonal to everything.
     """
     return _fg(norms, _check_vector(category, f), _check_vector(category, g))[0]
 
@@ -171,35 +158,49 @@ def anticommutator(category: FiniteCategory, norms: dict[str, int], f: Vector, g
     return _as_multivector(*_add(_fg(norms, a, b), _fg(norms, b, a)))
 
 
+def _near_rows(category: FiniteCategory, norms: dict[str, int]) -> Iterator[tuple]:
+    """For each f in canonical order, (f, near): the rows (position of g in
+    category.vectors, g, scalar, blade, coefficient) of fg + gf for g = f
+    and each g that composes with f in either order, by position.  The
+    kernel runs on these pairs only, fg then gf; every other row is zero.
+    """
+    product, arrows = _product, category.arrows
+    ends = [(g, arrows[g].dom, arrows[g].cod, norms[g]) for g in category.vectors]
+    leaving, entering = {}, {}  # object -> positions of the arrows from it, into it
+    for j, (_, dom, cod, _) in enumerate(ends):
+        leaving.setdefault(dom, []).append(j)
+        entering.setdefault(cod, []).append(j)
+    for i, (f, dom_f, cod_f, norm_f) in enumerate(ends):
+        near = []
+        for j in sorted({i, *leaving.get(cod_f, ()), *entering.get(dom_f, ())}):
+            g, dom_g, cod_g, norm_g = ends[j]
+            fg = product(f, g, cod_f, dom_g, norm_f, norm_g)
+            near.append((j, g, *_add(fg, product(g, f, cod_g, dom_f, norm_g, norm_f))))
+        yield f, near
+
+
 def anticommutator_table(category: FiniteCategory, norms: dict[str, int]) -> Iterator[tuple]:
     """fg + gf for every ordered pair of non-identity arrows, in canonical order.
 
-    Yields one row (f, g, scalar, terms) per pair, with terms as in
-    Multivector.terms(): the values anticommutator gives, without a
-    Multivector per pair.  Distinct f and g that compose in neither order
-    have the zero row (0, ()); the kernel runs for fg and then gf of every
-    other pair.  Each row is yielded as it is made.
-
-    The result is a one-shot iterator: take list() of it to read the rows
-    twice, count or index them.  Nothing runs before the first next(), so
-    a missing norm raises KeyError while the rows are read, by the rows of
-    its own arrow at the latest, not at the call.
+    One row (f, g, scalar, terms) per pair, terms as in Multivector.terms():
+    the rows of `_near_rows`, with the zero rows (0, ()) between them made
+    and passed on in C.  The result is a one-shot iterator: take list() of
+    it to read the rows twice, count or index them.  Nothing runs before
+    the first next(), so a missing norm raises KeyError while the rows are
+    read, by the rows of its own arrow at the latest, not at the call.
     """
-    product = _product
-    arrows = category.arrows
-    ends = [arrows[g] for g in category.vectors]
-    for a in ends:
-        f, dom_f, cod_f, norm_f = a.id, a.dom, a.cod, norms[a.id]
-        for b in ends:
-            g = b.id
-            if g != f and cod_f != b.dom and b.cod != dom_f:
-                yield f, g, 0, ()
-                continue
-            norm_g = norms[g]
-            fg = product(f, g, cod_f, b.dom, norm_f, norm_g)
-            gf = product(g, f, b.cod, dom_f, norm_g, norm_f)
-            scalar, blade, c = _add(fg, gf)
-            yield f, g, scalar, () if blade is None else ((blade[0], blade[1], c),)
+    vectors = category.vectors
+
+    def runs():
+        for f, near in _near_rows(category, norms):
+            start = 0
+            for j, g, scalar, blade, c in near:
+                yield zip(repeat(f), vectors[start:j], repeat(0), repeat(()))
+                yield ((f, g, scalar, () if blade is None else ((blade[0], blade[1], c),)),)
+                start = j + 1
+            yield zip(repeat(f), vectors[start:], repeat(0), repeat(()))
+
+    return chain.from_iterable(runs())
 
 
 class CliffordReport(namedtuple("CliffordReport", "unit_square_failures anticommutation_failures")):
@@ -233,8 +234,7 @@ def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequ
     anti_failures = []
     arrows, out_arrows = category.arrows, category.out_arrows
     for f in category.vectors:
-        a = arrows[f]
-        norm_f = norms[f]
+        a, norm_f = arrows[f], norms[f]
         # cod g != dom f also rules out g = f: f leaves cod f only when dom f = cod f
         for b in out_arrows[a.cod]:
             if not b.is_identity and b.cod != a.dom and not norm_f * norms[b.id]:

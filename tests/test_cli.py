@@ -25,7 +25,7 @@ from catgeo import (
 from catgeo.cli import _terms_dict, _write_table_json, main
 from catgeo.documents import CategoryDocument, builtin_document, document_to_json
 
-from helpers import closed_form_anticommutator
+from helpers import closed_form_anticommutator, concrete_categories
 
 
 @pytest.fixture()
@@ -322,15 +322,16 @@ _ID_CHARS = st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\ud800é∘x') | st.charac
 _GENERATOR_IDS = st.text(_ID_CHARS, min_size=1, max_size=4).filter(lambda s: "∘" not in s and not s.startswith("id:"))
 
 
-def _table_json(rows, norms) -> str:
+def _table_json(category, norms) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _write_table_json(rows, norms)
+        _write_table_json(category, norms)
     return out.getvalue()
 
 
-def _dumps_entries(rows, norms) -> str:
-    """What table --json printed through the generic encoder."""
+def _dumps_entries(category, norms) -> str:
+    """What table --json printed through the generic encoder, over the rows of the table."""
+    rows = list(anticommutator_table(category, norms))
     entries = [{"f": f, "g": g, "anticommutator": _terms_dict(scalar, terms, norms)} for f, g, scalar, terms in rows]
     return json.dumps({"entries": entries}, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
@@ -345,55 +346,41 @@ class TestTableWriter:
         edges = data.draw(st.lists(st.sampled_from(pairs), max_size=5) if pairs else st.just([]))
         ids = data.draw(st.lists(_GENERATOR_IDS, min_size=len(edges), max_size=len(edges), unique=True))
         cat = build_free(objects, [(gid, objects[i], objects[j]) for gid, (i, j) in zip(ids, edges)])
-        vectors = cat.vectors
-        norms = {v: data.draw(st.integers(min_value=0, max_value=10**20)) for v in vectors}
-        rows = list(anticommutator_table(cat, norms))
-        assert _table_json(rows, norms) == _dumps_entries(rows, norms)
+        norms = {v: data.draw(st.integers(min_value=0, max_value=10**20)) for v in cat.vectors}
+        assert _table_json(cat, norms) == _dumps_entries(cat, norms)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_any_rows_match_the_stdlib_encoder(self, data):
-        # rows the table never makes (several blades, any integers) keep the format too
-        ids = data.draw(st.lists(st.text(_ID_CHARS, max_size=3), min_size=1, max_size=4, unique=True))
-        ints = st.integers(min_value=-(10**30), max_value=10**30)
-        norms = {v: data.draw(ints) for v in ids}
-        rows = data.draw(
-            st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), ints,
-                               st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), ints), max_size=3)))
-        )
-        rows.sort(key=lambda row: row[0])  # the writer groups the rows of each f
-        assert _table_json(rows, norms) == _dumps_entries(rows, norms)
+    @given(concrete_categories(), st.data())
+    def test_categories_with_cycles_match_the_stdlib_encoder(self, cat, data):
+        # a pair that composes in both orders (an endomorphism and itself or
+        # another, an isomorphism and its inverse) has a scalar-only row
+        norms = {v: data.draw(st.sampled_from((0, 1, 3, 10**20))) for v in cat.vectors}
+        assert _table_json(cat, norms) == _dumps_entries(cat, norms)
 
     def test_ids_with_format_and_escape_characters(self):
         # a % in an id breaks a row text that is %-formatted again after the
         # id is in it; the hypothesis alphabet rarely draws one
-        ids = ["%", "%s", "%%", "a%db", '"', "\\", "é∘ü"]
-        norms = {v: i + 1 for i, v in enumerate(ids)}
-        rows = []
-        for i, f in enumerate(ids):
-            for j, g in enumerate(ids):
-                kind = (i + j) % 4
-                if kind == 0:
-                    rows.append((f, g, 0, ()))
-                elif kind == 1:
-                    rows.append((f, g, 0, []))  # a zero row whose terms is an empty list
-                elif kind == 2:
-                    rows.append((f, g, norms[f] * norms[g], ()))
-                else:
-                    rows.append((f, g, 0, ((min(f, g), max(f, g), 1 if f < g else -1),)))
-        assert _table_json(rows, norms) == _dumps_entries(rows, norms)
-        assert _table_json(iter(rows), norms) == _dumps_entries(rows, norms)
-        assert _table_json(iter([]), {}) == _dumps_entries([], {}) == '{\n  "entries": []\n}\n'
-        po6 = builtin_category("po6")
-        po6_norms = compute_norms(po6, atomic_basis(po6))
-        po6_rows = list(anticommutator_table(po6, po6_norms))
-        assert _table_json(iter(po6_rows), po6_norms) == _table_json(po6_rows, po6_norms)
-        cat = build_free(["x", "y", "z"], [("%s", "x", "y"), ("%%", "y", "z"), ('"', "x", "y"), ("\\", "y", "z"), ("é%", "x", "z")])
-        norms = compute_norms(cat, atomic_basis(cat))
-        rows = list(anticommutator_table(cat, norms))
-        assert any(not scalar and not terms for _, _, scalar, terms in rows)
-        assert any(scalar for _, _, scalar, _ in rows) and any(terms for *_, terms in rows)
-        assert _table_json(rows, norms) == _dumps_entries(rows, norms)
+        free = build_free(["x", "y", "z"], [("%s", "x", "y"), ("%%", "y", "z"), ('"', "x", "y"), ("\\", "y", "z"), ("é%", "x", "z")])
+        # one object: every pair composes in both orders, so rows are scalar only
+        c3 = {("%", "%"): "a%db", ("%", "a%db"): "id:o", ("a%db", "%"): "id:o", ("a%db", "a%db"): "%"}
+        loops = build_explicit(["o"], [("%", "o", "o"), ("a%db", "o", "o")], c3)
+        # an iso whose ids hold ∘, and an arrow that composes with one of them only
+        iso = build_explicit(
+            ["x", "y", "z"],
+            [("é∘ü", "x", "y"), ("%d∘\\", "y", "x"), ('"%s"', "y", "z"), ('"%s"∘é∘ü', "x", "z")],
+            {("é∘ü", "%d∘\\"): "id:x", ("%d∘\\", "é∘ü"): "id:y", ("é∘ü", '"%s"'): '"%s"∘é∘ü', ("%d∘\\", '"%s"∘é∘ü'): '"%s"'},
+        )
+        assert validate_axioms(iso) == validate_axioms(loops) == []
+        kinds = set()
+        for cat in (free, loops, iso):
+            norms = {v: i + 1 for i, v in enumerate(cat.vectors)}
+            kinds |= {"blade" if terms else "scalar" if scalar else "zero" for *_, scalar, terms in anticommutator_table(cat, norms)}
+            assert _table_json(cat, norms) == _dumps_entries(cat, norms)
+        assert kinds == {"zero", "scalar", "blade"}
+
+    def test_category_with_no_vectors(self):
+        cat = build_free(["o"], [])
+        assert _table_json(cat, {}) == _dumps_entries(cat, {}) == '{\n  "entries": []\n}\n'
 
     def test_writes_one_chunk_per_f(self, po6_file, monkeypatch):
         writes = []

@@ -50,24 +50,6 @@ def survey_category(request, po6):
 
 
 @pytest.fixture
-def count_kernel_calls(monkeypatch):
-    """Wrap the pair kernel from here on; the returned list gets (f, g) of each call."""
-
-    def install():
-        calls = []
-        kernel = geometry._product
-
-        def counting(f, g, *rest):
-            calls.append((f, g))
-            return kernel(f, g, *rest)
-
-        monkeypatch.setattr(geometry, "_product", counting)
-        return calls
-
-    return install
-
-
-@pytest.fixture
 def plant_broken_kernel(monkeypatch):
     """Break the pair kernel on the given ordered pairs: fg = 0 there instead
     of a blade or a scalar."""

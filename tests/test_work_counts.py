@@ -7,7 +7,17 @@ from collections.abc import Mapping
 
 import pytest
 
-from catgeo import FiniteCategory, atomic_basis, build_free, build_thin, compute_norms, validate_axioms
+from catgeo import (
+    FiniteCategory,
+    anticommutator_table,
+    atomic_basis,
+    build_free,
+    build_thin,
+    clifford_report,
+    compute_norms,
+    validate_axioms,
+)
+from catgeo import cli
 
 from helpers import concrete_category
 
@@ -86,3 +96,51 @@ def test_validate_axioms_looks_up_each_entry_once_and_each_unit_twice(name, expl
         assert counter.lookups == p + 2 * a
     else:
         assert counter.lookups <= 2 * p + 2 * a + 3 * t
+
+
+def near_pairs(category):
+    """N: the ordered pairs (f, g) of vectors with g = f, or that compose in
+    either order, counted over every pair."""
+    arrows, vectors = category.arrows, category.vectors
+    return sum(
+        f == g or arrows[f].cod == arrows[g].dom or arrows[g].cod == arrows[f].dom for f in vectors for g in vectors
+    )
+
+
+class Discard:
+    """A stdout that keeps nothing of what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_anticommutator_table_runs_the_kernel_twice_per_near_pair(name, count_kernel_calls):
+    # fg and gf of each near pair; the other rows are zero without the
+    # kernel (in the monoid every pair composes, so every pair is near)
+    category = LADDER[name]()
+    norms = compute_norms(category, atomic_basis(category))
+    calls = count_kernel_calls()
+    assert sum(1 for _ in anticommutator_table(category, norms)) == len(category.vectors) ** 2
+    assert len(calls) == 2 * near_pairs(category)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_table_json_runs_the_kernel_twice_per_near_pair(name, count_kernel_calls, monkeypatch):
+    # the ladder is built in process, so the command loads it from there
+    category = LADDER[name]()
+    monkeypatch.setattr(cli, "_load", lambda path: category)
+    monkeypatch.setattr("sys.stdout", Discard())
+    calls = count_kernel_calls()
+    assert cli.main(["table", "ladder.json", "--json"]) == 0
+    assert len(calls) == 2 * near_pairs(category)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_clifford_report_runs_the_kernel_once_per_basis_arrow(name, count_kernel_calls):
+    category = LADDER[name]()
+    basis = atomic_basis(category)
+    norms = compute_norms(category, basis)
+    calls = count_kernel_calls()
+    assert clifford_report(category, norms, basis).holds
+    assert len(calls) == len(basis) > 0
