@@ -74,57 +74,47 @@ def _multivector_dict(mv: Multivector, norms: dict[str, int] | None = None) -> d
     return _terms_dict(mv.scalar, mv.terms(), norms)
 
 
-def _emit_json(data) -> None:
-    print(_json_text(data))
-
-
-# The text documents._json_text gives for one row of `table --json` and for
-# one blade of its anticommutator.
-_ROW_JSON = """    {
-      "anticommutator": {
-        "blades": %s,
-        "scalar": %d
-      },
-      "f": %s,
-      "g": %s
-    }"""
-_BLADE_JSON = """          {
-            "area": %d,
-            "coefficient": %d,
-            "first": %s,
-            "second": %s
-          }"""
-# _ROW_JSON with its blades filled in, for a row of no blade and of one
-# blade (a row of the table has at most one), and cut, for a zero row, at
-# its two ids: the text before the quoted f, between f and g, and after g
-_SCALAR_ROW_JSON = _ROW_JSON.replace("%s", "[]", 1)
-_BLADE_ROW_JSON = _ROW_JSON.replace("%s", "[\n" + _BLADE_JSON + "\n        ]", 1)
+# Every piece of `table --json` text is cut from what documents._json_text
+# writes for a table of one row with one blade, its values placeholders:
+# the head, the row from the newline that starts it, and the tail.  A row
+# with no blade is that row with its blades' list emptied, and a zero row
+# is the latter cut at its two ids: the text before the quoted f, between
+# f and g, and after g.
+_BLADE = {"area": "%d", "coefficient": "%d", "first": "%s", "second": "%s"}
+_TABLE_JSON = _json_text({"entries": [{"anticommutator": {"blades": [_BLADE], "scalar": "%d"}, "f": "%s", "g": "%s"}]})
+_ROW_START = _TABLE_JSON.index("[") + 1  # after the entries' [
+_ROW_STOP = _TABLE_JSON.rindex("}", 0, _TABLE_JSON.rindex("]")) + 1  # after the row's }
+_TABLE_HEAD, _TABLE_TAIL = _TABLE_JSON[:_ROW_START], _TABLE_JSON[_ROW_STOP:] + "\n"
+_BLADE_ROW_JSON = _TABLE_JSON[_ROW_START:_ROW_STOP].replace('"%d"', "%d").replace('"%s"', "%s")
+_SCALAR_ROW_JSON = _BLADE_ROW_JSON[: _BLADE_ROW_JSON.index("[") + 1] + _BLADE_ROW_JSON[_BLADE_ROW_JSON.index("]") :]
 _ZERO_ROW_HEAD, _ZERO_ROW_MIDDLE, _ROW_END = (_SCALAR_ROW_JSON % (0, "%s", "%s")).split("%s")
 
 
 def _write_table_json(category: FiniteCategory, norms: dict[str, int]) -> None:
     """Write {"entries": [...]}, the rows of anticommutator_table, to stdout.
 
-    The text is byte for byte what _emit_json gives for the entry dicts
-    (f, g and _terms_dict of the row), but each id is quoted once with the
-    stdlib's C quoter and each row is one %-format or concatenation,
-    instead of the pure-Python indenting encoder over a dict per row.  The
-    near rows of `geometry._near_rows` are one %-format each, with every
-    id in one argument so that no text holding an id is formatted again.
-    Each run of zero rows between them is one join of per-id tails (the
-    quoted g and the row's end) on the zero row's text up to g.  The rows
-    of each f are written together, so the document is never one string.
+    The text is byte for byte what _json_text gives for the entry dicts
+    (f, g and _terms_dict of the row), on the templates cut from it above,
+    with each id quoted once by the stdlib's C quoter.  A near row of
+    `geometry._near_rows` is one %-format, with every id in one argument so
+    that no text holding an id is formatted again; each run of zero rows
+    between them is one join of per-id tails (the quoted g and the row's
+    end) on the zero row's text up to g.  The rows of each f are one write,
+    so the document is never one string.
     """
-    write = sys.stdout.write
     vectors = category.vectors
+    if not vectors:
+        print(_json_text({"entries": []}))
+        return
+    write = sys.stdout.write
     quoted = {v: encode_basestring(v) for v in vectors}
     tails = [quoted[v] + _ROW_END for v in vectors]
-    write('{\n  "entries": [')
-    separator = "\n"
+    write(_TABLE_HEAD)
+    separator = ""
     for f, near in _near_rows(category, norms):
         quoted_f = quoted[f]
         zero = _ZERO_ROW_HEAD + quoted_f + _ZERO_ROW_MIDDLE
-        run = (",\n" + zero).join
+        run = ("," + zero).join
         chunk = []
         start = 0
         for j, g, scalar, blade, c in near:
@@ -139,9 +129,9 @@ def _write_table_json(category: FiniteCategory, norms: dict[str, int]) -> None:
             start = j + 1
         if start < len(tails):
             chunk.append(zero + run(tails[start:]))
-        write(separator + ",\n".join(chunk))
-        separator = ",\n"
-    write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")  # no f: the stdlib's "[]"
+        write(separator + ",".join(chunk))
+        separator = ","
+    write(_TABLE_TAIL)
 
 
 def cmd_validate(args) -> int:
@@ -154,7 +144,7 @@ def cmd_validate(args) -> int:
     except AxiomViolation as exc:
         violations = exc.violations
     if args.json:
-        _emit_json({"violations": [{"kind": v.kind, "detail": v.detail} for v in violations]})
+        print(_json_text({"violations": [{"kind": v.kind, "detail": v.detail} for v in violations]}))
     else:
         for v in violations:
             print(v)
@@ -166,7 +156,7 @@ def cmd_basis(args) -> int:
     category = _load(args.file)
     basis = atomic_basis(category)
     if args.json:
-        _emit_json({"basis": list(basis)})
+        print(_json_text({"basis": list(basis)}))
     else:
         for member in basis:
             print(member)
@@ -177,7 +167,7 @@ def cmd_norms(args) -> int:
     category = _load(args.file)
     norms = compute_norms(category, atomic_basis(category))
     if args.json:
-        _emit_json({"norms": norms, "zero": 0})
+        print(_json_text({"norms": norms, "zero": 0}))
     else:
         for arrow_id, length in norms.items():
             print("%s = %d" % (arrow_id, length))
@@ -205,7 +195,7 @@ def cmd_product(args) -> int:
         "anticommutator": _multivector_dict(anticommutator_fg, norms),
     }
     if args.json:
-        _emit_json(data)
+        print(_json_text(data))
     else:
         print("inner %s.%s = %s" % (f, g, data["inner_fg"]))
         print("inner %s.%s = %s" % (g, f, data["inner_gf"]))
@@ -235,13 +225,12 @@ def cmd_clifford(args) -> int:
     norms = compute_norms(category, basis)
     report = clifford_report(category, norms, basis)
     if args.json:
-        _emit_json(
-            {
-                "holds": report.holds,
-                "unit_square_failures": [{"basis_vector": e, "square": _multivector_dict(mv, norms)} for e, mv in report.unit_square_failures],
-                "anticommutation_failures": [{"f": f, "g": g} for f, g in report.anticommutation_failures],
-            }
-        )
+        data = {
+            "holds": report.holds,
+            "unit_square_failures": [{"basis_vector": e, "square": _multivector_dict(mv, norms)} for e, mv in report.unit_square_failures],
+            "anticommutation_failures": [{"f": f, "g": g} for f, g in report.anticommutation_failures],
+        }
+        print(_json_text(data))
     else:
         print("basis squares to 1: %s" % ("yes" if not report.unit_square_failures else "NO"))
         for e, mv in report.unit_square_failures:
@@ -256,7 +245,7 @@ def cmd_embed(args) -> int:
     category = _load(args.file)
     embedding = export_embedding(category)
     if args.json:
-        _emit_json({"points": embedding.points, "arcs": embedding.arcs})
+        print(_json_text({"points": embedding.points, "arcs": embedding.arcs}))
     else:
         for obj in category.objects:
             x, y, z = embedding.points[obj]

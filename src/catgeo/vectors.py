@@ -23,7 +23,6 @@ reads dom and cod from that Arrow.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Collection
 
 from .category import Arrow, FiniteCategory
@@ -117,9 +116,8 @@ def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str,
     members = set(basis)
     basis_out = {o: [a.id for a in leaving if a.id in members] for o, leaving in category.out_arrows.items()}
     lengths: dict[str, int] = {e: 1 for e in basis}
-    queue = deque(basis)
-    while queue:
-        reached = queue.popleft()
+    queue = list(basis)  # breadth first: the loop reads what it appends
+    for reached in queue:
         depth = lengths[reached]
         for e in basis_out[arrows[reached].cod]:
             composite = table[(reached, e)]

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -713,6 +714,24 @@ def test_cli_imports_no_dataclasses_typing_or_inspect():
         [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, encoding="utf-8", check=True
     )
     assert (proc.stdout, proc.stderr) == ("[]\n", "")
+
+
+def test_src_modules_use_every_name_they_import():
+    # a deletion can leave its imports behind, unused; __init__ imports to
+    # re-export, and a __future__ import binds no name
+    unused = []
+    for path in sorted(Path(catgeo.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}  # an attribute's base is a Name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append("%s:%d: %s" % (path.name, node.lineno, name))
+    assert unused == []
 
 
 _SUBCOMMANDS = ("validate", "basis", "norms", "table", "clifford", "embed", "dot", "product", "example", "interval")

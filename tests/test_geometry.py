@@ -135,6 +135,35 @@ def test_inner_product_does_not_distribute_over_sum(po6, norms):
     assert inner(chain, chain_norms, "p", "r") + inner(chain, chain_norms, "q", "r") == 1
 
 
+def test_anticommutator_has_a_blade_exactly_when_the_pair_composes_in_one_order(po6, norms):
+    # "fg + gf is a scalar" fails: e1 then e3 composes, e3 then e1 does not,
+    # so fg is the scalar ||e1||·||e3|| and gf the blade e3∧e1
+    assert anticommutator(po6, norms, "e1", "e3") == Multivector(1, {Blade2("e1", "e3"): -1})
+    arrows, vectors = po6.arrows, po6.vectors
+    with_blade = [(f, g) for f in vectors for g in vectors if anticommutator(po6, norms, f, g).blades]
+    one_order = [
+        (f, g) for f in vectors for g in vectors if f != g and (arrows[f].cod == arrows[g].dom) != (arrows[g].cod == arrows[f].dom)
+    ]
+    assert with_blade == one_order
+    assert (len(with_blade), len(vectors) ** 2) == (26, 169)
+
+
+def test_square_of_a_sum_is_not_its_expansion(po6, norms):
+    # (f (+) g)² = f² + fg + gf + g² fails on every pair of po6 whose sum is
+    # defined: the left side is a scalar, and fg + gf on the right keeps a
+    # blade, as such a pair composes in one order only
+    def square(f):
+        return geometric(po6, norms, f, f)
+
+    assert vec_add(po6, "e1", "e3") == H
+    assert square(H) == Multivector(4)
+    assert square("e1") + anticommutator(po6, norms, "e1", "e3") + square("e3") == Multivector(3, {Blade2("e1", "e3"): -1})
+    vectors = po6.vectors
+    sums = [(f, g) for f in vectors for g in vectors if po6.arrows[f].cod == po6.arrows[g].dom]
+    fails = [(f, g) for f, g in sums if square(vec_add(po6, f, g)) != square(f) + anticommutator(po6, norms, f, g) + square(g)]
+    assert fails == sums and len(sums) == 13
+
+
 class TestOrthogonalParallel:
     def test_e4_m_orthogonal(self, po6, norms):
         assert is_orthogonal(po6, norms, "e4", M)

@@ -12,6 +12,7 @@ from catgeo import (
     Arrow,
     CyclicGraph,
     FiniteCategory,
+    Multivector,
     NoDifference,
     NontrivialCycle,
     NotGenerated,
@@ -320,6 +321,16 @@ def test_bfs_norms_match_brute_force(cat):
         assert exc.missing == [v for v in cat.vectors if v not in expected] != []
     else:
         assert norms == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories | concrete_categories())
+def test_square_is_norm_squared(cat):
+    # f² = ||f||² for every non-zero f, endomorphisms and isomorphisms too;
+    # an arrow that no basis word reaches has no norm, and is left out
+    norms = oracle_word_norms(cat, atomic_basis(cat))
+    for f in norms:
+        assert geometric(cat, norms, f, f) == Multivector(norms[f] ** 2)
 
 
 @settings(max_examples=40, deadline=None)

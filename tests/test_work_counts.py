@@ -2,20 +2,25 @@
 on a ladder of sizes, against a formula in the category's structure, so
 that a stage that turns quadratic fails a test however fast the host is."""
 
+import random
 from collections import Counter
 from collections.abc import Mapping
 
 import pytest
 
 from catgeo import (
+    ZERO,
     FiniteCategory,
+    NoDifference,
     anticommutator_table,
     atomic_basis,
     build_free,
     build_thin,
     clifford_report,
     compute_norms,
+    distance,
     validate_axioms,
+    vec_add,
 )
 from catgeo import cli
 
@@ -144,3 +149,32 @@ def test_clifford_report_runs_the_kernel_once_per_basis_arrow(name, count_kernel
     calls = count_kernel_calls()
     assert clifford_report(category, norms, basis).holds
     assert len(calls) == len(basis) > 0
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_distance_adds_each_vector_once_and_looks_up_the_arrows_leaving_cod_g(name, monkeypatch):
+    # today's cost as a ceiling: g (+) l for every vector l, a lookup for
+    # each l leaving cod g and none for g = O (item 1b of the roadmap walks
+    # the arrows leaving cod g instead, and lowers the vec_add bound to 0)
+    category = LADDER[name]()
+    arrows, vectors = category.arrows, category.vectors
+    norms = compute_norms(category, atomic_basis(category))
+    category.table = counter = CountingTable(category.table)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return vec_add(*args)
+
+    monkeypatch.setattr("catgeo.vectors.vec_add", counting)
+    rng = random.Random(6)
+    for _ in range(50):
+        f, g = rng.choice((ZERO, *vectors)), rng.choice((ZERO, *vectors))
+        calls.clear()
+        counter.lookups = 0
+        try:
+            distance(category, norms, f, g)
+        except NoDifference:
+            pass
+        assert len(calls) <= len(vectors)
+        assert counter.lookups == (0 if g is ZERO else sum(arrows[l].dom == arrows[g].cod for l in vectors))
