@@ -142,6 +142,27 @@ def test_table_json_runs_the_kernel_twice_per_near_pair(name, count_kernel_calls
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
+def test_text_table_formats_each_near_row_once(name, count_kernel_calls, monkeypatch):
+    # format_terms writes the near rows only, and once the zero row that
+    # each run of zero rows between them is joined from
+    category = LADDER[name]()
+    monkeypatch.setattr(cli, "_load", lambda path: category)
+    monkeypatch.setattr("sys.stdout", Discard())
+    formatted = []
+    format_terms = cli.format_terms
+
+    def counting(scalar, terms):
+        formatted.append(terms)
+        return format_terms(scalar, terms)
+
+    monkeypatch.setattr(cli, "format_terms", counting)
+    calls = count_kernel_calls()
+    assert cli.main(["table", "ladder.json"]) == 0
+    assert len(calls) == 2 * near_pairs(category)
+    assert len(formatted) == near_pairs(category) + 1
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
 def test_clifford_report_runs_the_kernel_once_per_basis_arrow(name, count_kernel_calls):
     category = LADDER[name]()
     basis = atomic_basis(category)
