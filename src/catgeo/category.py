@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import CatGeoError, CyclicGraph, NontrivialCycle, NotComposable, ParseError, UnknownArrow
+from .errors import CatGeoError, CyclicGraph, NotComposable, ParseError, UnknownArrow
 
 IDENTITY_PREFIX = "id:"
 
@@ -203,37 +203,35 @@ def _identities(objects) -> list[Arrow]:
     return [Arrow(IDENTITY_PREFIX + o, o, o, is_identity=True) for o in objects]
 
 
-def _generator_graph(objects, generators, cycle_error):
+def _generator_graph(objects, generators):
     """(out_edges, order): each object's (generator id, target) list, and
     the objects with every edge's target before its source.
 
-    The order is a three-colour DFS with an explicit stack of out-edge
-    iterators, so that long chains cannot exhaust the interpreter stack;
-    raises `cycle_error` on a directed cycle.
+    The order is Kahn's, from the sinks: an object is placed when none of
+    its edges leads to an unplaced object, and each placement lowers the
+    counts of its sources.  Raises CyclicGraph, naming an object on a
+    directed cycle, when some object is never placed.
     """
     out_edges: dict[str, list[tuple[str, str]]] = {o: [] for o in objects}
+    sources = {o: [] for o in objects}
     for gid, dom, cod in generators:
         out_edges[dom].append((gid, cod))
-    state = {o: 0 for o in objects}  # 0 unseen, 1 active, 2 done
-    order = []
-    for root in objects:
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(out_edges[root]))]
-        while stack:
-            node, edges = stack[-1]
-            for _, nxt in edges:
-                if state[nxt] == 1:
-                    raise cycle_error("directed cycle through %r" % nxt)
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(out_edges[nxt])))
-                    break
-            else:
-                state[node] = 2
-                order.append(node)
-                stack.pop()
+        sources[cod].append(dom)
+    unplaced = {o: len(out_edges[o]) for o in objects}
+    order = [o for o in objects if not unplaced[o]]
+    for node in order:  # the list grows while it is read
+        for src in sources[node]:
+            unplaced[src] -= 1
+            if not unplaced[src]:
+                order.append(src)
+    if len(order) < len(objects):
+        # each unplaced object has an edge to another: walk those to a repeat
+        node = next(o for o in objects if unplaced[o])
+        seen = set()
+        while node not in seen:
+            seen.add(node)
+            node = next(nxt for _, nxt in out_edges[node] if unplaced[nxt])
+        raise CyclicGraph("directed cycle through %r" % node)
     return out_edges, order
 
 
@@ -241,15 +239,15 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     """Thin category: one arrow a→b per nonempty generator path, a != b.
 
     The objects each object reaches and its atomic generators are found
-    in one pass, targets first, in one DAG order.
+    in one pass, in the generator graph's order, targets first.
     Generator arrows keep their given ids; derived arrows are named
-    "<dom>-><cod>".  Raises NontrivialCycle when the generator graph has a
+    "<dom>-><cod>".  Raises CyclicGraph when the generator graph has a
     directed cycle, CatGeoError when the category would have more than
     MAX_FREE_PATHS non-identity arrows, and ParseError when two generators
     share an ordered object pair or a derived name is already an arrow id.
     """
     _check_presentation(objects, generators)
-    out_edges, order = _generator_graph(objects, generators, NontrivialCycle)
+    out_edges, order = _generator_graph(objects, generators)
 
     # reach[a]: the objects a nonempty path from a ends at; a generator
     # a -> b is atomic unless b lies beyond another generator a -> c, and
@@ -298,20 +296,20 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     A path through edges g1, g2, ..., gn (in traversal order) gets the id
     "gn∘...∘g2∘g1", so the composite of f then g is "g∘f"; as no generator
     id contains "∘", each id names one path.  The paths from each object
-    are listed targets first, in one DAG order.  Raises CyclicGraph when
-    the multigraph has a directed cycle, and CatGeoError when it has more
-    than MAX_FREE_PATHS nonempty paths.
+    are listed in the generator graph's order, targets first.  Raises
+    CyclicGraph when the multigraph has a directed cycle, and CatGeoError
+    when it has more than MAX_FREE_PATHS nonempty paths.
     """
     _check_presentation(objects, generators)
     for gid, _, _ in generators:
         if PATH_SEP in gid:
             raise ParseError("generator id %r contains the reserved separator" % gid)
-    out_edges, order = _generator_graph(objects, generators, CyclicGraph)
+    out_edges, order = _generator_graph(objects, generators)
 
     # count the nonempty paths before enumerating them: paths from an
     # object are its out-edges, each extended by the paths from its target
     paths_from = {}
-    for node in order:  # every target finishes before its sources
+    for node in order:  # every target comes before its sources
         paths_from[node] = sum(1 + paths_from[nxt] for _, nxt in out_edges[node])
     total = sum(paths_from.values())
     if total > MAX_FREE_PATHS:

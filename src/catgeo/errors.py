@@ -24,12 +24,11 @@ class AxiomViolation(CatGeoError):
         )
 
 
-class NontrivialCycle(CatGeoError):
-    """The generator graph of a thin presentation has a directed cycle."""
-
-
 class CyclicGraph(CatGeoError):
-    """The generator multigraph of a free presentation has a directed cycle."""
+    """The generator graph of a thin or free presentation has a directed cycle."""
+
+
+NontrivialCycle = CyclicGraph  # the name the thin builder raised, kept for callers
 
 
 class NotComposable(CatGeoError):

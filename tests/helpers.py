@@ -24,6 +24,11 @@ from catgeo import (
     build_explicit,
     build_free,
     build_thin,
+    distance,
+    geometric,
+    inner,
+    outer,
+    vec_add,
 )
 from catgeo.category import IDENTITY_PREFIX
 from catgeo.documents import MODES, CategoryDocument
@@ -256,6 +261,24 @@ def outlist_distance(category: FiniteCategory, norms, f, g):
         if not l.is_identity and category.table[(g, l.id)] == f:
             best = norms[l.id] if best is None else min(best, norms[l.id])
     return best
+
+
+def zero_vector_law_failures(category: FiniteCategory, norms) -> list:
+    """The (law, f) pairs at which a finite zero-vector law fails, f being
+    O and each non-zero vector: O is the unit of (+), d(f, O) = ||f|| with
+    ||O|| = 0 (the l = O candidate), and every product of f with O is 0."""
+    laws = {
+        "O (+) f = f": lambda f: vec_add(category, ZERO, f) == f,
+        "f (+) O = f": lambda f: vec_add(category, f, ZERO) == f,
+        "d(f, O) = ||f||": lambda f: distance(category, norms, f, ZERO) == norms.get(f, 0),
+        "f.O = 0": lambda f: inner(category, norms, f, ZERO) == 0,
+        "O.f = 0": lambda f: inner(category, norms, ZERO, f) == 0,
+        "f^O = 0": lambda f: outer(category, norms, f, ZERO).is_zero(),
+        "O^f = 0": lambda f: outer(category, norms, ZERO, f).is_zero(),
+        "fO = 0": lambda f: geometric(category, norms, f, ZERO).is_zero(),
+        "Of = 0": lambda f: geometric(category, norms, ZERO, f).is_zero(),
+    }
+    return [(law, f) for f in (ZERO, *category.vectors) for law, holds in laws.items() if not holds(f)]
 
 
 def oracle_atomic_basis(category: FiniteCategory) -> tuple[str, ...]:

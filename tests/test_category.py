@@ -22,6 +22,7 @@ from catgeo import (
 from catgeo.category import MAX_FREE_PATHS, FiniteCategory
 
 from helpers import (
+    _closure,
     oracle_build_free,
     oracle_build_thin,
     oracle_validate_axioms,
@@ -377,8 +378,12 @@ def test_builder_matches_naive_oracle(build, oracle, seed):
         try:
             arrows, table = oracle(objects, generators)
         except (ParseError, NontrivialCycle, CyclicGraph) as exc:
-            with pytest.raises(type(exc)):
+            with pytest.raises(type(exc)) as refusal:
                 build(objects, generators)
+            if isinstance(exc, CyclicGraph):
+                # the object the message names reaches itself
+                named = re.fullmatch("directed cycle through (.*)", str(refusal.value)).group(1)
+                assert any(named == repr(o) and o in reach for o, reach in _closure(objects, generators).items())
             refused += 1
             continue
         cat = build(objects, generators)
@@ -389,6 +394,13 @@ def test_builder_matches_naive_oracle(build, oracle, seed):
         assert validate_axioms(cat) == []
         built += 1
     assert built > 250 and refused > 150
+
+
+def test_thin_and_free_refuse_a_cycle_with_one_error():
+    assert NontrivialCycle is CyclicGraph
+    for build in (build_thin, build_free):
+        with pytest.raises(CyclicGraph, match="^directed cycle through 'a'$"):
+            build(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
 
 
 @pytest.mark.parametrize("build", [build_thin, build_free])

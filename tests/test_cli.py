@@ -503,6 +503,40 @@ class TestErrors:
         status, out, err = run(capsys, "norms", str(doc))
         assert (status, out, err) == (2, "", "catgeo: error: thin category would have more than 20000 arrows\n")
 
+    @pytest.mark.parametrize(
+        "data, name",
+        [
+            (
+                {
+                    "mode": "thin",
+                    "objects": ["x", "a", "b"],
+                    "arrows": [
+                        {"id": "f", "dom": "x", "cod": "a"},
+                        {"id": "g", "dom": "a", "cod": "b"},
+                        {"id": "h", "dom": "b", "cod": "a"},
+                    ],
+                },
+                "a",
+            ),
+            (
+                {
+                    "mode": "free",
+                    "objects": ["a", "b"],
+                    "arrows": [{"id": "f", "dom": "a", "cod": "b"}, {"id": "g", "dom": "b", "cod": "b"}],
+                },
+                "b",
+            ),
+        ],
+        ids=["thin 2-cycle", "free self-loop"],
+    )
+    def test_cyclic_document_exits_2_naming_an_object_on_the_cycle(self, capsys, tmp_path, data, name):
+        # the first object in document order only leads to the cycle
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        expected = (2, "", "catgeo: error: directed cycle through '%s'\n" % name)
+        for argv in (["norms", str(path)], ["norms", str(path), "--json"], ["validate", str(path)]):
+            assert run(capsys, *argv) == expected, argv
+
     def test_norms_and_basis_at_the_arrow_cap_stay_small(self, tmp_path):
         # a thin chain of 200 objects has 19,900 arrows, just under
         # MAX_FREE_PATHS; a stored table of its 1.35 million composites
