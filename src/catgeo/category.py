@@ -83,7 +83,7 @@ class Violation(namedtuple("Violation", "kind detail")):
 
 
 class FiniteCategory:
-    """Immutable finite category.
+    """A finite category.  It is not frozen: its attributes can be reassigned.
 
     `table` maps each composable pair (f, g) to the id of g∘f: a copy of
     the given mapping, which the thin and free builders then replace by a

@@ -2,7 +2,8 @@
 
 
 class CatGeoError(Exception):
-    """Base class for every error raised by catgeo."""
+    """Base class of catgeo's errors.  A bad argument value raises ValueError
+    instead (O in is_parallel, lo >= hi in IntervalArrow); the CLI exits 2 on both."""
 
 
 class ParseError(CatGeoError):
@@ -28,15 +29,8 @@ class CyclicGraph(CatGeoError):
     """The generator graph of a thin or free presentation has a directed cycle."""
 
 
-NontrivialCycle = CyclicGraph  # the name the thin builder raised, kept for callers
-
-
 class NotComposable(CatGeoError):
-    """compose(f, g) was asked for arrows with cod(f) != dom(g)."""
-
-
-class UndefinedSum(CatGeoError):
-    """Vector addition is undefined for this pair (non-composable arrows)."""
+    """f then g does not compose (cod f ≠ dom g), so g∘f and the sum f (+) g are undefined."""
 
 
 class CompositeIsIdentity(CatGeoError):
@@ -61,3 +55,7 @@ class NoDifference(CatGeoError):
 
 class UnknownArrow(CatGeoError):
     """An arrow id does not name an arrow of the category."""
+
+
+NontrivialCycle = CyclicGraph  # the name the thin builder raised, kept for callers
+UndefinedSum = NotComposable  # the name vec_add and interval_add raised, kept for callers

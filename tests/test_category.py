@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import re
+import weakref
 
 import pytest
 
@@ -11,15 +13,20 @@ from catgeo import (
     NontrivialCycle,
     NotComposable,
     ParseError,
+    anticommutator_table,
+    atomic_basis,
     build_explicit,
     build_free,
     build_thin,
     builtin_category,
+    clifford_report,
     compose,
+    compute_norms,
     load_category,
     validate_axioms,
 )
 from catgeo.category import MAX_FREE_PATHS, FiniteCategory
+from catgeo.documents import CategoryDocument, document_to_json
 
 from helpers import (
     _closure,
@@ -464,6 +471,41 @@ class TestRuleTables:
         with pytest.raises(TypeError):
             del cat.table[key]
         assert key in cat.table
+
+
+_PATH = CategoryDocument(
+    "explicit", ["x", "y", "z"], [("p", "x", "y"), ("q", "y", "z"), ("r", "x", "z")], [("p", "q", "r")]
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_thin(PO6_OBJECTS, PO6_GENERATORS),
+        lambda: build_free(["a", "b", "c"], [("u", "a", "b"), ("v", "a", "b"), ("w", "b", "c")]),
+        lambda: build_explicit(_PATH.objects, _PATH.arrows, {("p", "q"): "r"}),
+        lambda: builtin_category("po6"),
+        lambda: builtin_category("path3"),
+        lambda: load_category(document_to_json(_PATH)),
+    ],
+    ids=["thin", "free", "explicit", "load-thin", "load-free", "load-explicit"],
+)
+def test_a_category_is_freed_without_the_cycle_collector(make):
+    # a rule table holds the category's arrows and indexes, not the category:
+    # a reference cycle would keep every category alive until gc ran
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cat = make()
+        norms = compute_norms(cat, atomic_basis(cat))
+        clifford_report(cat, norms, atomic_basis(cat))
+        assert sum(1 for _ in anticommutator_table(cat, norms)) == len(cat.vectors) ** 2
+        freed = weakref.ref(cat)
+        del cat
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_builtin_po6_matches_direct_build(po6):

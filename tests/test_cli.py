@@ -7,6 +7,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -833,6 +834,42 @@ def test_src_modules_use_every_name_they_import():
                     if name not in used:
                         unused.append("%s:%d: %s" % (path.name, node.lineno, name))
     assert unused == []
+
+
+def test_src_reads_every_private_name_it_defines():
+    # a private function, class or constant that only the tests read is dead
+    # code the tests keep alive; a function calling itself does not count
+    paths = Path(catgeo.__file__).parent.glob("*.py")
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+    def reads(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.ImportFrom):
+                yield from (alias.name for alias in node.names)
+
+    read = Counter(name for tree in trees.values() for name in reads(tree))
+    defined, unread = [], []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, own = [node.name], Counter(reads(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+                own = Counter()
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append(name)
+                    if read[name] <= own[name]:
+                        unread.append("%s:%d: %s" % (module, node.lineno, name))
+    assert defined  # the walk finds them
+    assert unread == []
 
 
 _SUBCOMMANDS = ("validate", "basis", "norms", "table", "clifford", "embed", "dot", "product", "example", "interval")

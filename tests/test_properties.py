@@ -10,19 +10,23 @@ import pytest
 from catgeo import (
     ZERO,
     Arrow,
+    CompositeIsIdentity,
     CyclicGraph,
     FiniteCategory,
     Multivector,
     NoDifference,
     NontrivialCycle,
+    NotComposable,
     NotGenerated,
     ParseError,
+    UndefinedSum,
     anticommutator,
     anticommutator_table,
     atomic_basis,
     build_free,
     build_thin,
     clifford_report,
+    compose,
     compute_norms,
     distance,
     geometric,
@@ -266,6 +270,25 @@ def test_free_norm_is_additive(cat):
         for g in cat.vectors:
             if cat.arrows[f].cod == cat.arrows[g].dom:
                 assert norms[vec_add(cat, f, g)] == norms[f] + norms[g]
+
+
+@settings(max_examples=100, deadline=None)
+@given(categories | cyclic)
+def test_sum_is_the_composite(cat):
+    # f (+) g = g∘f: the sum is undefined exactly when the composite is, with
+    # the same error, and a composite that is an identity is no vector
+    assert UndefinedSum is NotComposable
+    for f in cat.vectors:
+        for g in cat.vectors:
+            if cat.arrows[f].cod != cat.arrows[g].dom:
+                for add in (compose, vec_add):
+                    with pytest.raises(NotComposable):
+                        add(cat, f, g)
+            elif cat.arrows[compose(cat, f, g)].is_identity:
+                with pytest.raises(CompositeIsIdentity):
+                    vec_add(cat, f, g)
+            else:
+                assert vec_add(cat, f, g) == compose(cat, f, g)
 
 
 @settings(max_examples=100, deadline=None)
