@@ -15,14 +15,13 @@ import functools
 import os
 import re
 import sys
-from json.encoder import encode_basestring
 
 from . import realline
 from .category import FiniteCategory
 from .documents import _json_text, builtin_document, builtin_names, load_category
 from .errors import AxiomViolation, CatGeoError, ParseError
-from .geometry import Multivector, _near_rows, clifford_report, format_terms, geometric
-from .render import export_dot, export_embedding
+from .geometry import Multivector, clifford_report, geometric
+from .render import _JSON_MODE, _TEXT_MODE, _multivector_dict, _write_table, export_dot, export_embedding
 from .vectors import atomic_basis, compute_norms
 
 USAGE_EXIT = 1
@@ -56,91 +55,6 @@ def _load(path: str) -> FiniteCategory:
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not valid UTF-8: %s" % ("stdin" if path == "-" else path, exc)) from None
     return load_category(text)
-
-
-def _terms_dict(scalar, terms, norms: dict[str, int] | None = None) -> dict:
-    blades = []
-    for first, second, coefficient in terms:
-        entry = {"first": str(first), "second": str(second), "coefficient": coefficient}
-        if norms is not None:
-            entry["area"] = norms[first] * norms[second]
-        blades.append(entry)
-    if not isinstance(scalar, int):
-        scalar = str(scalar)
-    return {"scalar": scalar, "blades": blades}
-
-
-def _multivector_dict(mv: Multivector, norms: dict[str, int] | None = None) -> dict:
-    return _terms_dict(mv.scalar, mv.terms(), norms)
-
-
-# Every piece of `table --json` text is cut from what documents._json_text
-# writes for a table of one row with one blade, its values placeholders:
-# the head, the row from the newline that starts it, and the tail.  A row
-# with no blade is that row with its blades' list emptied.
-_BLADE = {"area": "%d", "coefficient": "%d", "first": "%s", "second": "%s"}
-_TABLE_JSON = _json_text({"entries": [{"anticommutator": {"blades": [_BLADE], "scalar": "%d"}, "f": "%s", "g": "%s"}]})
-_ROW_START = _TABLE_JSON.index("[") + 1  # after the entries' [
-_ROW_STOP = _TABLE_JSON.rindex("}", 0, _TABLE_JSON.rindex("]")) + 1  # after the row's }
-_BLADE_ROW_JSON = _TABLE_JSON[_ROW_START:_ROW_STOP].replace('"%d"', "%d").replace('"%s"', "%s")
-_SCALAR_ROW_JSON = _BLADE_ROW_JSON[: _BLADE_ROW_JSON.index("[") + 1] + _BLADE_ROW_JSON[_BLADE_ROW_JSON.index("]") :]
-
-
-def _text_row(args) -> str:
-    *blade, scalar, f, g = args  # a JSON row's arguments: area, coefficient, first, second, or no blade
-    return "%s %s: %s\n" % (f, g, format_terms(scalar, ((blade[2], blade[3], blade[1]),) if blade else ()))
-
-
-# A `table` mode: the text of a table with no row; the head, tail and row
-# separator; how an id is written; the formats of a row without and with a blade.
-_JSON_MODE = (_json_text({"entries": []}) + "\n", _TABLE_JSON[:_ROW_START], _TABLE_JSON[_ROW_STOP:] + "\n", ",",
-              encode_basestring, _SCALAR_ROW_JSON.__mod__, _BLADE_ROW_JSON.__mod__)
-_TEXT_MODE = ("", "", "", "", str, _text_row, _text_row)
-
-
-def _write_table(category: FiniteCategory, norms: dict[str, int], mode: tuple) -> None:
-    """Write the rows of anticommutator_table to stdout in one mode's text.
-
-    _JSON_MODE writes what _json_text gives for {"entries": [...]} of the
-    entry dicts (f, g and _terms_dict of the row); _TEXT_MODE writes a line
-    "f g: " and format_terms of its terms per row.  Ids are written once, so
-    no text holding one is formatted again.  A near row of `_near_rows` is
-    one call of a row format; the zero row, the format of scalar 0 cut at
-    its two ids, is joined once per run of zero rows between them.  The rows
-    of each f are one write, so the table is never one string.
-    """
-    empty, head, tail, separator, quote, scalar_row, blade_row = mode
-    vectors = category.vectors
-    write = sys.stdout.write
-    if not vectors:
-        write(empty)
-        return
-    quoted = {v: quote(v) for v in vectors}
-    zero_head, zero_middle, zero_end = scalar_row((0, "%s", "%s")).split("%s")
-    tails = [quoted[v] + zero_end for v in vectors]
-    write(head)
-    between = ""
-    for f, near in _near_rows(category, norms):
-        quoted_f = quoted[f]
-        zero = zero_head + quoted_f + zero_middle
-        run = (separator + zero).join
-        chunk = []
-        start = 0
-        for j, g, scalar, blade, c in near:
-            if start < j:
-                chunk.append(zero + run(tails[start:j]))
-            if blade is None:
-                chunk.append(scalar_row((scalar, quoted_f, quoted[g])))
-            else:
-                first, second = blade
-                area = norms[first] * norms[second]
-                chunk.append(blade_row((area, c, quoted[first], quoted[second], scalar, quoted_f, quoted[g])))
-            start = j + 1
-        if start < len(tails):
-            chunk.append(zero + run(tails[start:]))
-        write(between + separator.join(chunk))
-        between = separator
-    write(tail)
 
 
 def cmd_validate(args) -> int:

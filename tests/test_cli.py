@@ -25,8 +25,9 @@ from catgeo import (
     format_terms,
     validate_axioms,
 )
-from catgeo.cli import _JSON_MODE, _TEXT_MODE, _terms_dict, _write_table, main
+from catgeo.cli import main
 from catgeo.documents import CategoryDocument, builtin_document, document_to_json
+from catgeo.render import _JSON_MODE, _TEXT_MODE, _terms_dict, _write_table
 
 from helpers import closed_form_anticommutator, concrete_categories
 

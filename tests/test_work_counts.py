@@ -22,7 +22,7 @@ from catgeo import (
     validate_axioms,
     vec_add,
 )
-from catgeo import cli
+from catgeo import cli, render
 
 from helpers import concrete_category
 
@@ -149,13 +149,13 @@ def test_text_table_formats_each_near_row_once(name, count_kernel_calls, monkeyp
     monkeypatch.setattr(cli, "_load", lambda path: category)
     monkeypatch.setattr("sys.stdout", Discard())
     formatted = []
-    format_terms = cli.format_terms
+    format_terms = render.format_terms
 
     def counting(scalar, terms):
         formatted.append(terms)
         return format_terms(scalar, terms)
 
-    monkeypatch.setattr(cli, "format_terms", counting)
+    monkeypatch.setattr(render, "format_terms", counting)
     calls = count_kernel_calls()
     assert cli.main(["table", "ladder.json"]) == 0
     assert len(calls) == 2 * near_pairs(category)
