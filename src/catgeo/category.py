@@ -15,7 +15,12 @@ map of object pairs to non-identity arrow ids, and in a free category
 the path named "g∘f".  The builders of these two modes also record the
 atomic basis, which they know from the presentation.
 
-Each category also keeps two indexes, built once when it is made.
+Each category also keeps two indexes.  An explicit category builds them
+when it is made.  A thin or free category builds them, with its arrows
+and its table, when one of arrows, out_arrows, vectors or table is first
+read, after its builder has checked the presentation in full: the cycle,
+budget and naming errors and the atomic basis all follow from the
+presentation, so `validate` and `basis` never enumerate its arrows.
 `out_arrows` maps every object to the tuple of arrows leaving it,
 identities included, in arrow order.  The arrows g composable after f are
 exactly `out_arrows[f.cod]`, so the passes that enumerate composable
@@ -90,6 +95,11 @@ class FiniteCategory:
     view that composes by rule.  `basis` is the atomic basis, sorted, when
     the builder records it, and None otherwise.  `vectors` holds the
     non-identity arrow ids, sorted; the zero vector O is not in it.
+
+    A thin or free builder returns its category with objects, mode and
+    basis set and its arrows not yet enumerated; the first read of arrows,
+    out_arrows, vectors or table enumerates them and builds the indexes
+    and the table, as this constructor does.
     """
 
     def __init__(
@@ -117,6 +127,44 @@ class FiniteCategory:
             len(self.objects),
             len(self.arrows),
         )
+
+
+#: the attributes a thin or free category enumerates on their first read
+_ENUMERATED = frozenset(("arrows", "out_arrows", "vectors", "table"))
+
+
+class _PendingCategory(FiniteCategory):
+    """A thin or free category whose presentation has been checked in full
+    and whose arrows are not enumerated yet.
+
+    It holds objects, mode and basis, and in `_pending` the function that
+    enumerates the category with the presentation data it reads, none of
+    which refers to the category.  The first read of an attribute in
+    _ENUMERATED runs it, keeps any attribute assigned before then, and
+    turns the instance into a plain FiniteCategory, so that no later read
+    passes through `__getattr__`.
+    """
+
+    def __init__(self, objects, mode, basis, enumerate_arrows, presentation):
+        self.objects = objects
+        self.mode = mode
+        self.basis = basis
+        self._pending = enumerate_arrows, presentation
+
+    def __getattr__(self, name):
+        # called only for an attribute the instance does not hold
+        if name not in _ENUMERATED:
+            raise AttributeError("'FiniteCategory' object has no attribute %r" % name, name=name, obj=self)
+        assigned = self.__dict__
+        enumerate_arrows, presentation = assigned.pop("_pending")
+        # a new plain dict: on CPython 3.11 an attribute read from the
+        # key-sharing dict that a class change leaves behind costs four
+        # times one from a plain dict or from an eager category
+        state = dict(vars(enumerate_arrows(*presentation)))
+        state.update(assigned)
+        self.__class__ = FiniteCategory
+        self.__dict__ = state
+        return state[name]
 
 
 class _RuleTable(Mapping):
@@ -181,12 +229,16 @@ def compose(category: FiniteCategory, f: str, g: str) -> str:
     return category.table[(f, g)]
 
 
-def _check_presentation(objects, generators):
+def _check_presentation(objects, generators) -> bool:
+    """Raise ParseError for a bad, repeated or undeclared id; return whether
+    some object or generator id contains "->", as a derived thin name does."""
     if len(set(objects)) != len(objects):
         raise ParseError("duplicate object ids")
+    arrowlike = False
     for obj in objects:
         if not obj or obj.startswith(IDENTITY_PREFIX):
             raise ParseError("bad object id %r" % obj)
+        arrowlike = arrowlike or "->" in obj
     obj_set = set(objects)
     seen = set()
     for gid, dom, cod in generators:
@@ -197,6 +249,8 @@ def _check_presentation(objects, generators):
         seen.add(gid)
         if dom not in obj_set or cod not in obj_set:
             raise ParseError("generator %r has undeclared endpoint" % gid)
+        arrowlike = arrowlike or "->" in gid
+    return arrowlike
 
 
 def _identities(objects) -> list[Arrow]:
@@ -245,8 +299,13 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     directed cycle, CatGeoError when the category would have more than
     MAX_FREE_PATHS non-identity arrows, and ParseError when two generators
     share an ordered object pair or a derived name is already an arrow id.
+
+    The arrows are enumerated on first read, except when some object or
+    generator id contains "->": only then can a derived name be taken
+    (by a generator, or by another derived name), so only then are they
+    enumerated here, where that ParseError is raised.
     """
-    _check_presentation(objects, generators)
+    arrowlike = _check_presentation(objects, generators)
     out_edges, order = _generator_graph(objects, generators)
 
     # reach[a]: the objects a nonempty path from a ends at; a generator
@@ -274,6 +333,16 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
             )
         between[dom, cod] = gid
 
+    objects, basis = tuple(objects), tuple(sorted(basis))
+    if arrowlike:  # a derived name may be taken: find out while loading
+        return _thin_category(objects, basis, reach, between)
+    return _PendingCategory(objects, "thin", basis, _thin_category, (objects, basis, reach, between))
+
+
+def _thin_category(objects, basis, reach, between) -> FiniteCategory:
+    """The thin category of build_thin's presentation pass: the arrow a -> b
+    for each b in reach[a], named by between or derived; between gains the
+    derived names, and the table reads it."""
     used = set(between.values())
     arrows = _identities(objects)
     for a in objects:
@@ -285,7 +354,7 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
                     raise ParseError("derived arrow %s -> %s would be named %r, which is already taken" % (a, b, aid))
                 used.add(aid)
             arrows.append(Arrow(aid, a, b))
-    category = FiniteCategory(objects, arrows, {}, "thin", tuple(sorted(basis)))
+    category = FiniteCategory(objects, arrows, {}, "thin", basis)
     category.table = _RuleTable(category, between)
     return category
 
@@ -296,9 +365,10 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     A path through edges g1, g2, ..., gn (in traversal order) gets the id
     "gn∘...∘g2∘g1", so the composite of f then g is "g∘f"; as no generator
     id contains "∘", each id names one path.  The paths from each object
-    are listed in the generator graph's order, targets first.  Raises
-    CyclicGraph when the multigraph has a directed cycle, and CatGeoError
-    when it has more than MAX_FREE_PATHS nonempty paths.
+    are listed in the generator graph's order, targets first, when the
+    arrows are first read.  Raises CyclicGraph when the multigraph has a
+    directed cycle, and CatGeoError when it has more than MAX_FREE_PATHS
+    nonempty paths.
     """
     _check_presentation(objects, generators)
     for gid, _, _ in generators:
@@ -316,7 +386,14 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
         raise CatGeoError(
             "free category would have %d path arrows, more than the limit of %d" % (total, MAX_FREE_PATHS)
         )
+    # no path through two or more edges is atomic
+    basis = tuple(sorted(gid for gid, _, _ in generators))
+    objects = tuple(objects)
+    return _PendingCategory(objects, "free", basis, _free_category, (objects, basis, out_edges, order))
 
+
+def _free_category(objects, basis, out_edges, order) -> FiniteCategory:
+    """The free category of build_free's presentation pass."""
     # paths[o]: (id, cod) of every nonempty path from o, in depth-first
     # pre-order: each out-edge e, then e followed by each path p from
     # cod(e), which is named "p∘e"
@@ -330,8 +407,6 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     arrows = _identities(objects)
     for o in objects:
         arrows += [Arrow(f, o, b) for f, b in paths[o]]
-    # no path through two or more edges is atomic
-    basis = tuple(sorted(gid for gid, _, _ in generators))
     category = FiniteCategory(objects, arrows, {}, "free", basis)
     category.table = _RuleTable(category)
     return category

@@ -59,15 +59,27 @@ def random_free(rng: random.Random, max_objects: int = 6, max_edges: int = 8) ->
     return build_free(objects, generators)
 
 
+#: objects named with "->": a derived name such as a0->a1->a0 is that of
+#: a0 -> a1->a0 and of a0->a1 -> a0, so two derived names can coincide
+_ARROWLIKE_OBJECTS = ("a0", "a1", "a0->a0", "a0->a1", "a1->a0", "a1->a1")
+
+
 def random_presentation(rng: random.Random, max_objects: int = 6, max_edges: int = 9):
-    """Objects a0..a<n-1> and generators on any ordered pairs: cycles,
-    self-loops, parallel edges and ids named like thin's derived arrows
-    (a<i>->a<j>) all occur."""
-    n = rng.randint(1, max_objects)
-    objects = ["a%d" % i for i in range(n)]
-    names = ["g%d" % k for k in range(max_edges)] + ["a%d->a%d" % (i, j) for i in range(n) for j in range(n) if i != j]
+    """Objects a0..a<n-1>, or a quarter of the time _ARROWLIKE_OBJECTS in
+    a random order, and generators on any ordered pairs: cycles,
+    self-loops, parallel edges, ids named like thin's derived arrows and
+    two derived names that coincide all occur."""
+    arrowlike = rng.random() < 0.25
+    if arrowlike:
+        objects = rng.sample(_ARROWLIKE_OBJECTS, len(_ARROWLIKE_OBJECTS))
+    else:
+        objects = ["a%d" % i for i in range(rng.randint(1, max_objects))]
+    n = len(objects)
+    derived = dict.fromkeys("%s->%s" % (a, b) for a in objects for b in objects if a != b)
+    names = ["g%d" % k for k in range(max_edges)] + list(derived)
     if rng.random() < 0.6:  # acyclic, so that most presentations build
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # arrowlike objects on a chain, so that derived arrows are many
+        pairs = [(i, i + 1) for i in range(n - 1)] if arrowlike else [(i, j) for i in range(n) for j in range(i + 1, n)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     m = rng.randint(0, min(max_edges, len(names)))
@@ -165,7 +177,8 @@ def oracle_build_thin(objects, generators):
 
     Assumes distinct, declared ids (what build_thin's presentation check
     admits); raises NontrivialCycle for an object on a cycle, then
-    ParseError for two generators on one pair or a taken derived name.
+    ParseError for two generators on one pair or a derived name taken by
+    a generator or by an earlier derived name.
     """
     reach = _closure(objects, generators)
     if any(o in reach[o] for o in objects):
@@ -183,6 +196,7 @@ def oracle_build_thin(objects, generators):
                 name[a, b] = "%s->%s" % (a, b)
                 if name[a, b] in taken:
                     raise ParseError("derived name taken")
+                taken.add(name[a, b])
             arrows.append(Arrow(name[a, b], a, b))
     table = {}
     for f in arrows:

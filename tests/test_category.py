@@ -49,6 +49,12 @@ PO6_GENERATORS = [
 ]
 
 
+#: a thin presentation whose two derived arrows p -> q->r and p->q -> r
+#: would both be named p->q->r
+COINCIDING_OBJECTS = ["p", "m", "q->r", "p->q", "n", "r"]
+COINCIDING_GENERATORS = [("g1", "p", "m"), ("g2", "m", "q->r"), ("g3", "p->q", "n"), ("g4", "n", "r")]
+
+
 @pytest.fixture(scope="module")
 def po6():
     return build_thin(PO6_OBJECTS, PO6_GENERATORS)
@@ -90,6 +96,15 @@ class TestBuildThin:
         # the derived x -> z arrow would take the name of the generator x -> y
         with pytest.raises(ParseError, match="x->z"):
             build_thin(["x", "y", "z"], [("x->z", "x", "y"), ("g2", "y", "z")])
+
+    def test_two_derived_arrows_with_one_name_rejected(self):
+        # p -> q->r and p->q -> r are both derived, and both named p->q->r
+        objects, generators = COINCIDING_OBJECTS, COINCIDING_GENERATORS
+        with pytest.raises(ParseError) as info:
+            build_thin(objects, generators)
+        assert str(info.value) == "derived arrow p->q -> r would be named 'p->q->r', which is already taken"
+        with pytest.raises(ParseError):
+            oracle_build_thin(objects, generators)
 
     def test_generator_named_like_its_own_pair_kept(self):
         cat = build_thin(["x", "y", "z"], [("x->y", "x", "y"), ("g2", "y", "z")])
@@ -478,6 +493,54 @@ _PATH = CategoryDocument(
 )
 
 
+ENUMERATED = ["arrows", "out_arrows", "table", "vectors"]
+
+
+def _enumerated(category):
+    """The attributes of ENUMERATED that the category holds."""
+    return [name for name in ENUMERATED if name in vars(category)]
+
+
+class TestDeferredEnumeration:
+    """A thin or free builder checks the presentation and records the basis;
+    the arrows, indexes and table wait for their first read."""
+
+    BUILDS = {
+        "thin": lambda: build_thin(PO6_OBJECTS, PO6_GENERATORS),
+        "free": lambda: build_free(["a", "b", "c"], [("u", "a", "b"), ("v", "a", "b"), ("w", "b", "c")]),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(BUILDS))
+    @pytest.mark.parametrize("first", ENUMERATED)
+    def test_the_first_read_leaves_a_plain_category(self, mode, first):
+        cat = self.BUILDS[mode]()
+        assert atomic_basis(cat) == cat.basis and _enumerated(cat) == []
+        getattr(cat, first)
+        # a plain FiniteCategory, so no later read passes through a hook,
+        # holding what the constructor sets and nothing more
+        assert type(cat) is FiniteCategory
+        plain = FiniteCategory(cat.objects, cat.arrows.values(), {}, cat.mode, cat.basis)
+        assert sorted(vars(cat)) == sorted(vars(plain))
+
+    @pytest.mark.parametrize("mode", sorted(BUILDS))
+    def test_an_attribute_assigned_before_the_first_read_keeps_its_value(self, mode):
+        # FiniteCategory's attributes can be reassigned, before any read too
+        cat = self.BUILDS[mode]()
+        cat.table = table = {}
+        cat.basis = basis = ("x",)
+        assert len(cat.vectors) == len(self.BUILDS[mode]().vectors)
+        assert cat.table is table and cat.basis is basis
+        assert type(cat) is FiniteCategory
+
+    @pytest.mark.parametrize("mode", sorted(BUILDS))
+    def test_a_missing_attribute_enumerates_nothing(self, mode):
+        cat = self.BUILDS[mode]()
+        assert not hasattr(cat, "nope")
+        with pytest.raises(AttributeError, match="'FiniteCategory' object has no attribute 'nope'"):
+            cat.nope
+        assert _enumerated(cat) == [] and type(cat) is not FiniteCategory
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -490,16 +553,21 @@ _PATH = CategoryDocument(
     ],
     ids=["thin", "free", "explicit", "load-thin", "load-free", "load-explicit"],
 )
-def test_a_category_is_freed_without_the_cycle_collector(make):
-    # a rule table holds the category's arrows and indexes, not the category:
+@pytest.mark.parametrize("read", [True, False], ids=["read", "never read"])
+def test_a_category_is_freed_without_the_cycle_collector(make, read):
+    # a rule table holds the category's arrows and indexes, not the category,
+    # and a thin or free category never read holds its presentation only:
     # a reference cycle would keep every category alive until gc ran
     enabled = gc.isenabled()
     gc.disable()
     try:
         cat = make()
-        norms = compute_norms(cat, atomic_basis(cat))
-        clifford_report(cat, norms, atomic_basis(cat))
-        assert sum(1 for _ in anticommutator_table(cat, norms)) == len(cat.vectors) ** 2
+        if read:
+            norms = compute_norms(cat, atomic_basis(cat))
+            clifford_report(cat, norms, atomic_basis(cat))
+            assert sum(1 for _ in anticommutator_table(cat, norms)) == len(cat.vectors) ** 2
+        else:
+            assert atomic_basis(cat)
         freed = weakref.ref(cat)
         del cat
         assert freed() is None

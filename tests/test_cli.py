@@ -485,6 +485,25 @@ class TestErrors:
             assert (status, out) == (1, "")
             assert err.startswith("catgeo: parse error:")
 
+    def test_two_derived_arrows_with_one_name_are_a_parse_error(self, capsys, tmp_path):
+        # p -> q->r and p->q -> r would both be named p->q->r: validate
+        # refuses the document while it loads, though it reads no arrow
+        doc = tmp_path / "coincide.json"
+        generators = [("g1", "p", "m"), ("g2", "m", "q->r"), ("g3", "p->q", "n"), ("g4", "n", "r")]
+        doc.write_text(
+            json.dumps(
+                {
+                    "mode": "thin",
+                    "objects": ["p", "m", "q->r", "p->q", "n", "r"],
+                    "arrows": [{"id": g, "dom": d, "cod": c} for g, d, c in generators],
+                }
+            ),
+            encoding="utf-8",
+        )
+        status, out, err = run(capsys, "validate", str(doc))
+        assert (status, out) == (1, "")
+        assert err == "catgeo: parse error: derived arrow p->q -> r would be named 'p->q->r', which is already taken\n"
+
     def test_oversized_free_chain_exits_2_without_traceback(self, capsys, tmp_path):
         n = 1100
         objects = ["o%d" % i for i in range(n)]

@@ -22,7 +22,9 @@ from catgeo import (
     validate_axioms,
     vec_add,
 )
+from catgeo import category as category_module
 from catgeo import cli, render
+from catgeo.category import Arrow
 
 from helpers import concrete_category
 
@@ -47,13 +49,13 @@ class CountingTable(Mapping):
 
 def thin_chain(n):
     objects = ["o%d" % i for i in range(n)]
-    return build_thin(objects, [("g%d" % i, a, b) for i, (a, b) in enumerate(zip(objects, objects[1:]))])
+    return objects, [("g%d" % i, a, b) for i, (a, b) in enumerate(zip(objects, objects[1:]))]
 
 
 def staged_free_chain():
     # six stages, two parallel edges a step: 114 paths
     objects = ["a%d" % i for i in range(6)]
-    return build_free(objects, [("g%d_%d" % (i, k), objects[i], objects[i + 1]) for i in range(5) for k in range(2)])
+    return objects, [("g%d_%d" % (i, k), objects[i], objects[i + 1]) for i in range(5) for k in range(2)]
 
 
 def transformation_monoid():
@@ -61,13 +63,78 @@ def transformation_monoid():
     return concrete_category([4], [(0, 0, (3, 3, 1, 0)), (0, 0, (2, 1, 2, 0))], max_arrows=80)
 
 
+#: the rungs that a thin or free builder makes, each with its presentation
+PRESENTATIONS = {
+    "thin chain 10": (build_thin, lambda: thin_chain(10)),
+    "thin chain 20": (build_thin, lambda: thin_chain(20)),
+    "thin chain 40": (build_thin, lambda: thin_chain(40)),
+    "staged free chain": (build_free, staged_free_chain),
+}
+
+
+def _built(build, presentation):
+    return lambda: build(*presentation())
+
+
 LADDER = {
-    "thin chain 10": lambda: thin_chain(10),
-    "thin chain 20": lambda: thin_chain(20),
-    "thin chain 40": lambda: thin_chain(40),
-    "staged free chain": staged_free_chain,
+    **{name: _built(*rung) for name, rung in PRESENTATIONS.items()},
     "transformation monoid": transformation_monoid,
 }
+
+
+@pytest.fixture
+def count_arrows(monkeypatch):
+    """The list of the ids of the Arrows the builders make from now on."""
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args[0])
+        return Arrow(*args, **kwargs)
+
+    monkeypatch.setattr(category_module, "Arrow", counting)
+    return made
+
+
+#: the attributes whose first read enumerates a thin or free category
+ENUMERATED = ("arrows", "out_arrows", "table", "vectors")
+
+
+@pytest.mark.parametrize("first", ENUMERATED)
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_arrows_are_made_once_on_the_first_read_and_not_for_the_basis(name, first, count_arrows):
+    # what validate and basis do with a thin or free document makes no arrow
+    build, presentation = PRESENTATIONS[name]
+    category = build(*presentation())
+    assert atomic_basis(category) and count_arrows == []
+    getattr(category, first)
+    assert sorted(count_arrows) == sorted(category.arrows)
+    made = len(count_arrows)
+    for attribute in ENUMERATED:
+        getattr(category, attribute)
+    compute_norms(category, atomic_basis(category))
+    assert len(count_arrows) == made == len(category.objects) + len(category.vectors)
+
+
+@pytest.mark.parametrize("renamed", ["generator", "object"])
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_a_thin_id_with_an_arrow_in_it_makes_the_arrows_in_the_builder(name, renamed, count_arrows):
+    # a derived name can then be taken, so build_thin finds out at once;
+    # a free category's path names cannot collide, so it still waits
+    build, presentation = PRESENTATIONS[name]
+    objects, generators = presentation()
+    if renamed == "generator":
+        _, dom, cod = generators[0]
+        generators[0] = ("%s->%s" % (dom, cod), dom, cod)
+    else:
+        new = {objects[0]: "->" + objects[0]}
+        objects = [new.get(o, o) for o in objects]
+        generators = [(gid, new.get(dom, dom), new.get(cod, cod)) for gid, dom, cod in generators]
+    category = build(objects, generators)
+    if build is build_thin:
+        assert sorted(count_arrows) == sorted(category.arrows)
+    else:
+        assert count_arrows == []
+        assert len(category.arrows) == len(count_arrows)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
