@@ -9,8 +9,6 @@ an endpoint exactly.  Run with: python3 demos/real_line_intervals.py
 from catgeo import (
     interval,
     interval_add,
-    interval_geometric,
-    interval_inner,
     interval_norm,
     interval_products,
     split,
@@ -40,10 +38,12 @@ print()
 
 c = interval("2", "3")
 print("a =", a, " c =", c, " share no endpoint:")
-print("a.c =", interval_inner(a, c), " c.a =", interval_inner(c, a))
-anticomm = interval_geometric(a, c) + interval_geometric(c, a)
+inner_ac, _, geom_ac = interval_products(a, c)
+inner_ca, _, geom_ca = interval_products(c, a)
+print("a.c =", inner_ac, " c.a =", inner_ca)
+anticomm = geom_ac + geom_ca
 print("anticommutator =", anticomm, " (orthogonal, so the blades cancel)")
 print()
 
 d = interval("0", "2")
-print("d =", d, " squares to", interval_geometric(d, d))
+print("d =", d, " squares to", interval_products(d, d)[2])

@@ -57,10 +57,7 @@ from .realline import (
     IntervalArrow,
     interval,
     interval_add,
-    interval_geometric,
-    interval_inner,
     interval_norm,
-    interval_outer,
     interval_products,
     parse_endpoint,
     split,

@@ -19,8 +19,9 @@ Each category also keeps two indexes.  An explicit category builds them
 when it is made.  A thin or free category builds them, with its arrows
 and its table, when one of arrows, out_arrows, vectors or table is first
 read, after its builder has checked the presentation in full: the cycle,
-budget and naming errors and the atomic basis all follow from the
-presentation, so `validate` and `basis` never enumerate its arrows.
+budget and naming errors, the atomic basis and the arrow count all follow
+from the presentation, so `validate`, `basis` and `repr` never enumerate
+its arrows.
 `out_arrows` maps every object to the tuple of arrows leaving it,
 identities included, in arrow order.  The arrows g composable after f are
 exactly `out_arrows[f.cod]`, so the passes that enumerate composable
@@ -138,25 +139,31 @@ class _PendingCategory(FiniteCategory):
     and whose arrows are not enumerated yet.
 
     It holds objects, mode and basis, and in `_pending` the function that
-    enumerates the category with the presentation data it reads, none of
-    which refers to the category.  The first read of an attribute in
-    _ENUMERATED runs it, keeps any attribute assigned before then, and
-    turns the instance into a plain FiniteCategory, so that no later read
-    passes through `__getattr__`.
+    enumerates the category, the presentation data it reads (none of which
+    refers to the category) and the arrow count, which `repr` prints.  The
+    first read of an attribute in _ENUMERATED runs it, keeps any attribute
+    assigned before then, and turns the instance into a plain
+    FiniteCategory, so that no later read passes through `__getattr__`.
     """
 
-    def __init__(self, objects, mode, basis, enumerate_arrows, presentation):
+    def __init__(self, objects, mode, basis, enumerate_arrows, presentation, arrow_count):
         self.objects = objects
         self.mode = mode
         self.basis = basis
-        self._pending = enumerate_arrows, presentation
+        self._pending = enumerate_arrows, presentation, arrow_count
+
+    def __repr__(self):
+        # the presentation pass's count, unless arrows was assigned
+        arrows = self.__dict__.get("arrows")
+        count = self._pending[2] if arrows is None else len(arrows)
+        return "FiniteCategory(mode=%r, objects=%d, arrows=%d)" % (self.mode, len(self.objects), count)
 
     def __getattr__(self, name):
         # called only for an attribute the instance does not hold
         if name not in _ENUMERATED:
             raise AttributeError("'FiniteCategory' object has no attribute %r" % name, name=name, obj=self)
         assigned = self.__dict__
-        enumerate_arrows, presentation = assigned.pop("_pending")
+        enumerate_arrows, presentation, _ = assigned.pop("_pending")
         # a new plain dict: on CPython 3.11 an attribute read from the
         # key-sharing dict that a class change leaves behind costs four
         # times one from a plain dict or from an eager category
@@ -300,10 +307,11 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     MAX_FREE_PATHS non-identity arrows, and ParseError when two generators
     share an ordered object pair or a derived name is already an arrow id.
 
-    The arrows are enumerated on first read, except when some object or
-    generator id contains "->": only then can a derived name be taken
-    (by a generator, or by another derived name), so only then are they
-    enumerated here, where that ParseError is raised.
+    The arrows are enumerated on first read.  A derived name can be taken
+    (by a generator, or by another derived name) only when some object or
+    generator id contains "->"; only then are the names derived here, in
+    the order the enumeration makes them, and kept for it, but no arrow is
+    made.
     """
     arrowlike = _check_presentation(objects, generators)
     out_edges, order = _generator_graph(objects, generators)
@@ -334,25 +342,32 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
         between[dom, cod] = gid
 
     objects, basis = tuple(objects), tuple(sorted(basis))
-    if arrowlike:  # a derived name may be taken: find out while loading
-        return _thin_category(objects, basis, reach, between)
-    return _PendingCategory(objects, "thin", basis, _thin_category, (objects, basis, reach, between))
+    if arrowlike:  # a derived name may be taken: name the pairs while loading
+        taken = set(between.values())
+        for a in objects:
+            for b in sorted(reach[a]):
+                if (a, b) not in between:
+                    name = between[a, b] = "%s->%s" % (a, b)
+                    if name in taken:
+                        raise ParseError(
+                            "derived arrow %s -> %s would be named %r, which is already taken" % (a, b, name)
+                        )
+                    taken.add(name)
+    arrow_count = len(objects) + total
+    return _PendingCategory(objects, "thin", basis, _thin_category, (objects, basis, reach, between), arrow_count)
 
 
 def _thin_category(objects, basis, reach, between) -> FiniteCategory:
     """The thin category of build_thin's presentation pass: the arrow a -> b
     for each b in reach[a], named by between or derived; between gains the
-    derived names, and the table reads it."""
-    used = set(between.values())
+    derived names it lacks, and the table reads it.  build_thin has checked
+    that no derived name is taken."""
     arrows = _identities(objects)
     for a in objects:
         for b in sorted(reach[a]):
             aid = between.get((a, b))
             if aid is None:
                 aid = between[a, b] = "%s->%s" % (a, b)
-                if aid in used:
-                    raise ParseError("derived arrow %s -> %s would be named %r, which is already taken" % (a, b, aid))
-                used.add(aid)
             arrows.append(Arrow(aid, a, b))
     category = FiniteCategory(objects, arrows, {}, "thin", basis)
     category.table = _RuleTable(category, between)
@@ -389,7 +404,8 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     # no path through two or more edges is atomic
     basis = tuple(sorted(gid for gid, _, _ in generators))
     objects = tuple(objects)
-    return _PendingCategory(objects, "free", basis, _free_category, (objects, basis, out_edges, order))
+    arrow_count = len(objects) + total
+    return _PendingCategory(objects, "free", basis, _free_category, (objects, basis, out_edges, order), arrow_count)
 
 
 def _free_category(objects, basis, out_edges, order) -> FiniteCategory:

@@ -57,5 +57,5 @@ class UnknownArrow(CatGeoError):
     """An arrow id does not name an arrow of the category."""
 
 
-NontrivialCycle = CyclicGraph  # the name the thin builder raised, kept for callers
-UndefinedSum = NotComposable  # the name vec_add and interval_add raised, kept for callers
+NontrivialCycle = CyclicGraph  # the thin builder's old name, kept for callers; catgeo raises CyclicGraph
+UndefinedSum = NotComposable  # vec_add's and interval_add's old name, kept for callers; catgeo raises NotComposable

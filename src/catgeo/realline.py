@@ -15,8 +15,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ParseError, UndefinedSum
-from .geometry import Multivector, _as_multivector, _ZERO_PRODUCT, _product
+from .errors import NotComposable, ParseError
+from .geometry import _as_multivector, _ZERO_PRODUCT, _product
 from .vectors import _ZeroVector, is_zero
 
 #: the exponent digits of a decimal literal such as "2.5e-3", as Fraction reads them
@@ -93,7 +93,7 @@ def interval_add(f: IntervalVector, g: IntervalVector) -> IntervalVector:
     if is_zero(g):
         return f
     if f.hi != g.lo:
-        raise UndefinedSum("intervals %r and %r do not share an endpoint" % (f, g))
+        raise NotComposable("intervals %r and %r do not share an endpoint" % (f, g))
     return IntervalArrow(f.lo, g.hi)
 
 
@@ -103,29 +103,12 @@ def split(f: IntervalArrow) -> tuple[IntervalArrow, IntervalArrow]:
     return IntervalArrow(f.lo, mid), IntervalArrow(mid, f.hi)
 
 
-def _fg(f: IntervalVector, g: IntervalVector):
-    """The geometry kernel with width norms and hi(f) = lo(g) composability."""
-    if is_zero(f) or is_zero(g):
-        return _ZERO_PRODUCT
-    return _product(f, g, f.hi, g.lo, interval_norm(f), interval_norm(g))
-
-
-def interval_inner(f: IntervalVector, g: IntervalVector) -> Fraction:
-    return Fraction(_fg(f, g)[0])
-
-
-def interval_outer(f: IntervalVector, g: IntervalVector) -> Multivector:
-    _, blade, coefficient = _fg(f, g)
-    return _as_multivector(0, blade, coefficient)
-
-
-def interval_geometric(f: IntervalVector, g: IntervalVector) -> Multivector:
-    scalar, blade, coefficient = _fg(f, g)
-    return _as_multivector(Fraction(scalar), blade, coefficient)
-
-
 def interval_products(f: IntervalVector, g: IntervalVector):
-    """(inner, outer, geometric) of the pair, with rational scalars."""
-    scalar, blade, coefficient = _fg(f, g)
+    """(inner, outer, geometric) of the pair, with rational scalars: the
+    geometry kernel with width norms and hi(f) = lo(g) composability."""
+    if is_zero(f) or is_zero(g):
+        scalar, blade, coefficient = _ZERO_PRODUCT
+    else:
+        scalar, blade, coefficient = _product(f, g, f.hi, g.lo, interval_norm(f), interval_norm(g))
     scalar = Fraction(scalar)
     return scalar, _as_multivector(0, blade, coefficient), _as_multivector(scalar, blade, coefficient)

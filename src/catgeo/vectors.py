@@ -29,8 +29,8 @@ from .category import Arrow, FiniteCategory
 from .errors import (
     CompositeIsIdentity,
     NoDifference,
+    NotComposable,
     NotGenerated,
-    UndefinedSum,
     UnknownArrow,
 )
 
@@ -80,7 +80,7 @@ def vec_add(category: FiniteCategory, f: Vector, g: Vector) -> Vector:
     if b is None:
         return f
     if a.cod != b.dom:
-        raise UndefinedSum("cod(%s) != dom(%s); sum undefined" % (f, g))
+        raise NotComposable("cod(%s) != dom(%s); sum undefined" % (f, g))
     result = category.table[(f, g)]
     if category.arrows[result].is_identity:
         raise CompositeIsIdentity("%s then %s composes to identity %s" % (f, g, result))
@@ -144,7 +144,7 @@ def distance(category: FiniteCategory, norms: dict[str, int], f: Vector, g: Vect
         try:
             if vec_add(category, g, l) == f:
                 best = norms[l] if best is None else min(best, norms[l])
-        except (UndefinedSum, CompositeIsIdentity):
+        except (NotComposable, CompositeIsIdentity):
             continue
     if best is None:
         raise NoDifference("no vector l with %r = %r (+) l" % (f, g))

@@ -34,6 +34,11 @@ from catgeo.category import IDENTITY_PREFIX
 from catgeo.documents import MODES, CategoryDocument
 from catgeo.vectors import _check_vector
 
+#: a thin presentation whose two derived arrows p -> q->r and p->q -> r
+#: would both be named p->q->r
+COINCIDING_OBJECTS = ["p", "m", "q->r", "p->q", "n", "r"]
+COINCIDING_GENERATORS = [("g1", "p", "m"), ("g2", "m", "q->r"), ("g3", "p->q", "n"), ("g4", "n", "r")]
+
 
 def random_thin(rng: random.Random, max_objects: int = 8, max_edges: int = 14) -> FiniteCategory:
     """Thin category of a random DAG; edges only go i -> j with i < j."""

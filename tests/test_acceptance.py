@@ -21,10 +21,8 @@ from catgeo import (
     compute_norms,
     interval,
     interval_add,
-    interval_geometric,
-    interval_inner,
     interval_norm,
-    interval_outer,
+    interval_products,
     validate_axioms,
 )
 from catgeo.category import FiniteCategory
@@ -196,6 +194,8 @@ def test_criterion_8_zero_vector_laws(generated):
         assert interval_add(ZERO, f) == f
         assert interval_add(f, ZERO) == f
         assert interval_norm(ZERO) == 0
-        assert interval_inner(f, ZERO) == 0 and interval_inner(ZERO, f) == 0
-        assert interval_outer(f, ZERO).is_zero() and interval_outer(ZERO, f).is_zero()
-        assert interval_geometric(ZERO, f).is_zero()
+        inner_fo, outer_fo, _ = interval_products(f, ZERO)
+        inner_of, outer_of, geom_of = interval_products(ZERO, f)
+        assert inner_fo == 0 and inner_of == 0
+        assert outer_fo.is_zero() and outer_of.is_zero()
+        assert geom_of.is_zero()

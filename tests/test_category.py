@@ -29,6 +29,8 @@ from catgeo.category import MAX_FREE_PATHS, FiniteCategory
 from catgeo.documents import CategoryDocument, document_to_json
 
 from helpers import (
+    COINCIDING_GENERATORS,
+    COINCIDING_OBJECTS,
     _closure,
     oracle_build_free,
     oracle_build_thin,
@@ -47,12 +49,6 @@ PO6_GENERATORS = [
     ("e5", "a3", "a4"),
     ("e6", "a4", "a5"),
 ]
-
-
-#: a thin presentation whose two derived arrows p -> q->r and p->q -> r
-#: would both be named p->q->r
-COINCIDING_OBJECTS = ["p", "m", "q->r", "p->q", "n", "r"]
-COINCIDING_GENERATORS = [("g1", "p", "m"), ("g2", "m", "q->r"), ("g3", "p->q", "n"), ("g4", "n", "r")]
 
 
 @pytest.fixture(scope="module")
@@ -531,6 +527,17 @@ class TestDeferredEnumeration:
         assert len(cat.vectors) == len(self.BUILDS[mode]().vectors)
         assert cat.table is table and cat.basis is basis
         assert type(cat) is FiniteCategory
+
+    @pytest.mark.parametrize("mode", sorted(BUILDS))
+    def test_repr_enumerates_nothing(self, mode):
+        # the arrow count comes from the presentation pass
+        cat, enumerated = self.BUILDS[mode](), self.BUILDS[mode]()
+        enumerated.arrows
+        assert repr(cat) == repr(enumerated)
+        assert _enumerated(cat) == [] and type(cat) is not FiniteCategory
+        # an arrows dict assigned before the first read is the one counted
+        cat.arrows = {}
+        assert repr(cat) == "FiniteCategory(mode=%r, objects=%d, arrows=0)" % (mode, len(cat.objects))
 
     @pytest.mark.parametrize("mode", sorted(BUILDS))
     def test_a_missing_attribute_enumerates_nothing(self, mode):

@@ -5,7 +5,6 @@ from catgeo import (
     NoDifference,
     NotComposable,
     NotGenerated,
-    UndefinedSum,
     UnknownArrow,
     atomic_basis,
     build_free,
@@ -47,7 +46,7 @@ class TestVecAdd:
         assert vec_add(po6, ZERO, ZERO) is ZERO
 
     def test_undefined_for_non_composable(self, po6):
-        with pytest.raises(UndefinedSum):
+        with pytest.raises(NotComposable):
             vec_add(po6, "e1", "e2")
 
     def test_associative_where_defined(self, po6):
@@ -72,7 +71,7 @@ class TestVecAdd:
         (vec_add, ZERO, "nope", UnknownArrow, "nope"),
         (vec_add, "id:a0", "e1", UnknownArrow, "id:a0"),
         (vec_add, "e1", "id:a1", UnknownArrow, "id:a1"),
-        (vec_add, "e1", "e2", UndefinedSum, "e2"),
+        (vec_add, "e1", "e2", NotComposable, "e2"),
         (compose, "nope", "e4", UnknownArrow, "nope"),
         (compose, "e2", "nope", UnknownArrow, "nope"),
         (compose, "e1", "e2", NotComposable, "e2"),

@@ -12,6 +12,7 @@ from catgeo import (
     ZERO,
     FiniteCategory,
     NoDifference,
+    ParseError,
     anticommutator_table,
     atomic_basis,
     build_free,
@@ -26,7 +27,7 @@ from catgeo import category as category_module
 from catgeo import cli, render
 from catgeo.category import Arrow
 
-from helpers import concrete_category
+from helpers import COINCIDING_GENERATORS, COINCIDING_OBJECTS, concrete_category
 
 
 class CountingTable(Mapping):
@@ -117,9 +118,9 @@ def test_arrows_are_made_once_on_the_first_read_and_not_for_the_basis(name, firs
 
 @pytest.mark.parametrize("renamed", ["generator", "object"])
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
-def test_a_thin_id_with_an_arrow_in_it_makes_the_arrows_in_the_builder(name, renamed, count_arrows):
-    # a derived name can then be taken, so build_thin finds out at once;
-    # a free category's path names cannot collide, so it still waits
+def test_a_thin_id_with_an_arrow_in_it_makes_no_arrow_in_the_builder(name, renamed, count_arrows):
+    # a derived name can then be taken, so build_thin derives the names at
+    # once, but makes no arrow; a free category's path names cannot collide
     build, presentation = PRESENTATIONS[name]
     objects, generators = presentation()
     if renamed == "generator":
@@ -130,11 +131,25 @@ def test_a_thin_id_with_an_arrow_in_it_makes_the_arrows_in_the_builder(name, ren
         objects = [new.get(o, o) for o in objects]
         generators = [(gid, new.get(dom, dom), new.get(cod, cod)) for gid, dom, cod in generators]
     category = build(objects, generators)
-    if build is build_thin:
-        assert sorted(count_arrows) == sorted(category.arrows)
-    else:
-        assert count_arrows == []
-        assert len(category.arrows) == len(count_arrows)
+    assert count_arrows == []
+    for attribute in ENUMERATED:
+        getattr(category, attribute)
+    assert sorted(count_arrows) == sorted(category.arrows)
+    assert len(count_arrows) == len(category.objects) + len(category.vectors)
+
+
+@pytest.mark.parametrize(
+    "objects, generators",
+    [
+        (COINCIDING_OBJECTS, COINCIDING_GENERATORS),
+        (["x", "y", "z"], [("x->z", "x", "y"), ("g2", "y", "z")]),
+    ],
+    ids=["two derived names", "a generator"],
+)
+def test_a_taken_derived_name_is_refused_with_no_arrow_made(objects, generators, count_arrows):
+    with pytest.raises(ParseError, match="which is already taken"):
+        build_thin(objects, generators)
+    assert count_arrows == []
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
