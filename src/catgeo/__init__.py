@@ -32,7 +32,6 @@ from .errors import (
     CompositeIsIdentity,
     CyclicGraph,
     NoDifference,
-    NontrivialCycle,
     NotComposable,
     NotGenerated,
     ParseError,

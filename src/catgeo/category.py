@@ -15,13 +15,17 @@ map of object pairs to non-identity arrow ids, and in a free category
 the path named "g∘f".  The builders of these two modes also record the
 atomic basis, which they know from the presentation.
 
-Each category also keeps two indexes.  An explicit category builds them
-when it is made.  A thin or free category builds them, with its arrows
-and its table, when one of arrows, out_arrows, vectors or table is first
-read, after its builder has checked the presentation in full: the cycle,
-budget and naming errors, the atomic basis and the arrow count all follow
-from the presentation, so `validate`, `basis` and `repr` never enumerate
-its arrows.
+Each category also keeps two indexes, which FiniteCategory.__init__
+builds with its arrows.  An explicit category runs it when it is made.
+A thin or free builder checks the presentation in full (the cycle,
+budget and naming errors, the atomic basis and the arrow count all
+follow from it) and returns a _PendingCategory holding objects, mode and
+basis.  The first read of arrows, out_arrows, vectors or table
+enumerates the arrows, makes that same instance a plain FiniteCategory,
+runs FiniteCategory.__init__ on it and gives it its rule table; an
+attribute assigned before then keeps its value.  So `validate`, `basis`
+and `repr` never enumerate a thin or free category's arrows.
+
 `out_arrows` maps every object to the tuple of arrows leaving it,
 identities included, in arrow order.  The arrows g composable after f are
 exactly `out_arrows[f.cod]`, so the passes that enumerate composable
@@ -92,15 +96,14 @@ class FiniteCategory:
     """A finite category.  It is not frozen: its attributes can be reassigned.
 
     `table` maps each composable pair (f, g) to the id of g∘f: a copy of
-    the given mapping, which the thin and free builders then replace by a
-    view that composes by rule.  `basis` is the atomic basis, sorted, when
-    the builder records it, and None otherwise.  `vectors` holds the
-    non-identity arrow ids, sorted; the zero vector O is not in it.
+    the given mapping, which a thin or free category's first read then
+    replaces by a view that composes by rule.  `basis` is the atomic
+    basis, sorted, when the builder records it, and None otherwise.
+    `vectors` holds the non-identity arrow ids, sorted; the zero vector O
+    is not in it.
 
-    A thin or free builder returns its category with objects, mode and
-    basis set and its arrows not yet enumerated; the first read of arrows,
-    out_arrows, vectors or table enumerates them and builds the indexes
-    and the table, as this constructor does.
+    Every category gets its arrows and indexes here; a thin or free one on
+    its first read (see the module docstring).
     """
 
     def __init__(
@@ -135,15 +138,13 @@ _ENUMERATED = frozenset(("arrows", "out_arrows", "vectors", "table"))
 
 
 class _PendingCategory(FiniteCategory):
-    """A thin or free category whose presentation has been checked in full
-    and whose arrows are not enumerated yet.
+    """A thin or free category before its first read (see the module
+    docstring).
 
     It holds objects, mode and basis, and in `_pending` the function that
-    enumerates the category, the presentation data it reads (none of which
-    refers to the category) and the arrow count, which `repr` prints.  The
-    first read of an attribute in _ENUMERATED runs it, keeps any attribute
-    assigned before then, and turns the instance into a plain
-    FiniteCategory, so that no later read passes through `__getattr__`.
+    enumerates the arrows, the presentation data it reads (objects first;
+    none of it refers to the category) and the arrow count, which `repr`
+    prints.  After the first read no read passes through `__getattr__`.
     """
 
     def __init__(self, objects, mode, basis, enumerate_arrows, presentation, arrow_count):
@@ -164,14 +165,16 @@ class _PendingCategory(FiniteCategory):
             raise AttributeError("'FiniteCategory' object has no attribute %r" % name, name=name, obj=self)
         assigned = self.__dict__
         enumerate_arrows, presentation, _ = assigned.pop("_pending")
+        arrows, between = enumerate_arrows(*presentation)
+        self.__class__ = FiniteCategory
         # a new plain dict: on CPython 3.11 an attribute read from the
         # key-sharing dict that a class change leaves behind costs four
         # times one from a plain dict or from an eager category
-        state = dict(vars(enumerate_arrows(*presentation)))
-        state.update(assigned)
-        self.__class__ = FiniteCategory
-        self.__dict__ = state
-        return state[name]
+        self.__dict__ = {}
+        FiniteCategory.__init__(self, presentation[0], arrows, {}, assigned["mode"], assigned["basis"])
+        self.table = _RuleTable(self, between)
+        self.__dict__.update(assigned)
+        return self.__dict__[name]
 
 
 class _RuleTable(Mapping):
@@ -307,11 +310,11 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     MAX_FREE_PATHS non-identity arrows, and ParseError when two generators
     share an ordered object pair or a derived name is already an arrow id.
 
-    The arrows are enumerated on first read.  A derived name can be taken
-    (by a generator, or by another derived name) only when some object or
-    generator id contains "->"; only then are the names derived here, in
-    the order the enumeration makes them, and kept for it, but no arrow is
-    made.
+    The arrows are enumerated on the first read (see the module
+    docstring).  A derived name can be taken (by a generator, or by another
+    derived name) only when some object or generator id contains "->";
+    only then are the names derived here, in the order the enumeration
+    makes them, and kept for it, but no arrow is made.
     """
     arrowlike = _check_presentation(objects, generators)
     out_edges, order = _generator_graph(objects, generators)
@@ -354,14 +357,14 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
                         )
                     taken.add(name)
     arrow_count = len(objects) + total
-    return _PendingCategory(objects, "thin", basis, _thin_category, (objects, basis, reach, between), arrow_count)
+    return _PendingCategory(objects, "thin", basis, _thin_arrows, (objects, reach, between), arrow_count)
 
 
-def _thin_category(objects, basis, reach, between) -> FiniteCategory:
-    """The thin category of build_thin's presentation pass: the arrow a -> b
-    for each b in reach[a], named by between or derived; between gains the
-    derived names it lacks, and the table reads it.  build_thin has checked
-    that no derived name is taken."""
+def _thin_arrows(objects, reach, between) -> tuple[list[Arrow], dict[tuple[str, str], str]]:
+    """(arrows, between) of build_thin's presentation pass: the identities,
+    then the arrow a -> b for each b in reach[a], named by between or
+    derived, and between with every derived name filled in, which the
+    table reads.  build_thin has checked that no derived name is taken."""
     arrows = _identities(objects)
     for a in objects:
         for b in sorted(reach[a]):
@@ -369,9 +372,7 @@ def _thin_category(objects, basis, reach, between) -> FiniteCategory:
             if aid is None:
                 aid = between[a, b] = "%s->%s" % (a, b)
             arrows.append(Arrow(aid, a, b))
-    category = FiniteCategory(objects, arrows, {}, "thin", basis)
-    category.table = _RuleTable(category, between)
-    return category
+    return arrows, between
 
 
 def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]]) -> FiniteCategory:
@@ -380,10 +381,10 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     A path through edges g1, g2, ..., gn (in traversal order) gets the id
     "gn∘...∘g2∘g1", so the composite of f then g is "g∘f"; as no generator
     id contains "∘", each id names one path.  The paths from each object
-    are listed in the generator graph's order, targets first, when the
-    arrows are first read.  Raises CyclicGraph when the multigraph has a
-    directed cycle, and CatGeoError when it has more than MAX_FREE_PATHS
-    nonempty paths.
+    are listed in the generator graph's order, targets first, on the
+    first read (see the module docstring).  Raises CyclicGraph when the
+    multigraph has a directed cycle, and CatGeoError when it has more than
+    MAX_FREE_PATHS nonempty paths.
     """
     _check_presentation(objects, generators)
     for gid, _, _ in generators:
@@ -405,11 +406,12 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
     basis = tuple(sorted(gid for gid, _, _ in generators))
     objects = tuple(objects)
     arrow_count = len(objects) + total
-    return _PendingCategory(objects, "free", basis, _free_category, (objects, basis, out_edges, order), arrow_count)
+    return _PendingCategory(objects, "free", basis, _free_arrows, (objects, out_edges, order), arrow_count)
 
 
-def _free_category(objects, basis, out_edges, order) -> FiniteCategory:
-    """The free category of build_free's presentation pass."""
+def _free_arrows(objects, out_edges, order) -> tuple[list[Arrow], None]:
+    """(arrows, None) of build_free's presentation pass: the identities, then
+    the paths from each object; None, as the table composes paths by name."""
     # paths[o]: (id, cod) of every nonempty path from o, in depth-first
     # pre-order: each out-edge e, then e followed by each path p from
     # cod(e), which is named "p∘e"
@@ -423,9 +425,7 @@ def _free_category(objects, basis, out_edges, order) -> FiniteCategory:
     arrows = _identities(objects)
     for o in objects:
         arrows += [Arrow(f, o, b) for f, b in paths[o]]
-    category = FiniteCategory(objects, arrows, {}, "free", basis)
-    category.table = _RuleTable(category)
-    return category
+    return arrows, None
 
 
 def build_explicit(
@@ -435,9 +435,10 @@ def build_explicit(
 ) -> FiniteCategory:
     """Assemble a category verbatim from a full non-identity composition table.
 
-    `compositions` maps (f, g) to g∘f and must cover exactly the composable
-    non-identity pairs; the category's copy of it is the table, completed by
-    the unit law.  Not validated here; run validate_axioms separately.
+    `compositions` maps (f, g) to g∘f; the category's copy of it is the
+    table, completed by the unit law.  Raises ParseError unless it covers
+    exactly the composable non-identity pairs and names only known arrows.
+    The axioms are not checked here; that is validate_axioms' job.
     """
     _check_presentation(objects, arrows)
     all_arrows = _identities(objects) + [Arrow(aid, dom, cod) for aid, dom, cod in arrows]

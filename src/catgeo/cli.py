@@ -21,7 +21,7 @@ from .category import FiniteCategory
 from .documents import _json_text, builtin_document, builtin_names, load_category
 from .errors import AxiomViolation, CatGeoError, ParseError
 from .geometry import Multivector, clifford_report, geometric
-from .render import _JSON_MODE, _TEXT_MODE, _multivector_dict, _write_table, export_dot, export_embedding
+from .render import _multivector_dict, _write_table, export_dot, export_embedding
 from .vectors import atomic_basis, compute_norms
 
 USAGE_EXIT = 1
@@ -133,7 +133,7 @@ def cmd_product(args) -> int:
 
 def cmd_table(args) -> int:
     category = _load(args.file)
-    _write_table(category, compute_norms(category, atomic_basis(category)), _JSON_MODE if args.json else _TEXT_MODE)
+    _write_table(category, compute_norms(category, atomic_basis(category)), args.json)
     return 0
 
 

@@ -57,5 +57,4 @@ class UnknownArrow(CatGeoError):
     """An arrow id does not name an arrow of the category."""
 
 
-NontrivialCycle = CyclicGraph  # the thin builder's old name, kept for callers; catgeo raises CyclicGraph
 UndefinedSum = NotComposable  # vec_add's and interval_add's old name, kept for callers; catgeo raises NotComposable

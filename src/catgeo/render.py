@@ -124,8 +124,8 @@ _JSON_MODE = (_json_text({"entries": []}) + "\n", _TABLE_JSON[:_ROW_START], _TAB
 _TEXT_MODE = ("", "", "", "", str, _text_row, _text_row)
 
 
-def _write_table(category: FiniteCategory, norms: dict[str, int], mode: tuple) -> None:
-    """Write the rows of anticommutator_table to stdout in one mode's text.
+def _write_table(category: FiniteCategory, norms: dict[str, int], as_json: bool) -> None:
+    """Write the rows of anticommutator_table to stdout, as `table --json` when as_json.
 
     _JSON_MODE writes what _json_text gives for {"entries": [...]} of the
     entry dicts (f, g and _terms_dict of the row); _TEXT_MODE writes a line
@@ -135,7 +135,7 @@ def _write_table(category: FiniteCategory, norms: dict[str, int], mode: tuple) -
     its two ids, is joined once per run of zero rows between them.  The rows
     of each f are one write, so the table is never one string.
     """
-    empty, head, tail, separator, quote, scalar_row, blade_row = mode
+    empty, head, tail, separator, quote, scalar_row, blade_row = _JSON_MODE if as_json else _TEXT_MODE
     vectors = category.vectors
     write = sys.stdout.write
     if not vectors:

@@ -18,7 +18,6 @@ from catgeo import (
     CyclicGraph,
     FiniteCategory,
     Multivector,
-    NontrivialCycle,
     ParseError,
     Violation,
     build_explicit,
@@ -181,13 +180,13 @@ def oracle_build_thin(objects, generators):
     """(arrows, table) of the thin category, from the reachability closure.
 
     Assumes distinct, declared ids (what build_thin's presentation check
-    admits); raises NontrivialCycle for an object on a cycle, then
+    admits); raises CyclicGraph for an object on a cycle, then
     ParseError for two generators on one pair or a derived name taken by
     a generator or by an earlier derived name.
     """
     reach = _closure(objects, generators)
     if any(o in reach[o] for o in objects):
-        raise NontrivialCycle("cycle")
+        raise CyclicGraph("cycle")
     name = {}
     for gid, dom, cod in generators:
         if (dom, cod) in name:
