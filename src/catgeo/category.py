@@ -12,8 +12,11 @@ computes each entry when it is looked up.  Both apply the unit law first
 (g∘f is f or g itself when the other is an identity); otherwise g∘f is,
 in a thin category, the one arrow dom f → cod g, read from build_thin's
 map of object pairs to non-identity arrow ids, and in a free category
-the path named "g∘f".  The builders of these two modes also record the
-atomic basis, which they know from the presentation.
+the path named "g∘f".  Every builder records the atomic basis: a thin or
+free one knows it from the presentation, and build_explicit finds it in
+the one pass that reads each entry of an explicit table, checks that the
+entries cover exactly the composable non-identity pairs and name known
+arrows, and notes whether every composite has the right type.
 
 Each category also keeps two indexes, which FiniteCategory.__init__
 builds with its arrows.  An explicit category runs it when it is made.
@@ -30,8 +33,20 @@ and `repr` never enumerate a thin or free category's arrows.
 identities included, in arrow order.  The arrows g composable after f are
 exactly `out_arrows[f.cod]`, so the passes that enumerate composable
 pairs or triples go through it instead of scanning every arrow against
-every arrow.  Axiom validation checks pairs in one pass over the table's
-entries, and enumerates them only to find a pair that lacks an entry.
+every arrow.
+
+Axiom validation is two passes.  The pair-and-unit pass reads each table
+entry once, and enumerates the pairs only to find one that lacks an
+entry.  The associativity pass checks every composable triple when the
+first pass found something.  Otherwise it skips the triples that cannot
+fail and checks only those whose middle arrow lies in a generating set:
+the atomic basis, and each arrow that the words over the set so far do
+not reach.  By Light's test that is exact (by induction on the word
+length of the middle arrow, see _associativity_violations); only when a
+triple fails does the pass check all the others for the full list.  An
+explicit document whose composites are all well typed passes the first
+pass by construction, so load_category runs only the second.
+
 `vectors` is the tuple of non-identity arrow ids in the canonical (sorted)
 order: the vectors of the arrow vector space other than O, which the
 basis, the norms, the products and the distance all walk in that order.
@@ -41,6 +56,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 
 from .errors import CatGeoError, CyclicGraph, NotComposable, ParseError, UnknownArrow
 
@@ -436,29 +452,67 @@ def build_explicit(
     """Assemble a category verbatim from a full non-identity composition table.
 
     `compositions` maps (f, g) to g∘f; the category's copy of it is the
-    table, completed by the unit law.  Raises ParseError unless it covers
-    exactly the composable non-identity pairs and names only known arrows.
-    The axioms are not checked here; that is validate_axioms' job.
+    table, completed by the unit law.  One pass reads each entry once: it
+    copies it, and raises ParseError unless the entries cover exactly the
+    composable non-identity pairs (a stray entry is named first, then a
+    missing one, which the pass finds by count) and name only known
+    arrows.  The same pass records the atomic basis in `basis`, and in
+    `_well_typed` whether every composite has the type dom f -> cod g.
+    When it has, the pair and unit checks of validate_axioms cannot fail,
+    so load_category runs only the associativity pass; otherwise the
+    axioms are validate_axioms' job.
     """
     _check_presentation(objects, arrows)
     all_arrows = _identities(objects) + [Arrow(aid, dom, cod) for aid, dom, cod in arrows]
-    category = FiniteCategory(objects, all_arrows, compositions, "explicit")
+    category = FiniteCategory(objects, all_arrows, {}, "explicit")
     table = category.table
+    known = category.arrows
+    stray = []
+    unknown = None  # the first entry naming an unknown arrow
+    well_typed = True
+    composite = set()
+    for (f, g), result in compositions.items():
+        table[f, g] = result
+        a, b = known.get(f), known.get(g)
+        if a is None or b is None or a.is_identity or b.is_identity or a.cod != b.dom:
+            stray.append((f, g))
+            continue
+        r = known.get(result)
+        if r is None:
+            unknown = unknown or ((f, g), result)
+            continue
+        if r.dom != a.dom or r.cod != b.cod:
+            well_typed = False
+        if result != f and result != g:
+            composite.add(result)
+    if stray:
+        raise ParseError("composition entry %s is not a composable non-identity pair" % (min(stray),))
+    out = category.out_arrows
+    # every entry is a composable non-identity pair, and each object has one identity
+    if len(compositions) < sum(len(out[known[f].cod]) - 1 for f in category.vectors):
+        required = {(f, g.id) for f in category.vectors for g in out[known[f].cod] if not g.is_identity}
+        raise ParseError("incomplete composition table: missing entry %s" % (min(required - compositions.keys()),))
+    if unknown:
+        raise ParseError("composition %s names unknown arrow %r" % unknown)
     for a in all_arrows:  # the unit-law entries, identities included
         table[(IDENTITY_PREFIX + a.dom, a.id)] = a.id  # a ∘ id_dom(a)
         table[(a.id, IDENTITY_PREFIX + a.cod)] = a.id  # id_cod(a) ∘ a
-
-    out = category.out_arrows
-    required = {(f, g.id) for f in category.vectors for g in out[category.arrows[f].cod] if not g.is_identity}
-    if compositions.keys() != required:
-        extra = compositions.keys() - required
-        if extra:
-            raise ParseError("composition entry %s is not a composable non-identity pair" % (min(extra),))
-        raise ParseError("incomplete composition table: missing entry %s" % (min(required - compositions.keys()),))
-    for pair, result in compositions.items():
-        if result not in category.arrows:
-            raise ParseError("composition %s names unknown arrow %r" % (pair, result))
+    category.basis = tuple(v for v in category.vectors if v not in composite)
+    category._well_typed = well_typed
     return category
+
+
+def _scanned_basis(category: FiniteCategory) -> tuple[str, ...]:
+    """The atomic basis of a category with no recorded one, from one pass
+    over its table: the non-identity arrows, in the canonical order, that
+    no entry of two non-identity arrows distinct from them names."""
+    units = {a.id for a in category.arrows.values() if a.is_identity}
+    composite = {
+        result
+        for (f, g), result in category.table.items()
+        if result != f and result != g and f not in units and g not in units  # unit-law entries fail the first two
+    }
+    return tuple(a for a in category.vectors if a not in composite)
 
 
 def validate_axioms(category: FiniteCategory) -> list[Violation]:
@@ -471,15 +525,21 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     naming an unknown arrow, in table order), then unit, then
     associativity (ordered by f, g, k).
 
-    The pair checks read each table entry once.  Only when fewer entries
-    are composable pairs than there are such pairs are the pairs f, g in
-    `out_arrows[f.cod]` searched for a missing entry.  One sort by the
-    arrow positions of f and g orders the violations that name a pair.
-
-    When the pair and unit checks find nothing, the triples that cannot
-    fail (through an identity, or with a one-arrow hom-set between their
-    ends) are skipped; the list is that of the loop over every triple.
+    Two passes make them.  The pair-and-unit pass reads each table entry
+    once; only when fewer entries are composable pairs than there are such
+    pairs are the pairs f, g in `out_arrows[f.cod]` searched for a missing
+    entry, and one sort by the arrow positions of f and g orders the
+    violations that name a pair.  The associativity pass then walks the
+    composable triples (see _associativity_violations): all of them when
+    the first pass found something, and otherwise only those with their
+    middle arrow in a generating set, which is exact by Light's test.
     """
+    violations = _pair_and_unit_violations(category)
+    return violations + _associativity_violations(category, clean=not violations)
+
+
+def _pair_and_unit_violations(category: FiniteCategory) -> list[Violation]:
+    """The pair and unit runs of validate_axioms."""
     arrows = category.arrows
     table = category.table
     leaving = category.out_arrows.get
@@ -526,33 +586,109 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
         right = table.get((f.id, IDENTITY_PREFIX + f.cod))
         if right != f.id:
             violations.append(Violation("unit", "id_%s ∘ %s = %s, expected %s" % (f.cod, f.id, right, f.id)))
+    return violations
 
-    # With no violation so far every composite is a known arrow of the
-    # right type and the unit law holds, so a triple through an identity
-    # associates, and so does one whose ends have a one-arrow hom-set:
-    # (k∘g)∘f and k∘(g∘f) both lie in hom(dom f, cod k).  Neither is checked.
-    prune = not violations
-    if prune:
-        count = Counter((a.dom, a.cod) for a in arrows.values())
-        multi: dict[str, set[str]] = {}  # o -> the c with several arrows o -> c
-        for (o, c), n in count.items():
-            if n > 1:
-                multi.setdefault(o, set()).add(c)
-        units = {a.id for a in arrows.values() if a.dom == a.cod and a.id == IDENTITY_PREFIX + a.dom}
-        leaving = {o: [a for a in out if a.id not in units] for o, out in category.out_arrows.items()}.get
 
-    for f in arrows.values():
-        if prune:
-            ends = multi.get(f.dom)
-            if not ends or f.id in units:
-                continue
-        for g in leaving(f.cod, ()):
+def _associativity_violations(category: FiniteCategory, clean: bool) -> list[Violation]:
+    """The associativity run of validate_axioms; `clean` says that the pair
+    and unit checks found nothing.
+
+    Unless clean, every composable triple is checked but one whose g∘f or
+    k∘g is missing or unknown (already reported).  When clean, every
+    composite is a known arrow of the right type and the unit law holds,
+    so a triple through an identity associates, and so does one whose ends
+    have a one-arrow hom-set: (k∘g)∘f and k∘(g∘f) both lie in
+    hom(dom f, cod k).  Of the other triples only those with g in a
+    generating set A are checked (Light's test; Clifford and Preston, The
+    Algebraic Theory of Semigroups I, 1961, §1.2).  The test is exact, by
+    induction on the word length of the middle arrow: let every triple
+    through A associate, and g = a∘u, with a in A and u a shorter word
+    over A.  Then g∘f = a∘(u∘f), and (k∘g)∘f = ((k∘a)∘u)∘f = (k∘a)∘(u∘f)
+    by the triples through a and u, which is k∘(a∘(u∘f)) = k∘(g∘f) by the
+    triple (u∘f, a, k).  At its first failing triple the check stops, and
+    every triple the prune keeps is then checked, in order, for the list.
+    """
+    arrows = category.arrows
+    table = category.table
+    if not clean:
+        leaving = category.out_arrows.get
+        return _triples(table, arrows, arrows.values(), leaving, lambda o, c: leaving(c, ()))
+
+    count = Counter((a.dom, a.cod) for a in arrows.values())
+    multi: dict[str, set[str]] = {}  # o -> the c with several arrows o -> c
+    for (o, c), n in count.items():
+        if n > 1:
+            multi.setdefault(o, set()).add(c)
+    if not multi:
+        return []
+    units = {a.id for a in arrows.values() if a.dom == a.cod and a.id == IDENTITY_PREFIX + a.dom}
+    leaving = {o: [a for a in out if a.id not in units] for o, out in category.out_arrows.items()}
+    firsts = [f for f in arrows.values() if f.dom in multi and f.id not in units]
+    lasts: dict[tuple[str, str], list[Arrow]] = {}  # (dom f, cod g) -> the k whose end can fail
+
+    def ends(o, c):
+        found = lasts.get((o, c))
+        if found is None:
+            found = lasts[o, c] = [k for k in leaving.get(c, ()) if k.cod in multi[o]]
+        return found
+
+    generators = _generating_set(category, units)
+    if _triples(table, arrows, firsts, generators.get, ends, stop=True):
+        return _triples(table, arrows, firsts, leaving.get, ends)
+    return []
+
+
+def _generating_set(category: FiniteCategory, units: set[str]) -> dict[str, list[Arrow]]:
+    """A for Light's test, as each object's list of the arrows of A leaving it.
+
+    A is the atomic basis, then each arrow, in the order of `vectors` (any
+    other non-unit arrow last), that the words over A do not yet reach.
+    The reached arrows are those words' composites, found breadth first
+    (each reached x composed with each a of A leaving cod x), and on each
+    addition a the reached x ending at dom a are composed with a, so that
+    every pair (x, a) is looked up once.
+    """
+    arrows, table = category.arrows, category.table
+    basis = category.basis if category.basis is not None else _scanned_basis(category)
+    generators: dict[str, list[Arrow]] = {}
+    ending: dict[str, list[str]] = {}  # cod -> the reached arrows ending there
+    reached: set[str] = set()
+    queue: list[str] = []  # the reached arrows, breadth first
+
+    def reach(x):
+        if x not in reached:
+            reached.add(x)
+            queue.append(x)
+            ending.setdefault(arrows[x].cod, []).append(x)
+
+    done = 0
+    for v in chain(basis, category.vectors, arrows):
+        if v in reached or v in units:
+            continue
+        a = arrows[v]
+        generators.setdefault(a.dom, []).append(a)
+        for x in tuple(ending.get(a.dom, ())):
+            reach(table[(x, v)])
+        reach(v)
+        while done < len(queue):
+            x = queue[done]
+            done += 1
+            for g in generators.get(arrows[x].cod, ()):
+                reach(table[(x, g.id)])
+    return generators
+
+
+def _triples(table, arrows, firsts, middles, lasts, stop=False) -> list[Violation]:
+    """The associativity violations of the triples (f, g, k) with f in
+    firsts, g in middles(cod f) and k in lasts(dom f, cod g), in that order,
+    but for a triple whose g∘f or k∘g is no arrow; with stop, the first."""
+    violations = []
+    for f in firsts:
+        for g in middles(f.cod, ()):
             gf = table.get((f.id, g.id))
             if gf not in arrows:
                 continue  # already reported as totality/dom-cod
-            for k in leaving(g.cod, ()):
-                if prune and k.cod not in ends:
-                    continue
+            for k in lasts(f.dom, g.cod):
                 kg = table.get((g.id, k.id))
                 if kg not in arrows:
                     continue
@@ -565,4 +701,6 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
                             "(%s, %s, %s): %s != %s" % (f.id, g.id, k.id, lhs, rhs),
                         )
                     )
+                    if stop:
+                        return violations
     return violations

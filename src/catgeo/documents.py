@@ -25,6 +25,7 @@ import re
 from .category import (
     IDENTITY_PREFIX,
     FiniteCategory,
+    _associativity_violations,
     build_explicit,
     build_free,
     build_thin,
@@ -159,8 +160,11 @@ def load_category(text: str) -> FiniteCategory:
     """Parse a document and build the category it presents.
 
     Every command that reads a document loads it here, `validate` too.  An
-    explicit table is validated once, as it loads: one that breaks an axiom
-    raises AxiomViolation, whose `violations` lists every violation in
+    explicit table is read once by build_explicit, which records its basis,
+    and then checked: by the associativity pass alone when every composite
+    has the right type, as the pair and unit checks then pass, and by the
+    whole of validate_axioms otherwise.  One that breaks an axiom raises
+    AxiomViolation, whose `violations` lists every violation in
     validate_axioms order.  Thin and free categories are not checked: they
     compose by rule (the order, path concatenation), so they satisfy the
     axioms by construction, as the test suite checks on every built one.
@@ -170,14 +174,18 @@ def load_category(text: str) -> FiniteCategory:
         return build_thin(document.objects, document.arrows)
     if document.mode == "free":
         return build_free(document.objects, document.arrows)
-    table = {}
-    for f, g, result in document.compositions:
-        key = (f, g)
-        if key in table:
-            raise ParseError("duplicate composition entry (%s, %s)" % key)
-        table[key] = result
+    table = {(f, g): result for f, g, result in document.compositions}
+    if len(table) < len(document.compositions):
+        seen = set()
+        for f, g, _ in document.compositions:
+            if (f, g) in seen:
+                raise ParseError("duplicate composition entry (%s, %s)" % (f, g))
+            seen.add((f, g))
     category = build_explicit(document.objects, document.arrows, table)
-    violations = validate_axioms(category)
+    if category._well_typed:
+        violations = _associativity_violations(category, clean=True)
+    else:
+        violations = validate_axioms(category)
     if violations:
         raise AxiomViolation(violations)
     return category

@@ -8,9 +8,10 @@ arrows composing to it, with ||O|| = 0.
 
 Bases and norms are plain data: `atomic_basis` returns the basis ids as a
 sorted tuple, `compute_norms` a dict from arrow id to length in the order
-of `category.vectors`.  The basis of a thin or free category is the one its
-builder recorded from the presentation; only an explicit category's is
-found by a pass over its table.  The norms are one search for every mode,
+of `category.vectors`.  The basis of a built category is the one its
+builder recorded, from the presentation or from its one pass over an
+explicit table; only a category made directly has its basis found by a
+pass over its table.  The norms are one search for every mode,
 through the table's lookups.  O has no entry; the rule ||O|| = 0 is
 applied where O can occur, at the `l = O` candidate of `distance` (and in
 the products, where O annihilates).
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 
-from .category import Arrow, FiniteCategory
+from .category import Arrow, FiniteCategory, _scanned_basis
 from .errors import (
     CompositeIsIdentity,
     NoDifference,
@@ -91,18 +92,12 @@ def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
     """Arrows that are no composite of two non-identity arrows distinct from
     them, in the canonical order.
 
-    The basis the builder recorded, if any (thin and free categories);
-    otherwise one pass over the table.
+    The basis the builder recorded, as every builder does; otherwise, for a
+    category made directly, one pass over the table.
     """
     if category.basis is not None:
         return category.basis
-    units = {a.id for a in category.arrows.values() if a.is_identity}
-    composite = {
-        result
-        for (f, g), result in category.table.items()
-        if result != f and result != g and f not in units and g not in units  # unit-law entries fail the first two
-    }
-    return tuple(a for a in category.vectors if a not in composite)
+    return _scanned_basis(category)
 
 
 def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str, int]:

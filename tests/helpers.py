@@ -30,7 +30,7 @@ from catgeo import (
     vec_add,
 )
 from catgeo.category import IDENTITY_PREFIX
-from catgeo.documents import MODES, CategoryDocument
+from catgeo.documents import MODES, CategoryDocument, document_to_json
 from catgeo.vectors import _check_vector
 
 #: a thin presentation whose two derived arrows p -> q->r and p->q -> r
@@ -134,6 +134,24 @@ def concrete_category(sizes: Sequence[int], maps, max_arrows: int = 30) -> Finit
         if f[1] == g[0]
     }
     return build_explicit(objects, [(names[m], objects[m[0]], objects[m[1]]) for m in vectors], table)
+
+
+def t4() -> FiniteCategory:
+    """The full transformation monoid of {0, 1, 2, 3}: 255 non-identity
+    maps, generated by a transposition, a 4-cycle and a rank-3 idempotent."""
+    maps = [(0, 0, (1, 0, 2, 3)), (0, 0, (1, 2, 3, 0)), (0, 0, (0, 0, 2, 3))]
+    return concrete_category([4], maps, max_arrows=300)
+
+
+def explicit_document(category: FiniteCategory, table=None) -> str:
+    """The JSON text of `category` as an explicit document: its non-identity
+    arrows, and the entries of `table` (the category's own by default) that
+    pair two of them."""
+    arrows = [(a.id, a.dom, a.cod) for a in category.arrows.values() if not a.is_identity]
+    ids = {aid for aid, _, _ in arrows}
+    table = category.table if table is None else table
+    compositions = [(f, g, r) for (f, g), r in table.items() if f in ids and g in ids]
+    return document_to_json(CategoryDocument("explicit", list(category.objects), arrows, compositions))
 
 
 def random_concrete(rng: random.Random, max_objects: int = 3, max_size: int = 3, max_maps: int = 4) -> FiniteCategory:
@@ -501,6 +519,25 @@ def oracle_validate_axioms(category: FiniteCategory) -> list[Violation]:
                         )
                     )
     return violations
+
+
+def oracle_table_error(category: FiniteCategory, table) -> str | None:
+    """The text of the ParseError that build_explicit raises for the
+    entries of `table` over the arrows of `category`, found as it was
+    before the build read each entry once: the set of composable
+    non-identity pairs compared with the entries' keys, a stray entry
+    named before a missing one; None when the keys are those pairs and
+    every result is an arrow."""
+    vectors = [a for a in category.arrows.values() if not a.is_identity]
+    required = {(f.id, g.id) for f in vectors for g in vectors if f.cod == g.dom}
+    if table.keys() - required:
+        return "composition entry %s is not a composable non-identity pair" % (min(table.keys() - required),)
+    if required - table.keys():
+        return "incomplete composition table: missing entry %s" % (min(required - table.keys()),)
+    for pair, result in table.items():
+        if result not in category.arrows:
+            return "composition %s names unknown arrow %r" % (pair, result)
+    return None
 
 
 def _require(condition, message, *args):

@@ -10,6 +10,7 @@ import pytest
 from catgeo import (
     ZERO,
     Arrow,
+    AxiomViolation,
     CompositeIsIdentity,
     CyclicGraph,
     FiniteCategory,
@@ -22,6 +23,7 @@ from catgeo import (
     anticommutator,
     anticommutator_table,
     atomic_basis,
+    build_explicit,
     build_free,
     build_thin,
     clifford_report,
@@ -32,6 +34,7 @@ from catgeo import (
     interval,
     interval_add,
     interval_norm,
+    load_category,
     outer,
     validate_axioms,
     vec_add,
@@ -43,9 +46,11 @@ from helpers import (
     concrete_categories,
     cyclic_categories,
     exhaustive_clifford_report,
+    explicit_document,
     kernel_anticommutation_failures,
     oracle_atomic_basis,
     oracle_clifford_failures,
+    oracle_table_error,
     oracle_validate_axioms,
     oracle_vectors,
     oracle_word_norms,
@@ -206,13 +211,68 @@ def test_validate_axioms_matches_all_pairs_oracle_on_one_object_tables(cat):
     assert validate_axioms(cat) == oracle_validate_axioms(cat)
 
 
+DOCUMENT_CORRUPTIONS = ("wrong result", "same-type result", "delete", "stray pair")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    categories | staged_categories() | concrete_categories() | one_object_tables(),
+    st.lists(st.sampled_from(DOCUMENT_CORRUPTIONS), max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_explicit_load_matches_build_then_validate(cat, corruptions, rng):
+    # a category written as an explicit document, its table broken in ways
+    # a document can say, loads as building it and validating it in full
+    # did: the same ParseError text, or every violation in the oracle's order
+    vectors = cat.vectors
+    table = {(f, g): r for (f, g), r in cat.table.items() if f in vectors and g in vectors}
+    hom = {}
+    for a in cat.arrows.values():
+        hom.setdefault((a.dom, a.cod), []).append(a.id)
+    for corruption in corruptions:
+        keys = sorted(table)
+        if corruption == "stray pair":
+            pairs = [(f, g) for f in vectors for g in vectors if cat.arrows[f].cod != cat.arrows[g].dom]
+            if pairs:
+                table[rng.choice(pairs)] = rng.choice(sorted(cat.arrows))
+        elif not keys:
+            continue
+        elif corruption == "delete":
+            del table[rng.choice(keys)]
+        elif corruption == "wrong result":
+            table[rng.choice(keys)] = rng.choice(sorted(cat.arrows))
+        else:
+            key = rng.choice(keys)
+            result = cat.arrows[table[key]]
+            table[key] = rng.choice(hom[result.dom, result.cod])
+    expected = oracle_table_error(cat, table)
+    try:
+        loaded = load_category(explicit_document(cat, table))
+    except ParseError as exc:
+        assert str(exc) == expected
+        return
+    except AxiomViolation as exc:
+        assert expected is None
+        arrows = [(a.id, a.dom, a.cod) for a in cat.arrows.values() if not a.is_identity]
+        built = build_explicit(cat.objects, arrows, table)
+        assert exc.violations == validate_axioms(built) == oracle_validate_axioms(built) != []
+        return
+    assert expected is None
+    assert validate_axioms(loaded) == oracle_validate_axioms(loaded) == []
+
+
 @settings(max_examples=150, deadline=None)
-@given(categories | staged_categories() | concrete_categories() | one_object_tables())
-def test_atomic_basis_matches_all_pairs_oracle(cat):
-    # a thin or free builder records its basis; the walk over an explicit
-    # copy of the table and the all-pairs oracle agree with it
+@given(
+    st.tuples(categories | staged_categories() | concrete_categories(), st.just(True))
+    | st.tuples(one_object_tables(), st.just(False))
+)
+def test_atomic_basis_matches_all_pairs_oracle(drawn):
+    # every builder records its basis, and only a category made directly
+    # has none; the walk over an explicit copy of the table and the
+    # all-pairs oracle agree with it
+    cat, built = drawn
     explicit = FiniteCategory(cat.objects, cat.arrows.values(), cat.table, "explicit")
-    assert (cat.basis is None) == (cat.mode == "explicit")
+    assert (cat.basis is not None) == built and explicit.basis is None
     assert atomic_basis(cat) == atomic_basis(explicit) == oracle_atomic_basis(cat)
 
 

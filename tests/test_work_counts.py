@@ -15,19 +15,21 @@ from catgeo import (
     ParseError,
     anticommutator_table,
     atomic_basis,
+    build_explicit,
     build_free,
     build_thin,
     clifford_report,
     compute_norms,
     distance,
+    load_category,
     validate_axioms,
     vec_add,
 )
 from catgeo import category as category_module
-from catgeo import cli, render
+from catgeo import cli, documents, render
 from catgeo.category import Arrow
 
-from helpers import COINCIDING_GENERATORS, COINCIDING_OBJECTS, concrete_category
+from helpers import COINCIDING_GENERATORS, COINCIDING_OBJECTS, concrete_category, explicit_document, t4
 
 
 class CountingTable(Mapping):
@@ -183,6 +185,51 @@ def test_validate_axioms_looks_up_each_entry_once_and_each_unit_twice(name, expl
         assert counter.lookups == p + 2 * a
     else:
         assert counter.lookups <= 2 * p + 2 * a + 3 * t
+
+
+def test_validate_axioms_checks_t4_through_its_three_generating_maps():
+    # Light's test checks the triples whose middle arrow lies in a
+    # generating set, of as many arrows as T4 has generating maps, where
+    # the loop over every triple checks k³ ≈ 16.8 M.  One lookup per entry
+    # and two per arrow for the unit law; one per reached arrow and
+    # generator in the closure; and for each f and generator g, g∘f once
+    # and three for each k
+    category = t4()
+    category.table = counter = CountingTable(category.table)
+    assert validate_axioms(category) == []
+    k, n = len(category.arrows), 3
+    assert k == 256
+    assert counter.lookups <= k * k + 2 * k + n * k + n * k * (1 + 3 * k)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_a_clean_explicit_load_reads_each_entry_once_outside_the_associativity_pass(name, monkeypatch):
+    # the build reads the document's entries once, and no pair check reads
+    # them again; the associativity pass runs once and may read more
+    entries, passes = [], []
+
+    def counting_build(objects, arrows, compositions):
+        entries.append(CountingTable(compositions))
+        category = build_explicit(objects, arrows, entries[0])
+        entries.append(CountingTable(category.table))
+        category.table = entries[1]
+        return category
+
+    check = documents._associativity_violations
+
+    def counting_pass(*args, **kwargs):
+        before = sum(table.lookups for table in entries)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            passes.append(sum(table.lookups for table in entries) - before)
+
+    monkeypatch.setattr(documents, "build_explicit", counting_build)
+    monkeypatch.setattr(documents, "_associativity_violations", counting_pass)
+    category = LADDER[name]()
+    load_category(explicit_document(category))
+    assert len(passes) == 1
+    assert sum(table.lookups for table in entries) - passes[0] <= len(entries[0])
 
 
 def near_pairs(category):
