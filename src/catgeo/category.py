@@ -502,10 +502,12 @@ def build_explicit(
     return category
 
 
-def _scanned_basis(category: FiniteCategory) -> tuple[str, ...]:
-    """The atomic basis of a category with no recorded one, from one pass
-    over its table: the non-identity arrows, in the canonical order, that
-    no entry of two non-identity arrows distinct from them names."""
+def _basis(category: FiniteCategory) -> tuple[str, ...]:
+    """The atomic basis the builder recorded; for a category made directly,
+    one pass over its table finds the non-identity arrows, in the canonical
+    order, that no entry of two non-identity arrows distinct from them names."""
+    if category.basis is not None:
+        return category.basis
     units = {a.id for a in category.arrows.values() if a.is_identity}
     composite = {
         result
@@ -649,7 +651,6 @@ def _generating_set(category: FiniteCategory, units: set[str]) -> dict[str, list
     every pair (x, a) is looked up once.
     """
     arrows, table = category.arrows, category.table
-    basis = category.basis if category.basis is not None else _scanned_basis(category)
     generators: dict[str, list[Arrow]] = {}
     ending: dict[str, list[str]] = {}  # cod -> the reached arrows ending there
     reached: set[str] = set()
@@ -662,7 +663,7 @@ def _generating_set(category: FiniteCategory, units: set[str]) -> dict[str, list
             ending.setdefault(arrows[x].cod, []).append(x)
 
     done = 0
-    for v in chain(basis, category.vectors, arrows):
+    for v in chain(_basis(category), category.vectors, arrows):
         if v in reached or v in units:
             continue
         a = arrows[v]

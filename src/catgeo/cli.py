@@ -57,6 +57,17 @@ def _load(path: str) -> FiniteCategory:
     return load_category(text)
 
 
+def _write(args, data, lines) -> None:
+    """Print a record: under --json, `data` as one JSON document; otherwise
+    each of `lines`, an iterable that only text mode consumes, so that
+    --json formats no text line and a reader's early close stops the rest."""
+    if args.json:
+        print(_json_text(data))
+    else:
+        for line in lines:
+            print(line)
+
+
 def cmd_validate(args) -> int:
     # loading validates an explicit table, once, and refuses a broken one
     # with every violation; a thin or free category composes by rule, so it
@@ -66,34 +77,21 @@ def cmd_validate(args) -> int:
         _load(args.file)
     except AxiomViolation as exc:
         violations = exc.violations
-    if args.json:
-        print(_json_text({"violations": [{"kind": v.kind, "detail": v.detail} for v in violations]}))
-    else:
-        for v in violations:
-            print(v)
-        print("violations: %d" % len(violations))
+    data = {"violations": [{"kind": v.kind, "detail": v.detail} for v in violations]}
+    _write(args, data, [*violations, "violations: %d" % len(violations)])
     return 0 if not violations else SEMANTIC_EXIT
 
 
 def cmd_basis(args) -> int:
-    category = _load(args.file)
-    basis = atomic_basis(category)
-    if args.json:
-        print(_json_text({"basis": list(basis)}))
-    else:
-        for member in basis:
-            print(member)
+    basis = atomic_basis(_load(args.file))
+    _write(args, {"basis": list(basis)}, basis)
     return 0
 
 
 def cmd_norms(args) -> int:
     category = _load(args.file)
     norms = compute_norms(category, atomic_basis(category))
-    if args.json:
-        print(_json_text({"norms": norms, "zero": 0}))
-    else:
-        for arrow_id, length in norms.items():
-            print("%s = %d" % (arrow_id, length))
+    _write(args, {"norms": norms, "zero": 0}, ("%s = %d" % item for item in norms.items()))
     return 0
 
 
@@ -117,17 +115,18 @@ def cmd_product(args) -> int:
         "geometric_gf": _multivector_dict(geometric_gf, norms),
         "anticommutator": _multivector_dict(anticommutator_fg, norms),
     }
-    if args.json:
-        print(_json_text(data))
-    else:
-        print("inner %s.%s = %s" % (f, g, data["inner_fg"]))
-        print("inner %s.%s = %s" % (g, f, data["inner_gf"]))
-        print("orthogonal: %s" % str(data["orthogonal"]).lower())
-        print("parallel: %s" % str(data["parallel"]).lower())
-        print("outer: %r" % outer_fg)
-        print("geometric %s%s: %r" % (f, g, geometric_fg))
-        print("geometric %s%s: %r" % (g, f, geometric_gf))
-        print("anticommutator: %r" % anticommutator_fg)
+
+    def lines():
+        yield "inner %s.%s = %s" % (f, g, data["inner_fg"])
+        yield "inner %s.%s = %s" % (g, f, data["inner_gf"])
+        yield "orthogonal: %s" % str(data["orthogonal"]).lower()
+        yield "parallel: %s" % str(data["parallel"]).lower()
+        yield "outer: %r" % outer_fg
+        yield "geometric %s%s: %r" % (f, g, geometric_fg)
+        yield "geometric %s%s: %r" % (g, f, geometric_gf)
+        yield "anticommutator: %r" % anticommutator_fg
+
+    _write(args, data, lines())
     return 0
 
 
@@ -142,34 +141,31 @@ def cmd_clifford(args) -> int:
     basis = atomic_basis(category)
     norms = compute_norms(category, basis)
     report = clifford_report(category, norms, basis)
-    if args.json:
-        data = {
-            "holds": report.holds,
-            "unit_square_failures": [{"basis_vector": e, "square": _multivector_dict(mv, norms)} for e, mv in report.unit_square_failures],
-            "anticommutation_failures": [{"f": f, "g": g} for f, g in report.anticommutation_failures],
-        }
-        print(_json_text(data))
-    else:
-        print("basis squares to 1: %s" % ("yes" if not report.unit_square_failures else "NO"))
-        for e, mv in report.unit_square_failures:
-            print("  %s^2 = %r" % (e, mv))
-        print("orthogonal pairs anticommute: %s" % ("yes" if not report.anticommutation_failures else "NO"))
-        for f, g in report.anticommutation_failures:
-            print("  counterexample: %s, %s" % (f, g))
+    squares, pairs = report.unit_square_failures, report.anticommutation_failures
+    data = {
+        "holds": report.holds,
+        "unit_square_failures": [{"basis_vector": e, "square": _multivector_dict(mv, norms)} for e, mv in squares],
+        "anticommutation_failures": [{"f": f, "g": g} for f, g in pairs],
+    }
+
+    def lines():
+        yield "basis squares to 1: %s" % ("NO" if squares else "yes")
+        yield from ("  %s^2 = %r" % failure for failure in squares)
+        yield "orthogonal pairs anticommute: %s" % ("NO" if pairs else "yes")
+        yield from ("  counterexample: %s, %s" % pair for pair in pairs)
+
+    _write(args, data, lines())
     return 0 if report.holds else SEMANTIC_EXIT
 
 
 def cmd_embed(args) -> int:
-    category = _load(args.file)
-    embedding = export_embedding(category)
-    if args.json:
-        print(_json_text({"points": embedding.points, "arcs": embedding.arcs}))
-    else:
-        for obj in category.objects:
-            x, y, z = embedding.points[obj]
-            print("point %s: (%.4f, %.4f, %.1f)" % (obj, x, y, z))
-        for arrow_id, line in embedding.arcs.items():
-            print("arc %s: %d samples, peak |z| = %.4f" % (arrow_id, len(line), max(abs(p[2]) for p in line)))
+    points, arcs = export_embedding(_load(args.file))
+
+    def lines():
+        yield from ("point %s: (%.4f, %.4f, %.1f)" % (obj, *xyz) for obj, xyz in points.items())
+        yield from ("arc %s: %d samples, peak |z| = %.4f" % (a, len(line), max(abs(p[2]) for p in line)) for a, line in arcs.items())
+
+    _write(args, {"points": points, "arcs": arcs}, lines())
     return 0
 
 
@@ -216,39 +212,34 @@ def cmd_interval(args) -> int:
     try:
         if command == "norm":
             norm = str(realline.interval_norm(f))
-            data, text = {"norm": norm}, norm
+            data, lines = {"norm": norm}, [norm]
         elif command == "add":
             total = realline.interval_add(f, g)
-            data, text = {"lo": str(total.lo), "hi": str(total.hi)}, repr(total)
+            data, lines = {"lo": str(total.lo), "hi": str(total.hi)}, [repr(total)]
         else:
             inner_fg, outer_fg, geom_fg = realline.interval_products(f, g)
             inner_gf, _, geom_gf = realline.interval_products(g, f)
             anticommutator_fg = geom_fg + geom_gf
-            inner_fg, inner_gf = str(inner_fg), str(inner_gf)
             data = {
-                "inner_fg": inner_fg,
-                "inner_gf": inner_gf,
+                "inner_fg": str(inner_fg),
+                "inner_gf": str(inner_gf),
                 "outer_fg": _multivector_dict(outer_fg),
                 "geometric_fg": _multivector_dict(geom_fg),
                 "anticommutator": _multivector_dict(anticommutator_fg),
             }
-            text = "\n".join(
-                (
-                    "inner fg = %s" % inner_fg,
-                    "inner gf = %s" % inner_gf,
-                    "outer: %r" % outer_fg,
-                    "geometric fg: %r" % geom_fg,
-                    "anticommutator: %r" % anticommutator_fg,
-                )
-            )
-        if args.json:
-            text = _json_text(data)
+            lines = [
+                "inner fg = %s" % inner_fg,
+                "inner gf = %s" % inner_gf,
+                "outer: %r" % outer_fg,
+                "geometric fg: %r" % geom_fg,
+                "anticommutator: %r" % anticommutator_fg,
+            ]
     except ValueError:  # str() refuses an integer beyond sys.get_int_max_str_digits()
         raise CatGeoError(
             "result has more than %d digits, the limit sys.get_int_max_str_digits() sets on printing a number"
             % sys.get_int_max_str_digits()
         ) from None
-    print(text)
+    _write(args, data, lines)
     return 0
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 
-from .category import Arrow, FiniteCategory, _scanned_basis
+from .category import Arrow, FiniteCategory, _basis
 from .errors import (
     CompositeIsIdentity,
     NoDifference,
@@ -95,9 +95,7 @@ def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
     The basis the builder recorded, as every builder does; otherwise, for a
     category made directly, one pass over the table.
     """
-    if category.basis is not None:
-        return category.basis
-    return _scanned_basis(category)
+    return _basis(category)
 
 
 def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str, int]:

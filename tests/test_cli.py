@@ -898,6 +898,22 @@ def test_src_reads_every_private_name_it_defines():
     assert unread == []
 
 
+def test_cli_chooses_json_or_text_in_one_writer():
+    # every record subcommand prints through _write; table, whose rows
+    # render streams, is the one other reader of --json
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    dumps, reads = [], []
+    for top in tree.body:
+        where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_json_text":
+                dumps.append(where)
+            elif isinstance(node, ast.Attribute) and node.attr == "json" and isinstance(node.value, ast.Name):
+                reads.append("%s:%s" % (where, node.value.id))
+    assert dumps == ["_write"]
+    assert reads == ["_write:args", "cmd_table:args"]
+
+
 _SUBCOMMANDS = ("validate", "basis", "norms", "table", "clifford", "embed", "dot", "product", "example", "interval")
 
 

@@ -22,6 +22,14 @@ and `--json`), `example`, `product` with an unknown or an identity
 arrow id (exit 2, no stdout), and `interval norm` and `interval add`
 (text and `--json`, negative fractions and exit-2 cases included).
 
+`goldens/cli_records.json` pins the record subcommands that no other
+file pins on the documents of `cli_structure.json`, as the
+implementation before every record printed through one writer printed
+them (commit 31cc369): `basis` (text), `embed` (text and `--json`) on
+its six documents that are not built-ins, and `clifford` and `table`
+(text and `--json`) on its four explicit tables.  The two with planted
+violations exit 2 with nothing on stdout.
+
 Each case stores the argv, exit status and stdout; outputs over 4 KB are
 stored as a SHA-256 digest and a byte count.
 """
@@ -42,6 +50,7 @@ def _goldens(name):
 PRODUCTS = _goldens("cli_products.json")
 STRUCTURE = _goldens("cli_structure.json")
 MISC = _goldens("cli_misc.json")
+RECORDS = _goldens("cli_records.json")
 
 
 def _case_id(case):
@@ -50,10 +59,10 @@ def _case_id(case):
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
-    # documents with one name in both files have the same text
+    # documents with one name in several files have the same text
     root = tmp_path_factory.mktemp("goldens")
     paths = {}
-    for name, text in {**PRODUCTS["documents"], **STRUCTURE["documents"], **MISC["documents"]}.items():
+    for name, text in {**PRODUCTS["documents"], **STRUCTURE["documents"], **MISC["documents"], **RECORDS["documents"]}.items():
         paths[name] = root / (name + ".json")
         paths[name].write_text(text, encoding="utf-8")
     return paths
@@ -86,9 +95,15 @@ def test_misc_output_is_byte_identical(case, documents, capsys):
     _check(case, documents, capsys)
 
 
+@pytest.mark.parametrize("case", RECORDS["cases"], ids=_case_id)
+def test_record_output_is_byte_identical(case, documents, capsys):
+    _check(case, documents, capsys)
+
+
 def test_shared_documents_agree():
     shared = PRODUCTS["documents"].keys() & STRUCTURE["documents"].keys()
     assert shared == {"po6", "path3", "parallel2", "thin40", "free40"}
     assert all(PRODUCTS["documents"][name] == STRUCTURE["documents"][name] for name in shared)
     assert MISC["documents"].keys() == {"po6", "path3", "parallel2"}
     assert all(MISC["documents"][name] == PRODUCTS["documents"][name] for name in MISC["documents"])
+    assert RECORDS["documents"] == STRUCTURE["documents"]
