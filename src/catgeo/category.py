@@ -37,15 +37,17 @@ every arrow.
 
 Axiom validation is two passes.  The pair-and-unit pass reads each table
 entry once, and enumerates the pairs only to find one that lacks an
-entry.  The associativity pass checks every composable triple when the
-first pass found something.  Otherwise it skips the triples that cannot
+entry.  When it finds something, validate_axioms checks every composable
+triple.  Otherwise the associativity pass skips the triples that cannot
 fail and checks only those whose middle arrow lies in a generating set:
-the atomic basis, and each arrow that the words over the set so far do
-not reach.  By Light's test that is exact (by induction on the word
-length of the middle arrow, see _associativity_violations); only when a
-triple fails does the pass check all the others for the full list.  An
-explicit document whose composites are all well typed passes the first
-pass by construction, so load_category runs only the second.
+the atomic basis, grown one arrow at a time by the first arrow that the
+word closure over the set (_word_lengths, the search compute_norms runs
+over the basis) does not reach.  By Light's test that is exact (by
+induction on the word length of the middle arrow, see
+_associativity_violations); only when a triple fails does the pass check
+all the others for the full list.  An explicit document whose composites
+are all well typed passes the first pass by construction, so
+load_category runs only the second.
 
 `vectors` is the tuple of non-identity arrow ids in the canonical (sorted)
 order: the vectors of the arrow vector space other than O, which the
@@ -55,7 +57,7 @@ basis, the norms, the products and the distance all walk in that order.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import chain
 
 from .errors import CatGeoError, CyclicGraph, NotComposable, ParseError, UnknownArrow
@@ -502,21 +504,6 @@ def build_explicit(
     return category
 
 
-def _basis(category: FiniteCategory) -> tuple[str, ...]:
-    """The atomic basis the builder recorded; for a category made directly,
-    one pass over its table finds the non-identity arrows, in the canonical
-    order, that no entry of two non-identity arrows distinct from them names."""
-    if category.basis is not None:
-        return category.basis
-    units = {a.id for a in category.arrows.values() if a.is_identity}
-    composite = {
-        result
-        for (f, g), result in category.table.items()
-        if result != f and result != g and f not in units and g not in units  # unit-law entries fail the first two
-    }
-    return tuple(a for a in category.vectors if a not in composite)
-
-
 def validate_axioms(category: FiniteCategory) -> list[Violation]:
     """Check the category axioms; an empty list means valid.
 
@@ -531,13 +518,17 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     once; only when fewer entries are composable pairs than there are such
     pairs are the pairs f, g in `out_arrows[f.cod]` searched for a missing
     entry, and one sort by the arrow positions of f and g orders the
-    violations that name a pair.  The associativity pass then walks the
-    composable triples (see _associativity_violations): all of them when
-    the first pass found something, and otherwise only those with their
-    middle arrow in a generating set, which is exact by Light's test.
+    violations that name a pair.  When that pass finds something, every
+    composable triple is checked but one whose g∘f or k∘g is missing or
+    unknown (already reported).  Otherwise _associativity_violations checks
+    only the triples with their middle arrow in a generating set, which is
+    exact by Light's test.
     """
     violations = _pair_and_unit_violations(category)
-    return violations + _associativity_violations(category, clean=not violations)
+    if not violations:
+        return _associativity_violations(category)
+    arrows, leaving = category.arrows, category.out_arrows.get
+    return violations + list(_triples(category.table, arrows, arrows.values(), leaving, lambda o, c: leaving(c, ())))
 
 
 def _pair_and_unit_violations(category: FiniteCategory) -> list[Violation]:
@@ -591,15 +582,13 @@ def _pair_and_unit_violations(category: FiniteCategory) -> list[Violation]:
     return violations
 
 
-def _associativity_violations(category: FiniteCategory, clean: bool) -> list[Violation]:
-    """The associativity run of validate_axioms; `clean` says that the pair
-    and unit checks found nothing.
+def _associativity_violations(category: FiniteCategory) -> list[Violation]:
+    """The associativity run of validate_axioms once the pair and unit
+    checks have found nothing.
 
-    Unless clean, every composable triple is checked but one whose g∘f or
-    k∘g is missing or unknown (already reported).  When clean, every
-    composite is a known arrow of the right type and the unit law holds,
-    so a triple through an identity associates, and so does one whose ends
-    have a one-arrow hom-set: (k∘g)∘f and k∘(g∘f) both lie in
+    Every composite is then a known arrow of the right type and the unit
+    law holds, so a triple through an identity associates, and so does one
+    whose ends have a one-arrow hom-set: (k∘g)∘f and k∘(g∘f) both lie in
     hom(dom f, cod k).  Of the other triples only those with g in a
     generating set A are checked (Light's test; Clifford and Preston, The
     Algebraic Theory of Semigroups I, 1961, §1.2).  The test is exact, by
@@ -607,15 +596,11 @@ def _associativity_violations(category: FiniteCategory, clean: bool) -> list[Vio
     through A associate, and g = a∘u, with a in A and u a shorter word
     over A.  Then g∘f = a∘(u∘f), and (k∘g)∘f = ((k∘a)∘u)∘f = (k∘a)∘(u∘f)
     by the triples through a and u, which is k∘(a∘(u∘f)) = k∘(g∘f) by the
-    triple (u∘f, a, k).  At its first failing triple the check stops, and
-    every triple the prune keeps is then checked, in order, for the list.
+    triple (u∘f, a, k).  Only when a triple through A fails is every triple
+    the prune keeps checked, in order, for the list.
     """
     arrows = category.arrows
     table = category.table
-    if not clean:
-        leaving = category.out_arrows.get
-        return _triples(table, arrows, arrows.values(), leaving, lambda o, c: leaving(c, ()))
-
     count = Counter((a.dom, a.cod) for a in arrows.values())
     multi: dict[str, set[str]] = {}  # o -> the c with several arrows o -> c
     for (o, c), n in count.items():
@@ -635,55 +620,56 @@ def _associativity_violations(category: FiniteCategory, clean: bool) -> list[Vio
         return found
 
     generators = _generating_set(category, units)
-    if _triples(table, arrows, firsts, generators.get, ends, stop=True):
-        return _triples(table, arrows, firsts, leaving.get, ends)
-    return []
+    if next(_triples(table, arrows, firsts, generators.get, ends), None) is None:
+        return []
+    return list(_triples(table, arrows, firsts, leaving.get, ends))
 
 
 def _generating_set(category: FiniteCategory, units: set[str]) -> dict[str, list[Arrow]]:
     """A for Light's test, as each object's list of the arrows of A leaving it.
 
-    A is the atomic basis, then each arrow, in the order of `vectors` (any
-    other non-unit arrow last), that the words over A do not yet reach.
-    The reached arrows are those words' composites, found breadth first
-    (each reached x composed with each a of A leaving cod x), and on each
-    addition a the reached x ending at dom a are composed with a, so that
-    every pair (x, a) is looked up once.
+    A starts as the recorded atomic basis (empty for a category made
+    directly) and grows one arrow at a time: after each word closure over
+    A (_word_lengths), the first arrow of `vectors`, then of all the
+    arrows, that is neither a unit nor reached joins it.
     """
+    chosen = list(category.basis or ())
+    candidates = chain(category.vectors, category.arrows)  # what a closure reached stays reached
+    while True:
+        reached = _word_lengths(category, chosen)
+        new = next((v for v in candidates if v not in reached and v not in units), None)
+        if new is None:
+            members = set(chosen)
+            return {o: [a for a in out if a.id in members] for o, out in category.out_arrows.items()}
+        chosen.append(new)
+
+
+def _word_lengths(category: FiniteCategory, generators: Collection[str]) -> dict[str, int]:
+    """The length of the shortest word over `generators` of each arrow such
+    a word reaches, found breadth first: the generators are at depth 1, and
+    each step composes a reached arrow x with each generator leaving cod x.
+    A composite that is an identity is neither kept nor extended."""
     arrows, table = category.arrows, category.table
-    generators: dict[str, list[Arrow]] = {}
-    ending: dict[str, list[str]] = {}  # cod -> the reached arrows ending there
-    reached: set[str] = set()
-    queue: list[str] = []  # the reached arrows, breadth first
-
-    def reach(x):
-        if x not in reached:
-            reached.add(x)
-            queue.append(x)
-            ending.setdefault(arrows[x].cod, []).append(x)
-
-    done = 0
-    for v in chain(_basis(category), category.vectors, arrows):
-        if v in reached or v in units:
-            continue
-        a = arrows[v]
-        generators.setdefault(a.dom, []).append(a)
-        for x in tuple(ending.get(a.dom, ())):
-            reach(table[(x, v)])
-        reach(v)
-        while done < len(queue):
-            x = queue[done]
-            done += 1
-            for g in generators.get(arrows[x].cod, ()):
-                reach(table[(x, g.id)])
-    return generators
+    members = set(generators)
+    generators_out = {o: [a.id for a in leaving if a.id in members] for o, leaving in category.out_arrows.items()}
+    lengths: dict[str, int] = {e: 1 for e in generators}
+    queue = list(generators)  # breadth first: the loop reads what it appends
+    for reached in queue:
+        depth = lengths[reached]
+        for e in generators_out[arrows[reached].cod]:
+            composite = table[(reached, e)]
+            if arrows[composite].is_identity:
+                continue  # lands outside the vector space
+            if composite not in lengths:
+                lengths[composite] = depth + 1
+                queue.append(composite)
+    return lengths
 
 
-def _triples(table, arrows, firsts, middles, lasts, stop=False) -> list[Violation]:
-    """The associativity violations of the triples (f, g, k) with f in
-    firsts, g in middles(cod f) and k in lasts(dom f, cod g), in that order,
-    but for a triple whose g∘f or k∘g is no arrow; with stop, the first."""
-    violations = []
+def _triples(table, arrows, firsts, middles, lasts) -> Iterator[Violation]:
+    """The associativity violations, one by one, of the triples (f, g, k)
+    with f in firsts, g in middles(cod f) and k in lasts(dom f, cod g), in
+    that order, but for a triple whose g∘f or k∘g is no arrow."""
     for f in firsts:
         for g in middles(f.cod, ()):
             gf = table.get((f.id, g.id))
@@ -696,12 +682,4 @@ def _triples(table, arrows, firsts, middles, lasts, stop=False) -> list[Violatio
                 lhs = table.get((gf, k.id))
                 rhs = table.get((f.id, kg))
                 if lhs != rhs:
-                    violations.append(
-                        Violation(
-                            "associativity",
-                            "(%s, %s, %s): %s != %s" % (f.id, g.id, k.id, lhs, rhs),
-                        )
-                    )
-                    if stop:
-                        return violations
-    return violations
+                    yield Violation("associativity", "(%s, %s, %s): %s != %s" % (f.id, g.id, k.id, lhs, rhs))

@@ -183,7 +183,7 @@ def load_category(text: str) -> FiniteCategory:
             seen.add((f, g))
     category = build_explicit(document.objects, document.arrows, table)
     if category._well_typed:
-        violations = _associativity_violations(category, clean=True)
+        violations = _associativity_violations(category)
     else:
         violations = validate_axioms(category)
     if violations:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 
-from .category import Arrow, FiniteCategory, _basis
+from .category import Arrow, FiniteCategory, _word_lengths
 from .errors import (
     CompositeIsIdentity,
     NoDifference,
@@ -93,32 +93,31 @@ def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
     them, in the canonical order.
 
     The basis the builder recorded, as every builder does; otherwise, for a
-    category made directly, one pass over the table.
+    category made directly, one pass over the table finds the arrows that
+    no entry of two non-identity arrows distinct from them names.
     """
-    return _basis(category)
+    if category.basis is not None:
+        return category.basis
+    units = {a.id for a in category.arrows.values() if a.is_identity}
+    composite = {
+        result
+        for (f, g), result in category.table.items()
+        if result != f and result != g and f not in units and g not in units  # unit-law entries fail the first two
+    }
+    return tuple(a for a in category.vectors if a not in composite)
 
 
 def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str, int]:
     """Minimal factorization length per non-identity arrow, in the canonical order.
 
-    Multi-source BFS from the basis: depth 1 is the basis itself, each
-    step composes a reached arrow with a basis arrow on the left.
-    Raises NotGenerated when some non-identity arrow is unreachable.
+    The word closure over the basis, which Light's test of the axioms runs
+    too: a multi-source BFS from the basis at depth 1 (_word_lengths).
+    Raises UnknownArrow for an unknown or identity basis id, and
+    NotGenerated when some non-identity arrow is unreachable.
     """
-    arrows, table = category.arrows, category.table
-    members = set(basis)
-    basis_out = {o: [a.id for a in leaving if a.id in members] for o, leaving in category.out_arrows.items()}
-    lengths: dict[str, int] = {e: 1 for e in basis}
-    queue = list(basis)  # breadth first: the loop reads what it appends
-    for reached in queue:
-        depth = lengths[reached]
-        for e in basis_out[arrows[reached].cod]:
-            composite = table[(reached, e)]
-            if arrows[composite].is_identity:
-                continue  # lands outside the vector space
-            if composite not in lengths:
-                lengths[composite] = depth + 1
-                queue.append(composite)
+    for e in basis:
+        _check_vector(category, e)
+    lengths = _word_lengths(category, basis)
     try:
         return {v: lengths[v] for v in category.vectors}
     except KeyError:

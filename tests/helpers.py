@@ -143,6 +143,16 @@ def t4() -> FiniteCategory:
     return concrete_category([4], maps, max_arrows=300)
 
 
+def rectangular_band(n: int) -> FiniteCategory:
+    """The n×n rectangular band with an identity: one object o, the arrows
+    r<i>_<j> for i, j < n, and r<i>_<j> then r<k>_<l> composing to r<i>_<l>.
+    For n > 1 each arrow is the composite of two others, so there is no
+    atomic basis, and every generating set Light's test uses is greedy."""
+    ids = [("r%d_%d" % (i, j), i, j) for i in range(n) for j in range(n)]
+    table = {(f, g): "r%d_%d" % (i, l) for f, i, _ in ids for g, _, l in ids}
+    return build_explicit(["o"], [(f, "o", "o") for f, _, _ in ids], table)
+
+
 def explicit_document(category: FiniteCategory, table=None) -> str:
     """The JSON text of `category` as an explicit document: its non-identity
     arrows, and the entries of `table` (the category's own by default) that

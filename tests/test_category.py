@@ -24,19 +24,21 @@ from catgeo import (
     load_category,
     validate_axioms,
 )
-from catgeo.category import MAX_FREE_PATHS, FiniteCategory
+from catgeo.category import MAX_FREE_PATHS, FiniteCategory, _generating_set
 from catgeo.documents import CategoryDocument, document_to_json
 
 from helpers import (
     COINCIDING_GENERATORS,
     COINCIDING_OBJECTS,
     _closure,
+    explicit_document,
     oracle_build_free,
     oracle_build_thin,
     oracle_validate_axioms,
     random_free,
     random_presentation,
     random_thin,
+    rectangular_band,
 )
 
 PO6_OBJECTS = ["a0", "a1", "a2", "a3", "a4", "a5"]
@@ -281,6 +283,25 @@ class TestValidateAxioms:
         report = validate_axioms(corrupted)
         assert [str(v) for v in report] == ["associativity: (u, w, z): z∘w∘v != z∘w∘u"]
         assert report == oracle_validate_axioms(corrupted)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_rectangular_band_is_checked_through_greedy_additions(self, n):
+        # no atomic basis: Light's generating set is all greedy additions,
+        # the arrows of row 0 and then the first arrow of every other row
+        band = load_category(explicit_document(rectangular_band(n)))
+        assert band.basis == ()
+        chosen = _generating_set(band, {"id:o"})["o"]
+        assert sorted(a.id for a in chosen) == sorted({"r0_%d" % j for j in range(n)} | {"r%d_0" % i for i in range(n)})
+        assert len(chosen) == 2 * n - 1
+        assert validate_axioms(band) == oracle_validate_axioms(band) == []
+        table = dict(band.table)
+        table[("r0_1", "r1_0")] = "r0_1"  # r0_0 before the swap; every arrow is o -> o
+        corrupted = FiniteCategory(band.objects, band.arrows.values(), table, "explicit")
+        report = validate_axioms(corrupted)
+        assert report and report == oracle_validate_axioms(corrupted)
+        with pytest.raises(AxiomViolation) as refusal:
+            load_category(explicit_document(band, table))
+        assert refusal.value.violations == report
 
     def test_cyclic_group_of_order_three(self):
         # a generates {id, a, b = a∘a}: one three-arrow hom-set, so every

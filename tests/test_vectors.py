@@ -76,10 +76,12 @@ class TestVecAdd:
         (compose, "e2", "nope", UnknownArrow, "nope"),
         (compose, "e1", "e2", NotComposable, "e2"),
         (compose, "id:a1", "e2", NotComposable, "id:a1"),
+        (lambda category, f, g: compute_norms(category, [f, g]), "e1", "nope", UnknownArrow, "nope"),
     ],
 )
 def test_argument_errors(po6, function, f, g, error, named):
-    # unknown ids and, for vectors, identities are rejected before composability
+    # unknown ids and, for vectors, identities are rejected before composability;
+    # compute_norms checks each id of the basis f, g it is given
     with pytest.raises(error, match=named):
         function(po6, f, g)
 
