@@ -2,9 +2,8 @@
 
 A category is objects, arrows (identities included) and a composition
 table over composable ordered pairs.  The table maps the pair (f, g) with
-cod(f) = dom(g) to the composite g∘f, i.e. "f first, then g".  Arrow
-equality is id equality; the table is the sole source of composite
-identification.
+cod(f) = dom(g) to the composite g∘f, i.e. "f first, then g".  Arrows are
+equal when their ids are; the table alone identifies composites.
 
 Only explicit categories store their table, as a dict.  Thin and free
 categories compose by rule: their table is a read-only Mapping that
@@ -32,8 +31,7 @@ and `repr` never enumerate a thin or free category's arrows.
 `out_arrows` maps every object to the tuple of arrows leaving it,
 identities included, in arrow order.  The arrows g composable after f are
 exactly `out_arrows[f.cod]`, so the passes that enumerate composable
-pairs or triples go through it instead of scanning every arrow against
-every arrow.
+pairs or triples go through it, not through every pair of arrows.
 
 Axiom validation is two passes.  The pair-and-unit pass reads each table
 entry once, and enumerates the pairs only to find one that lacks an
@@ -156,13 +154,15 @@ _ENUMERATED = frozenset(("arrows", "out_arrows", "vectors", "table"))
 
 
 class _PendingCategory(FiniteCategory):
-    """A thin or free category before its first read (see the module
-    docstring).
+    """A thin or free category before its first read (see the module docstring).
 
     It holds objects, mode and basis, and in `_pending` the function that
     enumerates the arrows, the presentation data it reads (objects first;
     none of it refers to the category) and the arrow count, which `repr`
-    prints.  After the first read no read passes through `__getattr__`.
+    prints.  It is a subclass, left at the first read, because on CPython
+    3.11 a class with a `__getattr__` gets no specialized attribute reads:
+    with one on FiniteCategory, a read of `arrows` took 22-30 ns net, not 3,
+    and `distance` on a 201-arrow table 171-197 µs per call, not 160-182.
     """
 
     def __init__(self, objects, mode, basis, enumerate_arrows, presentation, arrow_count):
@@ -251,7 +251,7 @@ def compose(category: FiniteCategory, f: str, g: str) -> str:
     """
     a, b = category.arrows.get(f), category.arrows.get(g)
     if a is None or b is None:
-        raise UnknownArrow("no arrow %r in category" % (f if a is None else g))
+        raise UnknownArrow("no arrow %r in category" % ((f if a is None else g),))
     if a.cod != b.dom:
         raise NotComposable("cod(%s) = %s but dom(%s) = %s" % (f, a.cod, g, b.dom))
     return category.table[(f, g)]

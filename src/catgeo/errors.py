@@ -2,8 +2,8 @@
 
 
 class CatGeoError(Exception):
-    """Base class of catgeo's errors.  A bad argument value raises ValueError
-    instead (O in is_parallel, lo >= hi in IntervalArrow); the CLI exits 2 on both."""
+    """Base class of catgeo's errors, which every bad vector, arrow id or basis raises but an
+    unhashable id (a list: Python's TypeError); lo >= hi in IntervalArrow is the one ValueError."""
 
 
 class ParseError(CatGeoError):

@@ -9,8 +9,8 @@ A blade stores its two vectors in the canonical arrow order (lexicographic
 on id); wedging in the reversed order contributes coefficient -1.  The
 blade "area" is not stored, being derivable as ||first|| × ||second||.
 
-Arguments are checked once, at the public functions: `_check_vector`
-returns the Arrow of each vector (None for O) or raises UnknownArrow.
+Arguments are checked once, at the public functions, by `_check_vector`
+(`_check_arrow` for a basis and `is_parallel`, which refuses O as well).
 Norms are a plain dict of arrow id to length; O annihilates, so it needs
 none.  Past that boundary one private kernel, `_product`, computes fg of
 two non-zero vectors as plain values; the real-line backend shares it.
@@ -26,7 +26,7 @@ from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
 
 from .category import Arrow, FiniteCategory
-from .vectors import Vector, _check_vector
+from .vectors import Vector, _check_arrow, _check_vector
 
 
 #: canonical grade-2 blade: first < second in the carrier order
@@ -134,10 +134,8 @@ def is_orthogonal(category: FiniteCategory, norms: dict[str, int], f: Vector, g:
 
 
 def is_parallel(category: FiniteCategory, f: Vector, g: Vector) -> bool:
-    """f = g, or both composites g∘f and f∘g exist.  Non-zero vectors only."""
-    a, b = _check_vector(category, f), _check_vector(category, g)
-    if a is None or b is None:
-        raise ValueError("parallelism is defined for non-zero vectors")
+    """f = g, or both composites g∘f and f∘g exist.  Arrows only: O raises UnknownArrow."""
+    a, b = _check_arrow(category, f), _check_arrow(category, g)
     return f == g or (a.cod == b.dom and b.cod == a.dom)
 
 
@@ -220,14 +218,14 @@ class CliffordReport(namedtuple("CliffordReport", "unit_square_failures anticomm
 def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequence[str]) -> CliffordReport:
     """Check e² = 1 for basis arrows and fg = -gf on orthogonal pairs.
 
-    Every basis square is computed.  Distinct f and g fail fg = -gf
-    exactly when they compose in one order only, say cod f = dom g, and
-    ||f|| × ||g|| = 0: then fg = 0 and gf is a blade.  Each such pair is
-    reported in both orders, in canonical (f-major) order.
+    Every basis square is computed; O in the basis raises UnknownArrow.
+    Distinct f and g fail fg = -gf exactly when they compose in one order
+    only, say cod f = dom g, and ||f|| × ||g|| = 0: then fg = 0 and gf is
+    a blade.  Each such pair is reported in both orders, f-major.
     """
     unit_failures = []
     for e in basis:
-        a = _check_vector(category, e)
+        a = _check_arrow(category, e)
         square = _fg(norms, a, a)
         if square != (1, None, 0):
             unit_failures.append((e, _as_multivector(*square)))

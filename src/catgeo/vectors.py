@@ -17,9 +17,9 @@ applied where O can occur, at the `l = O` candidate of `distance` (and in
 the products, where O annihilates).
 
 Vector arguments are checked where they enter a public function:
-`_check_vector` looks the id up once and returns its Arrow (None for O),
-or raises UnknownArrow for an unknown or identity id, and the caller
-reads dom and cod from that Arrow.
+`_check_vector` returns the Arrow of an id (None for O), or raises
+UnknownArrow naming an unknown or identity id by its repr, and
+`_check_arrow`, for a basis and `is_parallel`, refuses O as well.
 """
 
 from __future__ import annotations
@@ -66,9 +66,17 @@ def _check_vector(category: FiniteCategory, v: Vector) -> Arrow | None:
         return None
     arrow = category.arrows.get(v)
     if arrow is None:
-        raise UnknownArrow("no arrow %r in category" % v)
+        raise UnknownArrow("no arrow %r in category" % (v,))
     if arrow.is_identity:
-        raise UnknownArrow("identity arrow %r is not a vector" % v)
+        raise UnknownArrow("identity arrow %r is not a vector" % (v,))
+    return arrow
+
+
+def _check_arrow(category: FiniteCategory, v: Vector) -> Arrow:
+    """The arrow of v, a non-identity arrow id; UnknownArrow for O too."""
+    arrow = _check_vector(category, v)
+    if arrow is None:
+        raise UnknownArrow("the zero vector %r is no arrow" % (v,))
     return arrow
 
 
@@ -112,11 +120,11 @@ def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str,
 
     The word closure over the basis, which Light's test of the axioms runs
     too: a multi-source BFS from the basis at depth 1 (_word_lengths).
-    Raises UnknownArrow for an unknown or identity basis id, and
-    NotGenerated when some non-identity arrow is unreachable.
+    Raises UnknownArrow for O or an unknown or identity id in the basis,
+    and NotGenerated when some non-identity arrow is unreachable.
     """
     for e in basis:
-        _check_vector(category, e)
+        _check_arrow(category, e)
     lengths = _word_lengths(category, basis)
     try:
         return {v: lengths[v] for v in category.vectors}

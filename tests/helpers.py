@@ -389,6 +389,53 @@ def oracle_clifford_failures(category, norms, basis):
     return unit, anti
 
 
+def _reordering_sign(a: int, b: int) -> int:
+    """The sign of the swaps that sort the blade a then the blade b into
+    the ascending order of their bits."""
+    swaps = 0
+    a >>= 1
+    while a:
+        swaps += bin(a & b).count("1")
+        a >>= 1
+    return -1 if swaps & 1 else 1
+
+
+def clifford_product(metric: Sequence[int], x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """xy in the Clifford algebra Cl(V, diag(metric)) with an orthogonal
+    basis γ_0, γ_1, ...: a multivector maps each blade, a bitmap of basis
+    indices read in ascending order (Dorst, Fontijne and Mann, Geometric
+    Algebra for Computer Science, 2007), to its non-zero coefficient.
+    γ_i² = metric[i], and distinct basis vectors anticommute."""
+    product: dict[int, int] = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            c = ca * cb * _reordering_sign(a, b)
+            for i, square in enumerate(metric):
+                if a & b & (1 << i):
+                    c *= square
+            product[a ^ b] = product.get(a ^ b, 0) + c
+    return {blade: c for blade, c in product.items() if c}
+
+
+def clifford_oracle(category, norms):
+    """The Clifford product of two arrows in Cl(V, diag(||f||²)), whose
+    orthogonal basis is the arrows with a norm in `vectors` order, and
+    catgeo's Multivector carried into the same bitmap form: returns
+    (product(f, g), as_blades(multivector))."""
+    vectors = [v for v in category.vectors if v in norms]
+    index = {v: i for i, v in enumerate(vectors)}
+    metric = [norms[v] ** 2 for v in vectors]
+
+    def product(f, g):
+        return clifford_product(metric, {1 << index[f]: 1}, {1 << index[g]: 1})
+
+    def as_blades(m: Multivector) -> dict[int, int]:
+        blades = {(1 << index[b.first]) | (1 << index[b.second]): c for b, c in m.blades.items()}
+        return {0: m.scalar, **blades} if m.scalar else blades
+
+    return product, as_blades
+
+
 def category_ends(category, norms) -> list:
     """(id, dom, cod, norm) of each non-identity arrow, in canonical order."""
     return [(v, category.arrows[v].dom, category.arrows[v].cod, norms[v]) for v in category.vectors]

@@ -24,6 +24,8 @@ from catgeo import (
 
 from helpers import (
     category_ends,
+    clifford_oracle,
+    clifford_product,
     exhaustive_clifford_report,
     kernel_anticommutation_failures,
     oracle_clifford_failures,
@@ -250,6 +252,39 @@ class TestGeometric:
         for f in po6.vectors:
             assert geometric(po6, norms, f, f) == Multivector(norms[f] ** 2)
 
+    def test_clifford_oracle_relations(self):
+        # the oracle itself: γ_i² = metric[i], distinct basis vectors
+        # anticommute, and the product is associative on blades
+        metric = [1, 4, 9]
+        gamma = [{1 << i: 1} for i in range(3)]
+        for i, x in enumerate(gamma):
+            assert clifford_product(metric, x, x) == {0: metric[i]}
+            for y in gamma[i + 1 :]:
+                xy, yx = clifford_product(metric, x, y), clifford_product(metric, y, x)
+                assert xy == {b: -c for b, c in yx.items()} and len(xy) == 1
+        e01 = clifford_product(metric, gamma[0], gamma[1])
+        assert clifford_product(metric, e01, e01) == {0: -4}
+        assert clifford_product(metric, e01, gamma[2]) == clifford_product(
+            metric, gamma[0], clifford_product(metric, gamma[1], gamma[2])
+        ) == {0b111: 1}
+        assert clifford_product(metric, gamma[1], e01) == {0b001: -4}
+
+    @pytest.mark.parametrize("name, agreeing, pairs", [("po6", 156, 169), ("path3", 8, 9), ("parallel2", 4, 4)])
+    def test_clifford_product_off_the_composing_pairs(self, name, agreeing, pairs):
+        # fg is γ_f γ_g of Cl(V, diag(||f||²)) on every ordered pair but
+        # those that compose, cod f = dom g with f != g, where fg is the
+        # scalar ||f||·||g|| and γ_f γ_g the blade γ_f∧γ_g
+        cat = builtin_category(name)
+        norms = compute_norms(cat, atomic_basis(cat))
+        clifford, as_blades = clifford_oracle(cat, norms)
+        ordered = [(f, g) for f in cat.vectors for g in cat.vectors]
+        agree = [(f, g) for f, g in ordered if as_blades(geometric(cat, norms, f, g)) == clifford(f, g)]
+        composing = [(f, g) for f, g in ordered if f != g and cat.arrows[f].cod == cat.arrows[g].dom]
+        assert (len(agree), len(ordered)) == (agreeing, pairs)
+        assert sorted(set(ordered) - set(agree)) == sorted(composing)
+        for f, g in composing:
+            assert geometric(cat, norms, f, g) == Multivector(norms[f] * norms[g])
+
 
 class TestAnticommutator:
     def test_parallel_self(self, po6, norms):
@@ -398,5 +433,7 @@ class TestArgumentChecks:
             is_parallel(po6, "e1", bad)
 
     def test_parallel_needs_non_zero_vectors(self, po6):
-        with pytest.raises(ValueError):
-            is_parallel(po6, ZERO, "e1")
+        # parallelism is defined on arrows only: O is refused as an unknown id is
+        for f, g in ((ZERO, "e1"), ("e1", ZERO)):
+            with pytest.raises(UnknownArrow, match="zero vector O"):
+                is_parallel(po6, f, g)

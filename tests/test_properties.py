@@ -11,6 +11,7 @@ from catgeo import (
     ZERO,
     Arrow,
     AxiomViolation,
+    CatGeoError,
     CompositeIsIdentity,
     CyclicGraph,
     FiniteCategory,
@@ -20,20 +21,25 @@ from catgeo import (
     NotGenerated,
     ParseError,
     UndefinedSum,
+    UnknownArrow,
     anticommutator,
     anticommutator_table,
     atomic_basis,
     build_explicit,
     build_free,
     build_thin,
+    builtin_category,
     clifford_report,
     compose,
     compute_norms,
     distance,
     geometric,
+    inner,
     interval,
     interval_add,
     interval_norm,
+    is_orthogonal,
+    is_parallel,
     load_category,
     outer,
     validate_axioms,
@@ -42,6 +48,7 @@ from catgeo import (
 
 from helpers import (
     category_ends,
+    clifford_oracle,
     closed_form_anticommutator,
     concrete_categories,
     cyclic_categories,
@@ -511,14 +518,84 @@ def test_zero_vector_laws(cat):
 @settings(max_examples=40, deadline=None)
 @given(categories)
 def test_outer_antisymmetry_on_orthogonal_pairs(cat):
-    from catgeo import is_orthogonal
-
     norms = compute_norms(cat, atomic_basis(cat))
     for f in cat.vectors:
         for g in cat.vectors:
             if is_orthogonal(cat, norms, f, g):
                 assert outer(cat, norms, f, g) == -outer(cat, norms, g, f)
                 assert anticommutator(cat, norms, f, g).is_zero() or f == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(categories | staged_categories() | concrete_categories())
+def test_geometric_is_the_clifford_product_off_the_composing_pairs(cat):
+    # fg is γ_f γ_g in Cl(V, diag(||f||²)), the arrows an orthogonal basis,
+    # except where f then g composes: there Cl has the blade γ_f∧γ_g and
+    # catgeo the scalar ||f||·||g||; an arrow no basis word reaches is left out
+    norms = oracle_word_norms(cat, atomic_basis(cat))
+    clifford, as_blades = clifford_oracle(cat, norms)
+    for f in norms:
+        for g in norms:
+            fg = geometric(cat, norms, f, g)
+            if f != g and cat.arrows[f].cod == cat.arrows[g].dom:
+                assert fg == Multivector(norms[f] * norms[g])
+            else:
+                assert as_blades(fg) == clifford(f, g)
+
+
+#: each public function that takes vectors or a basis, whether it takes
+#: norms, and what each argument must be: a vector (an arrow id or O), an
+#: arrow (no O), any arrow id (identities too), or a basis of arrows
+BOUNDARY = (
+    (compose, False, ("id", "id")),
+    (vec_add, False, ("vector", "vector")),
+    (distance, True, ("vector", "vector")),
+    (compute_norms, False, ("basis",)),
+    (inner, True, ("vector", "vector")),
+    (outer, True, ("vector", "vector")),
+    (geometric, True, ("vector", "vector")),
+    (anticommutator, True, ("vector", "vector")),
+    (is_orthogonal, True, ("vector", "vector")),
+    (is_parallel, False, ("arrow", "arrow")),
+    (clifford_report, True, ("basis",)),
+)
+
+builtin_categories = st.sampled_from([builtin_category(name) for name in ("po6", "path3", "parallel2")])
+
+
+def _boundary_arguments(cat):
+    ids = st.sampled_from(sorted(cat.arrows))  # non-identity arrows and identities
+    return st.one_of(
+        st.sampled_from(cat.vectors) if cat.vectors else ids,
+        ids,
+        st.sampled_from([ZERO, "", None, 1, "nope"]),
+        st.text(max_size=3),
+        st.tuples(ids),
+        st.tuples(ids, ids),
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(builtin_categories | thin_categories() | free_categories(), st.sampled_from(BOUNDARY), st.data())
+def test_every_bad_argument_is_an_unknown_arrow_named_by_its_repr(cat, entry, data):
+    # each call returns or raises a CatGeoError; it raises UnknownArrow
+    # exactly when some argument is no value of its kind, and the message
+    # names the first such argument by its repr
+    function, takes_norms, kinds = entry
+    norms = compute_norms(cat, atomic_basis(cat))
+    arguments = _boundary_arguments(cat)
+    drawn = [data.draw(st.lists(arguments, max_size=3) if kind == "basis" else arguments) for kind in kinds]
+    valid = {"vector": (ZERO, *cat.vectors), "arrow": cat.vectors, "basis": cat.vectors, "id": cat.arrows}
+    checked = [(kind, v) for kind, value in zip(kinds, drawn) for v in (value if kind == "basis" else [value])]
+    bad = [v for kind, v in checked if v not in valid[kind]]
+    try:
+        function(cat, *([norms] if takes_norms else []), *drawn)
+    except CatGeoError as exc:
+        assert isinstance(exc, UnknownArrow) == bool(bad), exc
+        if bad:
+            assert repr(bad[0]) in str(exc)
+    else:
+        assert not bad
 
 
 rationals = st.fractions(min_value=Fraction(-100), max_value=Fraction(100), max_denominator=997)

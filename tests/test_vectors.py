@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from catgeo import (
@@ -10,6 +12,7 @@ from catgeo import (
     build_free,
     build_thin,
     builtin_category,
+    clifford_report,
     compose,
     compute_norms,
     distance,
@@ -77,13 +80,23 @@ class TestVecAdd:
         (compose, "e1", "e2", NotComposable, "e2"),
         (compose, "id:a1", "e2", NotComposable, "id:a1"),
         (lambda category, f, g: compute_norms(category, [f, g]), "e1", "nope", UnknownArrow, "nope"),
+        (lambda category, f, g: compute_norms(category, [f, g]), "e1", ZERO, UnknownArrow, "zero vector O"),
+        (lambda category, f, g: clifford_report(category, _norms(category), [f]), ZERO, None, UnknownArrow, "zero vector O"),
+        (vec_add, ("e1", "e2"), "e4", UnknownArrow, "('e1', 'e2')"),
+        (compose, "e2", ("e1", "e2"), UnknownArrow, "('e1', 'e2')"),
+        (lambda category, f, g: inner(category, _norms(category), f, g), ("e1",), "e4", UnknownArrow, "('e1',)"),
     ],
 )
 def test_argument_errors(po6, function, f, g, error, named):
     # unknown ids and, for vectors, identities are rejected before composability;
-    # compute_norms checks each id of the basis f, g it is given
-    with pytest.raises(error, match=named):
+    # compute_norms and clifford_report check each id of the basis they are
+    # given, and refuse O there; the message names the argument by its repr
+    with pytest.raises(error, match=re.escape(named)):
         function(po6, f, g)
+
+
+def _norms(category):
+    return compute_norms(category, atomic_basis(category))
 
 
 class TestAtomicBasis:
