@@ -11,11 +11,10 @@ computes each entry when it is looked up.  Both apply the unit law first
 (g∘f is f or g itself when the other is an identity); otherwise g∘f is,
 in a thin category, the one arrow dom f → cod g, read from build_thin's
 map of object pairs to non-identity arrow ids, and in a free category
-the path named "g∘f".  Every builder records the atomic basis: a thin or
-free one knows it from the presentation, and build_explicit finds it in
-the one pass that reads each entry of an explicit table, checks that the
-entries cover exactly the composable non-identity pairs and name known
-arrows, and notes whether every composite has the right type.
+the path named "g∘f".  Every builder reads its presentation once, through
+_check_presentation, and records the atomic basis: a thin or free one
+knows it from the presentation, and build_explicit finds it in its one
+pass over an explicit table.
 
 Each category also keeps two indexes, which FiniteCategory.__init__
 builds with its arrows.  An explicit category runs it when it is made.
@@ -33,17 +32,12 @@ identities included, in arrow order.  The arrows g composable after f are
 exactly `out_arrows[f.cod]`, so the passes that enumerate composable
 pairs or triples go through it, not through every pair of arrows.
 
-Axiom validation is two passes.  The pair-and-unit pass reads each table
-entry once, and enumerates the pairs only to find one that lacks an
-entry.  When it finds something, validate_axioms checks every composable
-triple.  Otherwise the associativity pass skips the triples that cannot
-fail and checks only those whose middle arrow lies in a generating set:
-the atomic basis, grown one arrow at a time by the first arrow that the
-word closure over the set (_word_lengths, the search compute_norms runs
-over the basis) does not reach.  By Light's test that is exact (by
-induction on the word length of the middle arrow, see
-_associativity_violations); only when a triple fails does the pass check
-all the others for the full list.  An explicit document whose composites
+Axiom validation is two passes (validate_axioms).  The pair-and-unit pass
+reads each table entry once.  When it finds something, every composable
+triple is checked.  Otherwise the associativity pass checks, of the
+triples that can fail, those whose middle arrow lies in a generating set
+grown from the atomic basis (_generating_set): by Light's test that is
+exact (_associativity_violations).  An explicit document whose composites
 are all well typed passes the first pass by construction, so
 load_category runs only the second.
 
@@ -257,28 +251,36 @@ def compose(category: FiniteCategory, f: str, g: str) -> str:
     return category.table[(f, g)]
 
 
-def _check_presentation(objects, generators) -> bool:
-    """Raise ParseError for a bad, repeated or undeclared id; return whether
-    some object or generator id contains "->", as a derived thin name does."""
-    if len(set(objects)) != len(objects):
-        raise ParseError("duplicate object ids")
-    arrowlike = False
+def _check_presentation(objects, generators) -> tuple[tuple, tuple, bool]:
+    """Read a presentation, any two iterables but str, once: (objects, generators,
+    arrowlike), the ids and (id, dom, cod) triples as tuples, and whether some id
+    holds "->", as a derived thin name does.  Raises ParseError for a str or
+    non-iterable argument, an id that is no nonempty str or starts with "id:", a
+    repeated id, a record that is no triple and an undeclared endpoint."""
+    for given in objects, generators:
+        if isinstance(given, str) or not isinstance(given, Iterable):
+            raise ParseError("a presentation lists its objects and generators, not %r" % (given,))
+    objects = tuple(objects)
     for obj in objects:
-        if not obj or obj.startswith(IDENTITY_PREFIX):
-            raise ParseError("bad object id %r" % obj)
-        arrowlike = arrowlike or "->" in obj
+        if not isinstance(obj, str) or not obj or obj.startswith(IDENTITY_PREFIX):
+            raise ParseError("bad object id %r" % (obj,))
     obj_set = set(objects)
-    seen = set()
-    for gid, dom, cod in generators:
-        if not gid or gid.startswith(IDENTITY_PREFIX):
-            raise ParseError("bad generator id %r" % gid)
-        if gid in seen:
-            raise ParseError("duplicate generator id %r" % gid)
-        seen.add(gid)
-        if dom not in obj_set or cod not in obj_set:
-            raise ParseError("generator %r has undeclared endpoint" % gid)
-        arrowlike = arrowlike or "->" in gid
-    return arrowlike
+    if len(obj_set) != len(objects):
+        raise ParseError("duplicate object ids")
+    triples = {}  # id -> (id, dom, cod), in the order given
+    for record in generators:
+        try:
+            gid, dom, cod = () if isinstance(record, str) else record  # a str unpacks into its characters
+        except (TypeError, ValueError):
+            raise ParseError("generator %r is not an (id, dom, cod) triple" % (record,)) from None
+        if not isinstance(gid, str) or not gid or gid.startswith(IDENTITY_PREFIX):
+            raise ParseError("bad generator id %r" % (gid,))
+        if gid in triples:
+            raise ParseError("duplicate generator id %r" % (gid,))
+        if not (isinstance(dom, str) and isinstance(cod, str) and dom in obj_set and cod in obj_set):
+            raise ParseError("generator %r has undeclared endpoint" % (gid,))
+        triples[gid] = gid, dom, cod
+    return objects, tuple(triples.values()), "->" in " ".join(chain(objects, triples))  # no "->" spans a space
 
 
 def _identities(objects) -> list[Arrow]:
@@ -317,24 +319,25 @@ def _generator_graph(objects, generators):
     return out_edges, order
 
 
-def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]]) -> FiniteCategory:
+def build_thin(objects: Iterable[str], generators: Iterable[tuple[str, str, str]]) -> FiniteCategory:
     """Thin category: one arrow a→b per nonempty generator path, a != b.
 
-    The objects each object reaches and its atomic generators are found
-    in one pass, in the generator graph's order, targets first.
-    Generator arrows keep their given ids; derived arrows are named
-    "<dom>-><cod>".  Raises CyclicGraph when the generator graph has a
-    directed cycle, CatGeoError when the category would have more than
-    MAX_FREE_PATHS non-identity arrows, and ParseError when two generators
-    share an ordered object pair or a derived name is already an arrow id.
+    Each argument may be any iterable, read once (_check_presentation).  The
+    objects each object reaches and its atomic generators are found in one
+    pass, in the generator graph's order, targets first.  Generator arrows
+    keep their given ids; derived arrows are named "<dom>-><cod>".  Raises
+    CyclicGraph when the generator graph has a directed cycle, CatGeoError
+    when the category would have more than MAX_FREE_PATHS non-identity
+    arrows, and ParseError when two generators share an ordered object pair
+    or a derived name is already an arrow id.
 
-    The arrows are enumerated on the first read (see the module
-    docstring).  A derived name can be taken (by a generator, or by another
-    derived name) only when some object or generator id contains "->";
-    only then are the names derived here, in the order the enumeration
-    makes them, and kept for it, but no arrow is made.
+    The arrows are enumerated on the first read (see the module docstring).
+    A derived name can be taken (by a generator, or by another derived name)
+    only when some object or generator id contains "->"; only then are the
+    names derived here, in the order the enumeration makes them, and kept
+    for it, but no arrow is made.
     """
-    arrowlike = _check_presentation(objects, generators)
+    objects, generators, arrowlike = _check_presentation(objects, generators)
     out_edges, order = _generator_graph(objects, generators)
 
     # reach[a]: the objects a nonempty path from a ends at; a generator
@@ -362,7 +365,7 @@ def build_thin(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
             )
         between[dom, cod] = gid
 
-    objects, basis = tuple(objects), tuple(sorted(basis))
+    basis = tuple(sorted(basis))
     if arrowlike:  # a derived name may be taken: name the pairs while loading
         taken = set(between.values())
         for a in objects:
@@ -393,18 +396,19 @@ def _thin_arrows(objects, reach, between) -> tuple[list[Arrow], dict[tuple[str, 
     return arrows, between
 
 
-def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]]) -> FiniteCategory:
+def build_free(objects: Iterable[str], generators: Iterable[tuple[str, str, str]]) -> FiniteCategory:
     """Free category on an acyclic multigraph: arrows are nonempty paths.
 
-    A path through edges g1, g2, ..., gn (in traversal order) gets the id
+    Each argument may be any iterable, read once (_check_presentation).  A
+    path through edges g1, g2, ..., gn (in traversal order) gets the id
     "gn∘...∘g2∘g1", so the composite of f then g is "g∘f"; as no generator
     id contains "∘", each id names one path.  The paths from each object
-    are listed in the generator graph's order, targets first, on the
-    first read (see the module docstring).  Raises CyclicGraph when the
-    multigraph has a directed cycle, and CatGeoError when it has more than
+    are listed in the generator graph's order, targets first, on the first
+    read (see the module docstring).  Raises CyclicGraph when the multigraph
+    has a directed cycle, and CatGeoError when it has more than
     MAX_FREE_PATHS nonempty paths.
     """
-    _check_presentation(objects, generators)
+    objects, generators, _ = _check_presentation(objects, generators)
     for gid, _, _ in generators:
         if PATH_SEP in gid:
             raise ParseError("generator id %r contains the reserved separator" % gid)
@@ -422,7 +426,6 @@ def build_free(objects: Sequence[str], generators: Sequence[tuple[str, str, str]
         )
     # no path through two or more edges is atomic
     basis = tuple(sorted(gid for gid, _, _ in generators))
-    objects = tuple(objects)
     arrow_count = len(objects) + total
     return _PendingCategory(objects, "free", basis, _free_arrows, (objects, out_edges, order), arrow_count)
 
@@ -447,24 +450,24 @@ def _free_arrows(objects, out_edges, order) -> tuple[list[Arrow], None]:
 
 
 def build_explicit(
-    objects: Sequence[str],
-    arrows: Sequence[tuple[str, str, str]],
+    objects: Iterable[str],
+    arrows: Iterable[tuple[str, str, str]],
     compositions: Mapping[tuple[str, str], str],
 ) -> FiniteCategory:
     """Assemble a category verbatim from a full non-identity composition table.
 
-    `compositions` maps (f, g) to g∘f; the category's copy of it is the
-    table, completed by the unit law.  One pass reads each entry once: it
-    copies it, and raises ParseError unless the entries cover exactly the
-    composable non-identity pairs (a stray entry is named first, then a
-    missing one, which the pass finds by count) and name only known
-    arrows.  The same pass records the atomic basis in `basis`, and in
-    `_well_typed` whether every composite has the type dom f -> cod g.
-    When it has, the pair and unit checks of validate_axioms cannot fail,
-    so load_category runs only the associativity pass; otherwise the
-    axioms are validate_axioms' job.
+    `objects` and `arrows` may be any iterables, read once; `compositions` maps
+    (f, g) to g∘f, and the category's copy of it is the table, completed by the
+    unit law.  One pass reads each entry once: it copies it, and raises
+    ParseError unless the entries are well formed (see CatGeoError), cover
+    exactly the composable non-identity pairs (a stray entry is named first,
+    then a missing one, found by count) and name only known arrows.  The same
+    pass records the atomic basis in `basis`, and in `_well_typed` whether
+    every composite has the type dom f -> cod g.  When it has, the pair and
+    unit checks of validate_axioms cannot fail, so load_category runs only the
+    associativity pass; otherwise the axioms are validate_axioms' job.
     """
-    _check_presentation(objects, arrows)
+    objects, arrows, _ = _check_presentation(objects, arrows)
     all_arrows = _identities(objects) + [Arrow(aid, dom, cod) for aid, dom, cod in arrows]
     category = FiniteCategory(objects, all_arrows, {}, "explicit")
     table = category.table
@@ -473,22 +476,29 @@ def build_explicit(
     unknown = None  # the first entry naming an unknown arrow
     well_typed = True
     composite = set()
-    for (f, g), result in compositions.items():
-        table[f, g] = result
-        a, b = known.get(f), known.get(g)
-        if a is None or b is None or a.is_identity or b.is_identity or a.cod != b.dom:
-            stray.append((f, g))
-            continue
-        r = known.get(result)
-        if r is None:
-            unknown = unknown or ((f, g), result)
-            continue
-        if r.dom != a.dom or r.cod != b.cod:
-            well_typed = False
-        if result != f and result != g:
-            composite.add(result)
-    if stray:
-        raise ParseError("composition entry %s is not a composable non-identity pair" % (min(stray),))
+    try:
+        for (f, g), result in compositions.items():
+            table[f, g] = result
+            a, b = known.get(f), known.get(g)
+            if a is None or b is None or a.is_identity or b.is_identity or a.cod != b.dom:
+                stray.append((f, g))
+                continue
+            r = known.get(result)
+            if r is None:
+                unknown = unknown or ((f, g), result)
+                continue
+            if r.dom != a.dom or r.cod != b.cod:
+                well_typed = False
+            if result != f and result != g:
+                composite.add(result)
+        if stray:  # min raises TypeError for stray keys of mixed types
+            raise ParseError("composition entry %s is not a composable non-identity pair" % (min(stray),))
+        if len(table) < len(compositions):  # two keys unpacked into one pair
+            raise ValueError
+    except (TypeError, ValueError):  # name the first entry that is no (str, str) key with a str result
+        entries = compositions.items()
+        entry = next((k, r) for k, r in entries if type(k) is not tuple or [*map(type, k), type(r)] != [str] * 3)
+        raise ParseError("malformed composition entry %r: %r" % entry) from None
     out = category.out_arrows
     # every entry is a composable non-identity pair, and each object has one identity
     if len(compositions) < sum(len(out[known[f].cod]) - 1 for f in category.vectors):

@@ -3,7 +3,10 @@
 
 class CatGeoError(Exception):
     """Base class of catgeo's errors, which every bad vector, arrow id or basis raises but an
-    unhashable id (a list: Python's TypeError); lo >= hi in IntervalArrow is the one ValueError."""
+    unhashable id (a list: Python's TypeError); lo >= hi in IntervalArrow is the one ValueError.
+    A bad presentation is a ParseError, never a TypeError, and so is a composition key that does not
+    unpack into a pair or unpacks into another key's pair ("fg" beside ("f", "g")), but a table that
+    is no Mapping raises AttributeError."""
 
 
 class ParseError(CatGeoError):

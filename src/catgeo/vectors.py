@@ -24,7 +24,7 @@ UnknownArrow naming an unknown or identity id by its repr, and
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Iterable
 
 from .category import Arrow, FiniteCategory, _word_lengths
 from .errors import (
@@ -115,7 +115,7 @@ def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
     return tuple(a for a in category.vectors if a not in composite)
 
 
-def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str, int]:
+def compute_norms(category: FiniteCategory, basis: Iterable[str]) -> dict[str, int]:
     """Minimal factorization length per non-identity arrow, in the canonical order.
 
     The word closure over the basis, which Light's test of the axioms runs
@@ -123,8 +123,7 @@ def compute_norms(category: FiniteCategory, basis: Collection[str]) -> dict[str,
     Raises UnknownArrow for O or an unknown or identity id in the basis,
     and NotGenerated when some non-identity arrow is unreachable.
     """
-    for e in basis:
-        _check_arrow(category, e)
+    basis = [_check_arrow(category, e).id for e in basis]  # one read, as the basis may be an iterator
     lengths = _word_lengths(category, basis)
     try:
         return {v: lengths[v] for v in category.vectors}

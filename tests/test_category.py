@@ -151,6 +151,20 @@ class TestBuildThin:
         (["a", "b"], [("id:a", "a", "b")], "bad generator id 'id:a'"),
         (["a", "b"], [("e", "a", "b"), ("e", "a", "b")], "duplicate generator id 'e'"),
         (["a", "b"], [("e", "a", "c")], "generator 'e' has undeclared endpoint"),
+        ([1, "b"], [], "bad object id 1"),
+        ([("a",), "b"], [], "bad object id ('a',)"),
+        ([["a"], "b"], [], "bad object id ['a']"),
+        ([None], [], "bad object id None"),
+        (["a", "b"], [(1, "a", "b")], "bad generator id 1"),
+        (["a", "b"], [(("f",), "a", "b")], "bad generator id ('f',)"),
+        (["a", "b"], [(["f"], "a", "b")], "bad generator id ['f']"),
+        (["a", "b"], [(None, "a", "b")], "bad generator id None"),
+        (["a", "b"], [("f", "a")], "generator ('f', 'a') is not an (id, dom, cod) triple"),
+        # a str record or objects list would be read one character at a time
+        (["a", "b"], ["fab"], "generator 'fab' is not an (id, dom, cod) triple"),
+        ("ab", [], "a presentation lists its objects and generators, not 'ab'"),
+        (["a", "b"], "fab", "a presentation lists its objects and generators, not 'fab'"),
+        (["a", "b"], [("f", ["a"], "b")], "generator 'f' has undeclared endpoint"),
     ],
 )
 def test_every_builder_checks_the_presentation(build, objects, generators, message):
@@ -677,3 +691,21 @@ class TestBuildExplicitErrors:
         with pytest.raises(ParseError) as info:
             build_explicit(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], {("g", "f"): "f"})
         assert str(info.value) == "composition entry ('g', 'f') is not a composable non-identity pair"
+
+    @pytest.mark.parametrize(
+        "compositions, message",
+        [
+            ({("f",): "h"}, "malformed composition entry ('f',): 'h'"),
+            ({("f", "g", "h"): "h"}, "malformed composition entry ('f', 'g', 'h'): 'h'"),
+            ({1: "h"}, "malformed composition entry 1: 'h'"),
+            ({("f", "g"): ["h"]}, "malformed composition entry ('f', 'g'): ['h']"),
+            # two stray keys that do not compare
+            ({("f", "g"): "h", (1, 2): "h", ("x", "y"): "h"}, "malformed composition entry (1, 2): 'h'"),
+            # "fg" unpacks into the pair that ("f", "g") names
+            ({("f", "g"): "g", "fg": "f"}, "malformed composition entry 'fg': 'f'"),
+        ],
+    )
+    def test_malformed_entry_is_named(self, compositions, message):
+        with pytest.raises(ParseError) as info:
+            build_explicit(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c"), ("h", "a", "c")], compositions)
+        assert str(info.value) == message

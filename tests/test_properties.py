@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
@@ -596,6 +596,98 @@ def test_every_bad_argument_is_an_unknown_arrow_named_by_its_repr(cat, entry, da
             assert repr(bad[0]) in str(exc)
     else:
         assert not bad
+
+
+@st.composite
+def presentations_by_mode(draw):
+    """(mode, objects, generators, compositions) of a valid presentation: a
+    thin or free one on the objects a<i>, or the explicit table of the
+    category one of them builds; compositions is None but for explicit."""
+    mode = draw(st.sampled_from(("thin", "free", "explicit")))
+    n = draw(st.integers(min_value=1, max_value=5))
+    objects = ["a%d" % i for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6) if pairs else st.just([]))
+    thin = mode == "thin" or mode == "explicit" and draw(st.booleans())
+    generators = [("g%d" % k, "a%d" % i, "a%d" % j) for k, (i, j) in enumerate(sorted(set(edges)) if thin else edges)]
+    if mode != "explicit":
+        return mode, objects, generators, None
+    cat = (build_thin if thin else build_free)(objects, generators)
+    vectors = set(cat.vectors)
+    arrows = [(v, cat.arrows[v].dom, cat.arrows[v].cod) for v in cat.vectors]
+    return mode, objects, arrows, {key: r for key, r in cat.table.items() if vectors.issuperset(key)}
+
+
+BUILDERS = {
+    "thin": lambda objects, generators, _: build_thin(objects, generators),
+    "free": lambda objects, generators, _: build_free(objects, generators),
+    "explicit": build_explicit,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations_by_mode())
+def test_builders_read_one_shot_iterators_as_lists(presentation):
+    # each builder reads its objects and generators once, and compute_norms
+    # its basis: one-shot iterators build the arrows in the same order, the
+    # same table and the same basis and norms as lists
+    mode, objects, generators, compositions = presentation
+    build = BUILDERS[mode]
+    listed = build(objects, generators, compositions)
+    once = build(iter(objects), iter(generators), compositions)
+    assert once.objects == listed.objects
+    assert list(once.arrows.values()) == list(listed.arrows.values())
+    assert list(once.table.items()) == list(listed.table.items())
+    basis = atomic_basis(listed)
+    assert atomic_basis(once) == basis
+    assert compute_norms(once, iter(basis)) == compute_norms(listed, basis)
+
+
+BAD_IDS = (1, None, ("a0",), ["a0"], "", "id:a0")
+BAD_RECORDS = ("fab", 5, None, ("g", "a0"), ("g", "a0", "a0", "a0"))
+BAD_ENDPOINTS = ("zz", ["a0"], 1, None)
+MUTATIONS = ("objects", "generators", "object id", "repeated object", "record", "generator id", "repeated id", "endpoint")
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentations_by_mode(), st.sampled_from(MUTATIONS), st.data())
+def test_every_malformed_presentation_is_a_parse_error_naming_its_value(presentation, mutation, data):
+    # one bad value in a valid presentation: every builder raises ParseError,
+    # and the message names the value by its repr (an endpoint by its
+    # generator's id; a repeated object id is not named)
+    mode, objects, generators, compositions = presentation
+    objects, generators = list(objects), list(generators)
+    j = data.draw(st.integers(min_value=0, max_value=len(generators) - 1)) if generators else None
+    if mutation == "objects":
+        objects = named = data.draw(st.sampled_from(("".join(objects), "a0")))
+    elif mutation == "generators":
+        generators = named = data.draw(st.sampled_from(("fab", "")))
+    elif mutation == "object id":
+        named = data.draw(st.sampled_from(BAD_IDS))
+        objects[data.draw(st.integers(min_value=0, max_value=len(objects) - 1))] = named
+    elif mutation == "repeated object":
+        objects.append(data.draw(st.sampled_from(objects)))
+    elif j is None:
+        assume(False)  # the other mutations change a generator
+    elif mutation == "record":
+        generators[j] = named = data.draw(st.sampled_from(BAD_RECORDS))
+    elif mutation == "generator id":
+        named = data.draw(st.sampled_from(BAD_IDS))
+        generators[j] = (named, *generators[j][1:])
+    elif mutation == "repeated id":
+        named = generators[0][0]
+        generators.append((named, *generators[j][1:]))
+    else:
+        gid, dom, cod = generators[j]
+        end = data.draw(st.sampled_from(BAD_ENDPOINTS))
+        generators[j] = (gid, end, cod) if data.draw(st.booleans()) else (gid, dom, end)
+        named = gid
+    with pytest.raises(ParseError) as info:
+        BUILDERS[mode](objects, generators, compositions)
+    if mutation == "repeated object":
+        assert str(info.value) == "duplicate object ids"
+    else:
+        assert repr(named) in str(info.value)
 
 
 rationals = st.fractions(min_value=Fraction(-100), max_value=Fraction(100), max_denominator=997)
