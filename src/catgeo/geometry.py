@@ -9,8 +9,8 @@ A blade stores its two vectors in the canonical arrow order (lexicographic
 on id); wedging in the reversed order contributes coefficient -1.  The
 blade "area" is not stored, being derivable as ||first|| × ||second||.
 
-Arguments are checked once, at the public functions, by `_check_vector`
-(`_check_arrow` for a basis and `is_parallel`, which refuses O as well).
+Arguments are checked once, at the public functions, by `_check_vector`,
+`_check_arrow` (`is_parallel`: O too) and `_check_arrows` (a basis).
 Norms are a plain dict of arrow id to length; O annihilates, so it needs
 none.  Past that boundary one private kernel, `_product`, computes fg of
 two non-zero vectors as plain values; the real-line backend shares it.
@@ -22,11 +22,11 @@ on the pairs that compose (`_near_rows`): every other table row is zero.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
 from .category import Arrow, FiniteCategory
-from .vectors import Vector, _check_arrow, _check_vector
+from .vectors import Vector, _check_arrow, _check_arrows, _check_vector
 
 
 #: canonical grade-2 blade: first < second in the carrier order
@@ -215,20 +215,19 @@ class CliffordReport(namedtuple("CliffordReport", "unit_square_failures anticomm
         return not self.unit_square_failures and not self.anticommutation_failures
 
 
-def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Sequence[str]) -> CliffordReport:
+def clifford_report(category: FiniteCategory, norms: dict[str, int], basis: Iterable[str]) -> CliffordReport:
     """Check e² = 1 for basis arrows and fg = -gf on orthogonal pairs.
 
-    Every basis square is computed; O in the basis raises UnknownArrow.
+    Every basis square is computed; the basis is read by `_check_arrows`.
     Distinct f and g fail fg = -gf exactly when they compose in one order
     only, say cod f = dom g, and ||f|| × ||g|| = 0: then fg = 0 and gf is
     a blade.  Each such pair is reported in both orders, f-major.
     """
     unit_failures = []
-    for e in basis:
-        a = _check_arrow(category, e)
+    for a in _check_arrows(category, basis):
         square = _fg(norms, a, a)
         if square != (1, None, 0):
-            unit_failures.append((e, _as_multivector(*square)))
+            unit_failures.append((a.id, _as_multivector(*square)))
     anti_failures = []
     arrows, out_arrows = category.arrows, category.out_arrows
     for f in category.vectors:

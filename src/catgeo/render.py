@@ -22,6 +22,7 @@ from json.encoder import encode_basestring
 from .category import FiniteCategory
 from .documents import _json_text
 from .geometry import Multivector, _near_rows, format_terms
+from .vectors import _check_arrows
 
 Point = tuple[float, float, float]
 
@@ -66,7 +67,8 @@ def export_dot(
     """Plain DOT digraph: nodes are objects, edges the given arrow ids, sorted.
 
     Edges default to `category.vectors`; passing the atomic basis draws
-    the normalized view with identities and composites elided.
+    the normalized view with identities and composites elided.  The ids go
+    through `_check_arrows`: non-identity arrow ids, a repeated one drawn twice.
     Edge labels carry the arrow id and, when norms are given, its length.
     Object ids and labels are written as DOT quoted strings.
     """
@@ -74,7 +76,7 @@ def export_dot(
     node = {obj: obj.replace("\\", "\\\\").replace('"', '\\"') for obj in category.objects}
     lines = ["digraph category {"]
     lines += ['  "%s";' % name for name in node.values()]
-    for arrow_id in category.vectors if arrows is None else sorted(arrows):
+    for arrow_id in category.vectors if arrows is None else sorted(a.id for a in _check_arrows(category, arrows)):
         arrow = category.arrows[arrow_id]
         label = arrow_id.replace("\\", "\\\\").replace('"', '\\"')
         if norms is not None:

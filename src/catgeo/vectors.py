@@ -18,8 +18,8 @@ the products, where O annihilates).
 
 Vector arguments are checked where they enter a public function:
 `_check_vector` returns the Arrow of an id (None for O), or raises
-UnknownArrow naming an unknown or identity id by its repr, and
-`_check_arrow`, for a basis and `is_parallel`, refuses O as well.
+UnknownArrow naming an unknown or identity id by its repr; `_check_arrow`
+refuses O too, and `_check_arrows` is the one reader of a basis or id list.
 """
 
 from __future__ import annotations
@@ -80,6 +80,13 @@ def _check_arrow(category: FiniteCategory, v: Vector) -> Arrow:
     return arrow
 
 
+def _check_arrows(category: FiniteCategory, ids: Iterable[str]) -> list[Arrow]:
+    """The arrows of a basis or id list, read once; UnknownArrow for a str, a non-iterable or a bad id."""
+    if isinstance(ids, str) or not isinstance(ids, Iterable):
+        raise UnknownArrow("%r is no list of arrow ids" % (ids,))
+    return [_check_arrow(category, v) for v in ids]
+
+
 def vec_add(category: FiniteCategory, f: Vector, g: Vector) -> Vector:
     """f (+) g: the composite g∘f when cod(f) = dom(g); O is a unit."""
     a = _check_vector(category, f)
@@ -120,10 +127,10 @@ def compute_norms(category: FiniteCategory, basis: Iterable[str]) -> dict[str, i
 
     The word closure over the basis, which Light's test of the axioms runs
     too: a multi-source BFS from the basis at depth 1 (_word_lengths).
-    Raises UnknownArrow for O or an unknown or identity id in the basis,
-    and NotGenerated when some non-identity arrow is unreachable.
+    Raises UnknownArrow for a bad basis (_check_arrows: a str, a non-iterable,
+    O, an unknown or identity id) and NotGenerated for an unreachable arrow.
     """
-    basis = [_check_arrow(category, e).id for e in basis]  # one read, as the basis may be an iterator
+    basis = [a.id for a in _check_arrows(category, basis)]
     lengths = _word_lengths(category, basis)
     try:
         return {v: lengths[v] for v in category.vectors}

@@ -417,12 +417,13 @@ def clifford_product(metric: Sequence[int], x: dict[int, int], y: dict[int, int]
     return {blade: c for blade, c in product.items() if c}
 
 
-def clifford_oracle(category, norms):
-    """The Clifford product of two arrows in Cl(V, diag(||f||²)), whose
-    orthogonal basis is the arrows with a norm in `vectors` order, and
-    catgeo's Multivector carried into the same bitmap form: returns
-    (product(f, g), as_blades(multivector))."""
-    vectors = [v for v in category.vectors if v in norms]
+def clifford_oracle(vectors, norms):
+    """The Clifford product of two vectors in Cl(V, diag(||f||²)), whose
+    orthogonal basis is the given vectors with a norm, in their order (a
+    category's `vectors` or sorted intervals), and catgeo's Multivector
+    carried into the same bitmap form: returns (product(f, g),
+    as_blades(multivector))."""
+    vectors = [v for v in vectors if v in norms]
     index = {v: i for i, v in enumerate(vectors)}
     metric = [norms[v] ** 2 for v in vectors]
 

@@ -276,7 +276,7 @@ class TestGeometric:
         # scalar ||f||·||g|| and γ_f γ_g the blade γ_f∧γ_g
         cat = builtin_category(name)
         norms = compute_norms(cat, atomic_basis(cat))
-        clifford, as_blades = clifford_oracle(cat, norms)
+        clifford, as_blades = clifford_oracle(cat.vectors, norms)
         ordered = [(f, g) for f in cat.vectors for g in cat.vectors]
         agree = [(f, g) for f, g in ordered if as_blades(geometric(cat, norms, f, g)) == clifford(f, g)]
         composing = [(f, g) for f, g in ordered if f != g and cat.arrows[f].cod == cat.arrows[g].dom]

@@ -33,11 +33,13 @@ from catgeo import (
     compose,
     compute_norms,
     distance,
+    export_dot,
     geometric,
     inner,
     interval,
     interval_add,
     interval_norm,
+    interval_products,
     is_orthogonal,
     is_parallel,
     load_category,
@@ -526,14 +528,29 @@ def test_outer_antisymmetry_on_orthogonal_pairs(cat):
                 assert anticommutator(cat, norms, f, g).is_zero() or f == g
 
 
+def _word_or_doctored_norms(cat, data):
+    """The word norms of the atomic basis, an arrow no basis word reaches
+    left out, or doctored norms drawn from {0, 1, 3} on every arrow."""
+    if data.draw(st.booleans()):
+        return oracle_word_norms(cat, atomic_basis(cat))
+    return {v: data.draw(st.sampled_from((0, 1, 3))) for v in cat.vectors}
+
+
+def _grade_parts(xy, yx):
+    """The grade-0 part and the grade-2 part of xy, and xy + yx, for xy and
+    yx Clifford products of two vectors in bitmap form (grades 0 and 2 only)."""
+    symmetrization = {b: xy.get(b, 0) + yx.get(b, 0) for b in xy.keys() | yx.keys()}
+    return xy.get(0, 0), {b: c for b, c in xy.items() if b}, {b: c for b, c in symmetrization.items() if c}
+
+
 @settings(max_examples=150, deadline=None)
-@given(categories | staged_categories() | concrete_categories())
-def test_geometric_is_the_clifford_product_off_the_composing_pairs(cat):
+@given(categories | staged_categories() | cyclic, st.data())
+def test_geometric_is_the_clifford_product_off_the_composing_pairs(cat, data):
     # fg is γ_f γ_g in Cl(V, diag(||f||²)), the arrows an orthogonal basis,
     # except where f then g composes: there Cl has the blade γ_f∧γ_g and
-    # catgeo the scalar ||f||·||g||; an arrow no basis word reaches is left out
-    norms = oracle_word_norms(cat, atomic_basis(cat))
-    clifford, as_blades = clifford_oracle(cat, norms)
+    # catgeo the scalar ||f||·||g||; a zero norm makes Cl degenerate
+    norms = _word_or_doctored_norms(cat, data)
+    clifford, as_blades = clifford_oracle(cat.vectors, norms)
     for f in norms:
         for g in norms:
             fg = geometric(cat, norms, f, g)
@@ -543,9 +560,47 @@ def test_geometric_is_the_clifford_product_off_the_composing_pairs(cat):
                 assert as_blades(fg) == clifford(f, g)
 
 
+@settings(max_examples=150, deadline=None)
+@given(categories | staged_categories() | cyclic, st.data())
+def test_inner_outer_and_anticommutator_are_the_clifford_grade_parts(cat, data):
+    # on f = g and on each pair that composes in neither order, f·g, f∧g and
+    # fg + gf are the grade-0 part, the grade-2 part and the symmetrization
+    # xy + yx of the Clifford product xy = γ_f γ_g
+    norms = _word_or_doctored_norms(cat, data)
+    clifford, as_blades = clifford_oracle(cat.vectors, norms)
+    for f in norms:
+        for g in norms:
+            a, b = cat.arrows[f], cat.arrows[g]
+            if f == g or a.cod != b.dom and b.cod != a.dom:
+                expected = _grade_parts(clifford(f, g), clifford(g, f))
+                assert inner(cat, norms, f, g) == expected[0]
+                assert as_blades(outer(cat, norms, f, g)) == expected[1]
+                assert as_blades(anticommutator(cat, norms, f, g)) == expected[2]
+
+
+@given(st.lists(st.tuples(halves, halves).filter(lambda ends: ends[0] != ends[1]), min_size=1, max_size=5))
+def test_interval_products_are_the_clifford_product_off_the_composing_pairs(pairs):
+    # the same statement on the real line: a few intervals as the orthogonal
+    # basis of Cl(V, diag(width²)), exact Fractions, with hi f = lo g composing
+    intervals = sorted({interval(min(a, b), max(a, b)) for a, b in pairs})
+    norms = {f: interval_norm(f) for f in intervals}
+    clifford, as_blades = clifford_oracle(intervals, norms)
+    for f in intervals:
+        for g in intervals:
+            dot, wedge, fg = interval_products(f, g)
+            if f != g and f.hi == g.lo:
+                assert fg == Multivector(norms[f] * norms[g])
+            else:
+                assert as_blades(fg) == clifford(f, g)
+            if f == g or f.hi != g.lo and g.hi != f.lo:
+                expected = _grade_parts(clifford(f, g), clifford(g, f))
+                assert (dot, as_blades(wedge), as_blades(fg + interval_products(g, f)[2])) == expected
+
+
 #: each public function that takes vectors or a basis, whether it takes
 #: norms, and what each argument must be: a vector (an arrow id or O), an
-#: arrow (no O), any arrow id (identities too), or a basis of arrows
+#: arrow (no O), any arrow id (identities too), a basis of arrows, or the
+#: edges of export_dot, a basis or None for every arrow
 BOUNDARY = (
     (compose, False, ("id", "id")),
     (vec_add, False, ("vector", "vector")),
@@ -558,6 +613,7 @@ BOUNDARY = (
     (is_orthogonal, True, ("vector", "vector")),
     (is_parallel, False, ("arrow", "arrow")),
     (clifford_report, True, ("basis",)),
+    (export_dot, False, ("edges",)),
 )
 
 builtin_categories = st.sampled_from([builtin_category(name) for name in ("po6", "path3", "parallel2")])
@@ -580,22 +636,45 @@ def _boundary_arguments(cat):
 def test_every_bad_argument_is_an_unknown_arrow_named_by_its_repr(cat, entry, data):
     # each call returns or raises a CatGeoError; it raises UnknownArrow
     # exactly when some argument is no value of its kind, and the message
-    # names the first such argument by its repr
+    # names the first such argument by its repr; a basis is a drawn list, a
+    # one-shot iterator over one, which gives what its list gives, or a whole
+    # non-list: a str or a non-iterable is itself the bad value
     function, takes_norms, kinds = entry
     norms = compute_norms(cat, atomic_basis(cat))
     arguments = _boundary_arguments(cat)
-    drawn = [data.draw(st.lists(arguments, max_size=3) if kind == "basis" else arguments) for kind in kinds]
-    valid = {"vector": (ZERO, *cat.vectors), "arrow": cat.vectors, "basis": cat.vectors, "id": cat.arrows}
-    checked = [(kind, v) for kind, value in zip(kinds, drawn) for v in (value if kind == "basis" else [value])]
+    shape = data.draw(st.sampled_from(("list", "iterator", "whole")))
+    whole = st.sampled_from([None, 5, *cat.vectors[:1]]) | st.text(max_size=3)
+    lists = whole if shape == "whole" else st.lists(arguments, max_size=3)
+    drawn = [data.draw(arguments if kind in ("vector", "arrow", "id") else lists) for kind in kinds]
+    valid = {"vector": (ZERO, *cat.vectors), "arrow": cat.vectors, "id": cat.arrows}
+    if shape == "whole":  # no list: only the edges' None, every arrow, is valid
+        listed = set()
+        valid.update(basis=(), edges=(None,))
+    else:
+        listed = {"basis", "edges"}
+        valid.update(basis=cat.vectors, edges=cat.vectors)
+    checked = [(kind, v) for kind, value in zip(kinds, drawn) for v in (value if kind in listed else [value])]
     bad = [v for kind, v in checked if v not in valid[kind]]
-    try:
-        function(cat, *([norms] if takes_norms else []), *drawn)
-    except CatGeoError as exc:
-        assert isinstance(exc, UnknownArrow) == bool(bad), exc
+
+    def outcome(given):
+        try:
+            return function(cat, *([norms] if takes_norms else []), *given)
+        except CatGeoError as exc:
+            return exc
+
+    result = outcome(drawn)
+    if isinstance(result, CatGeoError):
+        assert isinstance(result, UnknownArrow) == bool(bad), result
         if bad:
-            assert repr(bad[0]) in str(exc)
+            assert repr(bad[0]) in str(result)
     else:
         assert not bad
+    if shape == "iterator":
+        again = outcome([iter(value) if kind in listed else value for kind, value in zip(kinds, drawn)])
+        if isinstance(result, CatGeoError):
+            assert (type(again), str(again)) == (type(result), str(result))
+        else:
+            assert again == result
 
 
 @st.composite

@@ -16,6 +16,7 @@ from catgeo import (
     compose,
     compute_norms,
     distance,
+    export_dot,
     inner,
     vec_add,
 )
@@ -85,12 +86,26 @@ class TestVecAdd:
         (vec_add, ("e1", "e2"), "e4", UnknownArrow, "('e1', 'e2')"),
         (compose, "e2", ("e1", "e2"), UnknownArrow, "('e1', 'e2')"),
         (lambda category, f, g: inner(category, _norms(category), f, g), ("e1",), "e4", UnknownArrow, "('e1',)"),
+        (lambda category, f, g: compute_norms(category, f), "e1", None, UnknownArrow, "'e1'"),
+        (lambda category, f, g: compute_norms(category, f), None, None, UnknownArrow, "None"),
+        (lambda category, f, g: compute_norms(category, f), 5, None, UnknownArrow, "5"),
+        (lambda category, f, g: clifford_report(category, _norms(category), f), "e1", None, UnknownArrow, "'e1'"),
+        (lambda category, f, g: clifford_report(category, _norms(category), f), None, None, UnknownArrow, "None"),
+        (lambda category, f, g: clifford_report(category, _norms(category), f), 5, None, UnknownArrow, "5"),
+        (lambda category, f, g: export_dot(category, f), "e1", None, UnknownArrow, "'e1'"),
+        (lambda category, f, g: export_dot(category, f), 5, None, UnknownArrow, "5"),
+        (lambda category, f, g: export_dot(category, f), ["nope"], None, UnknownArrow, "'nope'"),
+        (lambda category, f, g: export_dot(category, f), ["id:a0"], None, UnknownArrow, "'id:a0'"),
+        (lambda category, f, g: export_dot(category, f), [ZERO], None, UnknownArrow, "zero vector O"),
     ],
 )
 def test_argument_errors(po6, function, f, g, error, named):
     # unknown ids and, for vectors, identities are rejected before composability;
-    # compute_norms and clifford_report check each id of the basis they are
-    # given, and refuse O there; the message names the argument by its repr
+    # compute_norms, clifford_report and export_dot read the basis or arrow
+    # list they are given through one reader, which refuses a str or a
+    # non-iterable in its place and O, an identity or an unknown id in it;
+    # export_dot's None is its default, every arrow; the message names the
+    # argument by its repr
     with pytest.raises(error, match=re.escape(named)):
         function(po6, f, g)
 
