@@ -34,11 +34,10 @@ pairs or triples go through it, not through every pair of arrows.
 
 Axiom validation is two passes (validate_axioms).  The pair-and-unit pass
 reads each table entry once.  When it finds something, every composable
-triple is checked.  Otherwise the associativity pass checks, of the
-triples that can fail, those whose middle arrow lies in a generating set
-grown from the atomic basis (_generating_set): by Light's test that is
-exact (_associativity_violations).  An explicit document whose composites
-are all well typed passes the first pass by construction, so
+triple is checked.  Otherwise the associativity pass compares two integer
+rows per composable pair and walks the triples of only the pairs whose
+rows differ (_associativity_violations).  An explicit document whose
+composites are all well typed passes the first pass by construction, so
 load_category runs only the second.
 
 `vectors` is the tuple of non-identity arrow ids in the canonical (sorted)
@@ -48,8 +47,8 @@ basis, the norms, the products and the distance all walk in that order.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain
 
 from .errors import CatGeoError, CyclicGraph, NotComposable, ParseError, UnknownArrow
@@ -251,10 +250,9 @@ def compose(category: FiniteCategory, f: str, g: str) -> str:
     return category.table[(f, g)]
 
 
-def _check_presentation(objects, generators) -> tuple[tuple, tuple, bool]:
-    """Read a presentation, any two iterables but str, once: (objects, generators,
-    arrowlike), the ids and (id, dom, cod) triples as tuples, and whether some id
-    holds "->", as a derived thin name does.  Raises ParseError for a str or
+def _check_presentation(objects, generators) -> tuple[tuple, tuple]:
+    """Read a presentation, any two iterables but str, once: (objects, generators),
+    the ids and (id, dom, cod) triples as tuples.  Raises ParseError for a str or
     non-iterable argument, an id that is no nonempty str or starts with "id:", a
     repeated id, a record that is no triple and an undeclared endpoint."""
     for given in objects, generators:
@@ -280,7 +278,7 @@ def _check_presentation(objects, generators) -> tuple[tuple, tuple, bool]:
         if not (isinstance(dom, str) and isinstance(cod, str) and dom in obj_set and cod in obj_set):
             raise ParseError("generator %r has undeclared endpoint" % (gid,))
         triples[gid] = gid, dom, cod
-    return objects, tuple(triples.values()), "->" in " ".join(chain(objects, triples))  # no "->" spans a space
+    return objects, tuple(triples.values())
 
 
 def _identities(objects) -> list[Arrow]:
@@ -337,7 +335,7 @@ def build_thin(objects: Iterable[str], generators: Iterable[tuple[str, str, str]
     names derived here, in the order the enumeration makes them, and kept
     for it, but no arrow is made.
     """
-    objects, generators, arrowlike = _check_presentation(objects, generators)
+    objects, generators = _check_presentation(objects, generators)
     out_edges, order = _generator_graph(objects, generators)
 
     # reach[a]: the objects a nonempty path from a ends at; a generator
@@ -366,7 +364,8 @@ def build_thin(objects: Iterable[str], generators: Iterable[tuple[str, str, str]
         between[dom, cod] = gid
 
     basis = tuple(sorted(basis))
-    if arrowlike:  # a derived name may be taken: name the pairs while loading
+    # some id holds "->", so a derived name may be taken: name the pairs while loading
+    if "->" in " ".join(chain(objects, (gid for gid, _, _ in generators))):  # no "->" spans a space
         taken = set(between.values())
         for a in objects:
             for b in sorted(reach[a]):
@@ -408,7 +407,7 @@ def build_free(objects: Iterable[str], generators: Iterable[tuple[str, str, str]
     has a directed cycle, and CatGeoError when it has more than
     MAX_FREE_PATHS nonempty paths.
     """
-    objects, generators, _ = _check_presentation(objects, generators)
+    objects, generators = _check_presentation(objects, generators)
     for gid, _, _ in generators:
         if PATH_SEP in gid:
             raise ParseError("generator id %r contains the reserved separator" % gid)
@@ -467,7 +466,7 @@ def build_explicit(
     unit checks of validate_axioms cannot fail, so load_category runs only the
     associativity pass; otherwise the axioms are validate_axioms' job.
     """
-    objects, arrows, _ = _check_presentation(objects, arrows)
+    objects, arrows = _check_presentation(objects, arrows)
     all_arrows = _identities(objects) + [Arrow(aid, dom, cod) for aid, dom, cod in arrows]
     category = FiniteCategory(objects, all_arrows, {}, "explicit")
     table = category.table
@@ -531,14 +530,15 @@ def validate_axioms(category: FiniteCategory) -> list[Violation]:
     violations that name a pair.  When that pass finds something, every
     composable triple is checked but one whose g∘f or k∘g is missing or
     unknown (already reported).  Otherwise _associativity_violations checks
-    only the triples with their middle arrow in a generating set, which is
-    exact by Light's test.
+    each composable pair's triples at once, and lists the violations of
+    the pairs that fail.
     """
     violations = _pair_and_unit_violations(category)
     if not violations:
         return _associativity_violations(category)
     arrows, leaving = category.arrows, category.out_arrows.get
-    return violations + list(_triples(category.table, arrows, arrows.values(), leaving, lambda o, c: leaving(c, ())))
+    pairs = ((f, g) for f in arrows.values() for g in leaving(f.cod, ()))
+    return violations + list(_triples(category.table, arrows, pairs, leaving))
 
 
 def _pair_and_unit_violations(category: FiniteCategory) -> list[Violation]:
@@ -597,99 +597,45 @@ def _associativity_violations(category: FiniteCategory) -> list[Violation]:
     checks have found nothing.
 
     Every composite is then a known arrow of the right type and the unit
-    law holds, so a triple through an identity associates, and so does one
-    whose ends have a one-arrow hom-set: (k∘g)∘f and k∘(g∘f) both lie in
-    hom(dom f, cod k).  Of the other triples only those with g in a
-    generating set A are checked (Light's test; Clifford and Preston, The
-    Algebraic Theory of Semigroups I, 1961, §1.2).  The test is exact, by
-    induction on the word length of the middle arrow: let every triple
-    through A associate, and g = a∘u, with a in A and u a shorter word
-    over A.  Then g∘f = a∘(u∘f), and (k∘g)∘f = ((k∘a)∘u)∘f = (k∘a)∘(u∘f)
-    by the triples through a and u, which is k∘(a∘(u∘f)) = k∘(g∘f) by the
-    triple (u∘f, a, k).  Only when a triple through A fails is every triple
-    the prune keeps checked, in order, for the list.
+    law holds.  With no two arrows parallel every triple associates, as
+    (k∘g)∘f and k∘(g∘f) both lie in hom(dom f, cod k).  Otherwise each
+    arrow x gets a row, as in the right Cayley graph of Froidure and Pin
+    (Algorithms for computing finite semigroups, 1997): for each k in
+    `out_arrows[cod x]`, the place of k∘x in `out_arrows[dom x]`.  The
+    triples (f, g, k) of a composable pair all associate exactly when the
+    row of g∘f is the row of g read through the row of f; of the pairs of
+    no unit, those where the two differ are walked, k in order.
     """
     arrows = category.arrows
-    table = category.table
-    count = Counter((a.dom, a.cod) for a in arrows.values())
-    multi: dict[str, set[str]] = {}  # o -> the c with several arrows o -> c
-    for (o, c), n in count.items():
-        if n > 1:
-            multi.setdefault(o, set()).add(c)
-    if not multi:
+    if len({(a.dom, a.cod) for a in arrows.values()}) == len(arrows):
         return []
-    units = {a.id for a in arrows.values() if a.dom == a.cod and a.id == IDENTITY_PREFIX + a.dom}
-    leaving = {o: [a for a in out if a.id not in units] for o, out in category.out_arrows.items()}
-    firsts = [f for f in arrows.values() if f.dom in multi and f.id not in units]
-    lasts: dict[tuple[str, str], list[Arrow]] = {}  # (dom f, cod g) -> the k whose end can fail
-
-    def ends(o, c):
-        found = lasts.get((o, c))
-        if found is None:
-            found = lasts[o, c] = [k for k in leaving.get(c, ()) if k.cod in multi[o]]
-        return found
-
-    generators = _generating_set(category, units)
-    if next(_triples(table, arrows, firsts, generators.get, ends), None) is None:
-        return []
-    return list(_triples(table, arrows, firsts, leaving.get, ends))
+    table, out = category.table, category.out_arrows
+    place = {a.id: i for leaving in out.values() for i, a in enumerate(leaving)}
+    rows = {x.id: [place[table[x.id, k.id]] for k in out[x.cod]] for x in arrows.values()}
+    failing = []
+    for f in arrows.values():
+        if f.id == IDENTITY_PREFIX + f.dom:
+            continue  # a unit, by the unit law
+        unit, through_f = IDENTITY_PREFIX + f.cod, rows[f.id].__getitem__
+        for g in out[f.cod]:
+            if g.id != unit and rows[table[f.id, g.id]] != list(map(through_f, rows[g.id])):
+                failing.append((f, g))
+    return list(_triples(table, arrows, failing, out.get))
 
 
-def _generating_set(category: FiniteCategory, units: set[str]) -> dict[str, list[Arrow]]:
-    """A for Light's test, as each object's list of the arrows of A leaving it.
-
-    A starts as the recorded atomic basis (empty for a category made
-    directly) and grows one arrow at a time: after each word closure over
-    A (_word_lengths), the first arrow of `vectors`, then of all the
-    arrows, that is neither a unit nor reached joins it.
-    """
-    chosen = list(category.basis or ())
-    candidates = chain(category.vectors, category.arrows)  # what a closure reached stays reached
-    while True:
-        reached = _word_lengths(category, chosen)
-        new = next((v for v in candidates if v not in reached and v not in units), None)
-        if new is None:
-            members = set(chosen)
-            return {o: [a for a in out if a.id in members] for o, out in category.out_arrows.items()}
-        chosen.append(new)
-
-
-def _word_lengths(category: FiniteCategory, generators: Collection[str]) -> dict[str, int]:
-    """The length of the shortest word over `generators` of each arrow such
-    a word reaches, found breadth first: the generators are at depth 1, and
-    each step composes a reached arrow x with each generator leaving cod x.
-    A composite that is an identity is neither kept nor extended."""
-    arrows, table = category.arrows, category.table
-    members = set(generators)
-    generators_out = {o: [a.id for a in leaving if a.id in members] for o, leaving in category.out_arrows.items()}
-    lengths: dict[str, int] = {e: 1 for e in generators}
-    queue = list(generators)  # breadth first: the loop reads what it appends
-    for reached in queue:
-        depth = lengths[reached]
-        for e in generators_out[arrows[reached].cod]:
-            composite = table[(reached, e)]
-            if arrows[composite].is_identity:
-                continue  # lands outside the vector space
-            if composite not in lengths:
-                lengths[composite] = depth + 1
-                queue.append(composite)
-    return lengths
-
-
-def _triples(table, arrows, firsts, middles, lasts) -> Iterator[Violation]:
+def _triples(table, arrows, pairs, leaving) -> Iterator[Violation]:
     """The associativity violations, one by one, of the triples (f, g, k)
-    with f in firsts, g in middles(cod f) and k in lasts(dom f, cod g), in
-    that order, but for a triple whose g∘f or k∘g is no arrow."""
-    for f in firsts:
-        for g in middles(f.cod, ()):
-            gf = table.get((f.id, g.id))
-            if gf not in arrows:
-                continue  # already reported as totality/dom-cod
-            for k in lasts(f.dom, g.cod):
-                kg = table.get((g.id, k.id))
-                if kg not in arrows:
-                    continue
-                lhs = table.get((gf, k.id))
-                rhs = table.get((f.id, kg))
-                if lhs != rhs:
-                    yield Violation("associativity", "(%s, %s, %s): %s != %s" % (f.id, g.id, k.id, lhs, rhs))
+    with (f, g) in pairs and k in leaving(cod g, ()), in that order, but for
+    a triple whose g∘f or k∘g is no arrow."""
+    for f, g in pairs:
+        gf = table.get((f.id, g.id))
+        if gf not in arrows:
+            continue  # already reported as totality/dom-cod
+        for k in leaving(g.cod, ()):
+            kg = table.get((g.id, k.id))
+            if kg not in arrows:
+                continue
+            lhs = table.get((gf, k.id))
+            rhs = table.get((f.id, kg))
+            if lhs != rhs:
+                yield Violation("associativity", "(%s, %s, %s): %s != %s" % (f.id, g.id, k.id, lhs, rhs))

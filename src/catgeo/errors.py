@@ -2,11 +2,12 @@
 
 
 class CatGeoError(Exception):
-    """Base class of catgeo's errors, which every bad vector, arrow id, basis or id list of a category raises
-    (a str or non-iterable list is an UnknownArrow: vectors._check_arrows) but an unhashable id (a list:
-    Python's TypeError); lo >= hi in IntervalArrow is the one ValueError.  A bad presentation is a ParseError,
-    never a TypeError, and so is a composition key that does not unpack into a pair or unpacks into another
-    key's pair ("fg" beside ("f", "g")), but a table that is no Mapping raises AttributeError."""
+    """Base class of catgeo's errors, which every bad vector, arrow id, basis or id list of a category raises (a
+    str or non-iterable list is an UnknownArrow: vectors._check_arrows) but an unhashable id (a list: Python's
+    TypeError), and a realline argument that is no IntervalArrow (or O, where taken) raises as an UnknownArrow;
+    lo >= hi in IntervalArrow is the one ValueError.  A bad presentation is a ParseError, never a TypeError, and so
+    is a composition key that does not unpack into a pair or unpacks into another key's pair ("fg" beside ("f", "g")),
+    but a table that is no Mapping raises AttributeError."""
 
 
 class ParseError(CatGeoError):

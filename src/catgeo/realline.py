@@ -15,7 +15,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import NotComposable, ParseError
+from .errors import NotComposable, ParseError, UnknownArrow
 from .geometry import _as_multivector, _ZERO_PRODUCT, _product
 from .vectors import _ZeroVector, is_zero
 
@@ -79,26 +79,32 @@ def interval(lo, hi) -> IntervalArrow:
     return IntervalArrow(Fraction(lo), Fraction(hi))
 
 
+def _is_zero(v: IntervalVector, zero: bool = True) -> bool:
+    """is_zero(v) for an IntervalArrow, or O where `zero`; UnknownArrow names anything else by its repr."""
+    if not (isinstance(v, IntervalArrow) or zero and is_zero(v)):
+        raise UnknownArrow("%r is no interval %s" % (v, "vector" if zero else "arrow"))
+    return is_zero(v)
+
+
 def interval_norm(f: IntervalVector) -> Fraction:
     """hi - lo, strictly positive; ||O|| = 0."""
-    if is_zero(f):
+    if _is_zero(f):
         return Fraction(0)
     return f.hi - f.lo
 
 
 def interval_add(f: IntervalVector, g: IntervalVector) -> IntervalVector:
     """f (+) g: glues (lo(f), hi(f)) and (hi(f), hi(g)) when hi(f) = lo(g)."""
-    if is_zero(f):
-        return g
-    if is_zero(g):
-        return f
+    if _is_zero(f) | _is_zero(g):  # both checked
+        return g if is_zero(f) else f
     if f.hi != g.lo:
         raise NotComposable("intervals %r and %r do not share an endpoint" % (f, g))
     return IntervalArrow(f.lo, g.hi)
 
 
 def split(f: IntervalArrow) -> tuple[IntervalArrow, IntervalArrow]:
-    """Midpoint split: f = g (+) h with both parts valid; always succeeds."""
+    """Midpoint split: f = g (+) h with both parts valid; O has none."""
+    _is_zero(f, zero=False)
     mid = (f.lo + f.hi) / 2
     return IntervalArrow(f.lo, mid), IntervalArrow(mid, f.hi)
 
@@ -106,7 +112,7 @@ def split(f: IntervalArrow) -> tuple[IntervalArrow, IntervalArrow]:
 def interval_products(f: IntervalVector, g: IntervalVector):
     """(inner, outer, geometric) of the pair, with rational scalars: the
     geometry kernel with width norms and hi(f) = lo(g) composability."""
-    if is_zero(f) or is_zero(g):
+    if _is_zero(f) | _is_zero(g):  # both checked
         scalar, blade, coefficient = _ZERO_PRODUCT
     else:
         scalar, blade, coefficient = _product(f, g, f.hi, g.lo, interval_norm(f), interval_norm(g))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .category import Arrow, FiniteCategory, _word_lengths
+from .category import Arrow, FiniteCategory
 from .errors import (
     CompositeIsIdentity,
     NoDifference,
@@ -125,13 +125,27 @@ def atomic_basis(category: FiniteCategory) -> tuple[str, ...]:
 def compute_norms(category: FiniteCategory, basis: Iterable[str]) -> dict[str, int]:
     """Minimal factorization length per non-identity arrow, in the canonical order.
 
-    The word closure over the basis, which Light's test of the axioms runs
-    too: a multi-source BFS from the basis at depth 1 (_word_lengths).
-    Raises UnknownArrow for a bad basis (_check_arrows: a str, a non-iterable,
-    O, an unknown or identity id) and NotGenerated for an unreachable arrow.
+    A breadth-first search from the basis arrows at depth 1: each step
+    composes a reached arrow x with each basis arrow leaving cod x, and a
+    composite that is an identity is neither kept nor extended.  Raises
+    UnknownArrow for a bad basis (_check_arrows: a str, a non-iterable, O,
+    an unknown or identity id) and NotGenerated for an unreachable arrow.
     """
     basis = [a.id for a in _check_arrows(category, basis)]
-    lengths = _word_lengths(category, basis)
+    arrows, table = category.arrows, category.table
+    members = set(basis)
+    basis_out = {o: [a.id for a in leaving if a.id in members] for o, leaving in category.out_arrows.items()}
+    lengths = dict.fromkeys(basis, 1)
+    queue = list(basis)  # breadth first: the loop reads what it appends
+    for reached in queue:
+        depth = lengths[reached]
+        for e in basis_out[arrows[reached].cod]:
+            composite = table[(reached, e)]
+            if arrows[composite].is_identity:
+                continue  # lands outside the vector space
+            if composite not in lengths:
+                lengths[composite] = depth + 1
+                queue.append(composite)
     try:
         return {v: lengths[v] for v in category.vectors}
     except KeyError:

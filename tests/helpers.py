@@ -143,11 +143,20 @@ def t4() -> FiniteCategory:
     return concrete_category([4], maps, max_arrows=300)
 
 
+def swapped_t4_table(category: FiniteCategory) -> dict[tuple[str, str], str]:
+    """A copy of the table of t4() with one same-type swap: the entries
+    (m0, m1) and (m1, m0) trade their results.  Every arrow of T4 goes
+    s0 -> s0, so the pair and unit checks pass, and 1,071 triples fail."""
+    table = dict(category.table)
+    table["m0", "m1"], table["m1", "m0"] = table["m1", "m0"], table["m0", "m1"]
+    return table
+
+
 def rectangular_band(n: int) -> FiniteCategory:
     """The n×n rectangular band with an identity: one object o, the arrows
     r<i>_<j> for i, j < n, and r<i>_<j> then r<k>_<l> composing to r<i>_<l>.
     For n > 1 each arrow is the composite of two others, so there is no
-    atomic basis, and every generating set Light's test uses is greedy."""
+    atomic basis."""
     ids = [("r%d_%d" % (i, j), i, j) for i in range(n) for j in range(n)]
     table = {(f, g): "r%d_%d" % (i, l) for f, i, _ in ids for g, _, l in ids}
     return build_explicit(["o"], [(f, "o", "o") for f, _, _ in ids], table)

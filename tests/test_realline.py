@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from catgeo import (
     Multivector,
     NotComposable,
     ParseError,
+    UnknownArrow,
     interval,
     interval_add,
     interval_norm,
@@ -129,3 +131,38 @@ class TestProducts:
         assert interval_products(f, ZERO)[0] == 0
         assert interval_products(ZERO, f)[1].is_zero()
         assert interval_products(f, ZERO)[2].is_zero()
+
+
+class TestArguments:
+    # each function takes an IntervalArrow, or O where it takes O, and
+    # refuses anything else with UnknownArrow naming it by its repr
+    @pytest.mark.parametrize(
+        "call, refused",
+        [
+            (lambda: interval_add((0, 1), (1, 2)), "(0, 1)"),
+            (lambda: interval_add(ZERO, "x"), "'x'"),
+            (lambda: interval_add(interval(0, 1), None), "None"),
+            (lambda: interval_norm("x"), "'x'"),
+            (lambda: interval_norm((0, 1)), "(0, 1)"),
+            (lambda: interval_products(interval(0, 1), None), "None"),
+            (lambda: interval_products((0, 1), (1, 2)), "(0, 1)"),
+            (lambda: interval_products(ZERO, 5), "5"),
+            (lambda: split(ZERO), "O"),
+            (lambda: split((0, 1)), "(0, 1)"),
+        ],
+        ids=[
+            "add tuples",
+            "add O and str",
+            "add arrow and None",
+            "norm str",
+            "norm tuple",
+            "products arrow and None",
+            "products tuples",
+            "products O and int",
+            "split O",
+            "split tuple",
+        ],
+    )
+    def test_anything_but_an_interval_arrow_or_o_is_refused(self, call, refused):
+        with pytest.raises(UnknownArrow, match="^%s is no interval " % re.escape(refused)):
+            call()

@@ -34,7 +34,7 @@ from helpers import (
     COINCIDING_OBJECTS,
     concrete_category,
     explicit_document,
-    rectangular_band,
+    swapped_t4_table,
     t4,
 )
 
@@ -194,45 +194,28 @@ def test_validate_axioms_looks_up_each_entry_once_and_each_unit_twice(name, expl
         assert counter.lookups <= 2 * p + 2 * a + 3 * t
 
 
-def test_validate_axioms_checks_t4_through_its_three_generating_maps():
-    # Light's test checks the triples whose middle arrow lies in a
-    # generating set, of as many arrows as T4 has generating maps, where
-    # the loop over every triple checks k³ ≈ 16.8 M.  One lookup per entry
-    # and two per arrow for the unit law; the word closure runs on the
-    # basis and again after each addition to the set, and its last run,
-    # one lookup per arrow and generator, outweighs the earlier ones, which
-    # reach few arrows; and for each f and generator g, g∘f once and three
-    # for each k
+def test_validate_axioms_compares_two_rows_per_composable_pair_of_t4():
+    # a loop over every triple would check k³ ≈ 16.8 M; the rows check all
+    # the triples of one composable pair with one list comparison.  One
+    # lookup per entry and two per arrow for the unit law, one per entry
+    # for the rows, and g∘f once per pair of arrows that are no unit
     category = t4()
     category.table = counter = CountingTable(category.table)
     assert validate_axioms(category) == []
-    k, n = len(category.arrows), 3
+    k = len(category.arrows)
     assert k == 256
-    assert counter.lookups <= k * k + 2 * k + n * k + n * k * (1 + 3 * k)
+    assert counter.lookups <= 3 * k * k + 2 * k
 
 
-@pytest.mark.parametrize("n", [4, 6, 10])
-def test_the_generating_set_closures_look_up_at_most_a_squared_k_entries_on_a_band(n, monkeypatch):
-    # the n×n band has no atomic basis, so all 2n - 1 arrows of A are
-    # greedy additions, and the word closure runs again after each: one
-    # lookup per reached arrow and generator, at most k·|A| a run.  A
-    # closure run per candidate arrow instead would be cubic in k
-    category = load_category(explicit_document(rectangular_band(n)))
-    category.table = counter = CountingTable(category.table)
-    chosen, lookups = [], []
-    generating_set = category_module._generating_set
-
-    def counting(*args):
-        before = counter.lookups
-        chosen.append(generating_set(*args))
-        lookups.append(counter.lookups - before)
-        return chosen[-1]
-
-    monkeypatch.setattr(category_module, "_generating_set", counting)
-    assert validate_axioms(category) == []
-    a, k = len(chosen[0]["o"]), len(category.vectors)
-    assert a == 2 * n - 1
-    assert lookups[0] <= a * a * k
+def test_validate_axioms_walks_only_the_failing_pairs_of_a_swapped_t4():
+    # the clean run's lookups, then for each pair whose rows differ, which
+    # has at least one violation, g∘f once and three for each k
+    category = t4()
+    category.table = counter = CountingTable(swapped_t4_table(category))
+    violations = validate_axioms(category)
+    k = len(category.arrows)
+    assert len(violations) == 1071
+    assert counter.lookups <= 3 * k * k + 2 * k + (1 + 3 * k) * len(violations)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
